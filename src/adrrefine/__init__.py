@@ -39,7 +39,6 @@ from .mining import (
     ContingencyTable,
     MiningConstraints,
     RuleMeasures,
-    build_contingency,
     chi_squared,
     contingency_from_counts,
     mine_all_rules,
@@ -47,7 +46,6 @@ from .mining import (
     read_rules_csv,
     read_rules_json,
     rule_measures,
-    supp,
     write_rules_csv,
     write_rules_json,
 )
@@ -60,6 +58,7 @@ from .refine import (
     classify_expected,
     extract_hoi_rules,
     refine,
+    rule_consequent,
     write_report_csv,
     write_report_json,
 )

@@ -2,8 +2,10 @@
 
 Each eligible patient contributes one deduplicated basket: their gender
 item plus the normalized item of every retained event. The database
-keeps, per item, a packed bitmap over basket ordinals; itemset counts
-are bitwise AND + popcount, which is what makes level-wise mining cheap.
+keeps one vertical index: per item, its sorted basket ordinals and a
+0/1 byte row over all baskets. An itemset's baskets are the rarest
+item's ordinals narrowed through the other items' rows, so counting
+costs one byte lookup per candidate basket rather than a scan of all m.
 
 Whole-history baskets feed mining; time-restricted pre-outcome baskets
 feed signal refinement. The asymmetry is deliberate: rules describe
@@ -62,11 +64,13 @@ def pre_outcome_basket(
 
 
 class BasketDatabase:
-    """An immutable basket corpus with a per-item bitmap index.
+    """An immutable basket corpus with a per-item vertical index.
 
-    Basket ordinals follow store patient order, so rebuilding from the
-    same store yields identical ordinals. Items are indexed in token
-    order for deterministic ids.
+    `tid_lists[i]` holds the sorted int64 ordinals of the baskets that
+    contain item i; `bits` is the items x baskets membership matrix, one
+    0/1 byte per cell. Both are read-only. Basket ordinals follow store
+    patient order, so rebuilding from the same store yields identical
+    ordinals. Items are indexed in token order for deterministic ids.
     """
 
     def __init__(self, baskets: Sequence[tuple[str, frozenset[Item]]]):
@@ -80,42 +84,22 @@ class BasketDatabase:
         self.items: tuple[Item, ...] = tuple(sorted(universe, key=lambda it: it.token))
         self.item_ids: dict[Item, int] = {it: i for i, it in enumerate(self.items)}
 
-        # Rows are padded to whole 64-bit words so dense counting can run
-        # over a uint64 view; the pad bits stay zero and never count.
-        n_bytes = ((self.m + 63) // 64) * 8
-        bits = np.zeros((len(self.items), n_bytes), dtype=np.uint8)
-        row_members: list[list[int]] = [[] for _ in self.items]
+        rows = [[] for _ in self.items]
         for ordinal, (_, basket) in enumerate(self.baskets):
             for item in basket:
-                row_members[self.item_ids[item]].append(ordinal)
-        mask = np.zeros(self.m, dtype=bool)
-        for i, members in enumerate(row_members):
-            mask[:] = False
-            mask[members] = True
-            bits[i, : (self.m + 7) // 8] = np.packbits(mask)
+                rows[self.item_ids[item]].append(ordinal)
+        # Swap each Python list for its array in place, so every list is
+        # freed before the byte matrix is allocated.
+        for i, members in enumerate(rows):
+            rows[i] = np.array(members, dtype=np.int64)
+        bits = np.zeros((len(self.items), self.m), dtype=np.uint8)
+        for i, tids in enumerate(rows):
+            bits[i, tids] = 1
+            tids.flags.writeable = False
+        bits.flags.writeable = False
+        self.tid_lists: tuple[np.ndarray, ...] = tuple(rows)
         self.bits: np.ndarray = bits
-        self.words: np.ndarray = bits.view(np.uint64)
-        self.counts: np.ndarray = np.array(
-            [len(members) for members in row_members], dtype=np.int64
-        )
-        self._bools: np.ndarray | None = None
-        self._tid_lists: list[np.ndarray] | None = None
-
-    @property
-    def bools(self) -> np.ndarray:
-        """Per-item 0/1 membership matrix (n_items x m), built on first use.
-        Costs one byte per basket-item cell; used for sparse counting."""
-        if self._bools is None:
-            self._bools = np.unpackbits(self.bits, axis=1, count=self.m)
-        return self._bools
-
-    @property
-    def tid_lists(self) -> list[np.ndarray]:
-        """Per-item sorted basket-ordinal arrays, built on first use."""
-        if self._tid_lists is None:
-            bools = self.bools
-            self._tid_lists = [np.nonzero(bools[i])[0] for i in range(len(self.items))]
-        return self._tid_lists
+        self.counts: np.ndarray = np.array([len(t) for t in rows], dtype=np.int64)
 
     def __contains__(self, item: Item) -> bool:
         return item in self.item_ids
@@ -125,6 +109,18 @@ class BasketDatabase:
         idx = self.item_ids.get(item)
         return 0 if idx is None else int(self.counts[idx])
 
+    def cover(self, ids: Sequence[int]) -> np.ndarray:
+        """Sorted ordinals of the baskets holding every item id in `ids`;
+        all baskets for no ids. Starts from the rarest item's ordinals and
+        keeps those whose byte is set in each other item's row."""
+        if not ids:
+            return np.arange(self.m, dtype=np.int64)
+        ordered = sorted(ids, key=lambda i: self.counts[i])
+        tids = self.tid_lists[ordered[0]]
+        for i in ordered[1:]:
+            tids = tids[self.bits[i, tids] != 0]
+        return tids
+
     def count(self, itemset: Iterable[Item]) -> int:
         """Number of baskets containing every item of `itemset`."""
         ids = []
@@ -133,24 +129,18 @@ class BasketDatabase:
             if idx is None:
                 return 0
             ids.append(idx)
-        if not ids:
-            return self.m
-        acc = self.bits[ids[0]]
-        for idx in ids[1:]:
-            acc = acc & self.bits[idx]
-        return int(np.bitwise_count(acc).sum())
+        return len(self.cover(ids))
 
     def supp(self, itemset: Iterable[Item]) -> float:
         """Fraction of baskets containing `itemset` (1.0 for the empty set)."""
         return self.count(itemset) / self.m
 
     def ordinals(self, item: Item) -> np.ndarray:
-        """Sorted basket ordinals containing `item`."""
+        """Sorted basket ordinals containing `item` (read-only)."""
         idx = self.item_ids.get(item)
         if idx is None:
             return np.empty(0, dtype=np.int64)
-        expanded = np.unpackbits(self.bits[idx], count=self.m)
-        return np.nonzero(expanded)[0].astype(np.int64)
+        return self.tid_lists[idx]
 
 
 def build_database(

@@ -13,15 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import baskets, events, mining, signals, synth
-from .codes import Item, ItemKind, read_truncate
 from .errors import DomainError, ParseError
+from .refine import DEFAULT_LIFT_THRESHOLD, rule_consequent
 from .refine import refine as refine_signal
 from .refine import report_to_dict, write_report_csv, write_report_json
 
@@ -30,15 +29,15 @@ from .refine import report_to_dict, write_report_csv, write_report_json
 class PipelineConfig:
     """Every tunable with its default; the CLI exposes each as a flag."""
 
-    min_left_support: float = 0.001
-    min_confidence: float = 0.01
-    max_antecedent: int = 3
-    lift_threshold: float = 1.0
-    window_start: int = 1
-    window_end: int = 60
-    exclusion_months: int = 12
-    end_buffer_days: int = 30
-    min_active_months: int = 24
+    min_left_support: float = mining.DEFAULT_MIN_LEFT_SUPPORT
+    min_confidence: float = mining.DEFAULT_MIN_CONFIDENCE
+    max_antecedent: int = mining.DEFAULT_MAX_ANTECEDENT
+    lift_threshold: float = DEFAULT_LIFT_THRESHOLD
+    window_start: int = signals.DEFAULT_WINDOW[0]
+    window_end: int = signals.DEFAULT_WINDOW[1]
+    exclusion_months: int = events.DEFAULT_EXCLUSION_MONTHS
+    end_buffer_days: int = events.DEFAULT_END_BUFFER_DAYS
+    min_active_months: int = events.DEFAULT_MIN_ACTIVE_MONTHS
     include_same_day: bool = False
 
 
@@ -117,6 +116,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    # Check the options and the outcome before the costly load.
+    workers = mining.resolve_workers(args.workers)
+    consequent = rule_consequent(signals.load_signal_spec(args.spec).hoi) if args.spec else None
     store = _load_store(args)
     t0 = time.perf_counter()
     db = baskets.build_database(store, args.min_active_months)
@@ -125,12 +127,10 @@ def cmd_mine(args) -> int:
         args.min_left_support, args.min_confidence, args.max_antecedent
     )
     t0 = time.perf_counter()
-    if args.spec:
-        spec = signals.load_signal_spec(args.spec)
-        consequent = Item(ItemKind.READ, str(read_truncate(spec.hoi, 3)))
-        rules = mining.mine_rules(db, consequent, constraints, workers=args.workers)
+    if consequent is not None:
+        rules = mining.mine_rules(db, consequent, constraints, workers=workers)
     else:
-        rules = mining.mine_all_rules(db, constraints, workers=args.workers)
+        rules = mining.mine_all_rules(db, constraints, workers=workers)
     _log("mine", rules=len(rules), seconds=f"{time.perf_counter() - t0:.3f}")
     if args.out.endswith(".json"):
         mining.write_rules_json(rules, args.out)
@@ -164,6 +164,7 @@ def cmd_signal(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    workers = mining.resolve_workers(args.workers)
     store = _excluded_store(args)
     spec = _load_spec(args)
     rules = _read_rules(args.rules)
@@ -176,7 +177,7 @@ def cmd_refine(args) -> int:
         instances=instances,
         lift_threshold=args.lift_threshold,
         include_same_day=args.include_same_day,
-        workers=args.workers or max(1, os.cpu_count() or 1),
+        workers=workers,
     )
     _log(
         "refine",

@@ -33,9 +33,6 @@ DEFAULT_MIN_LEFT_SUPPORT = 0.001
 DEFAULT_MIN_CONFIDENCE = 0.01
 DEFAULT_MAX_ANTECEDENT = 3
 
-# Cap on the row block materialized per counting call, in bytes.
-_BATCH_BYTES = 1 << 23
-
 
 @dataclass(frozen=True)
 class MiningConstraints:
@@ -89,33 +86,6 @@ class AssociationRule:
 
     def sort_key(self) -> tuple:
         return (self.consequent.token, self.antecedent_tokens)
-
-
-def build_contingency(supp_xy, supp_x, supp_y, m: int) -> ContingencyTable:
-    """Observed and expected cell proportions for antecedent/consequent
-    co-occurrence. Accepts floats or Fractions; Fractions keep the cells
-    exact until the final float conversion."""
-    if not (0 <= supp_xy <= supp_x <= 1 and supp_xy <= supp_y <= 1):
-        raise DomainError(
-            f"inconsistent supports: supp_xy={supp_xy}, supp_x={supp_x}, supp_y={supp_y}"
-        )
-    o4 = 1 - supp_x - supp_y + supp_xy
-    if o4 < 0:
-        raise DomainError(
-            f"inconsistent supports: union exceeds 1 ({supp_x}, {supp_y}, {supp_xy})"
-        )
-    observed = (supp_xy, supp_x - supp_xy, supp_y - supp_xy, o4)
-    expected = (
-        supp_x * supp_y,
-        supp_x * (1 - supp_y),
-        supp_y * (1 - supp_x),
-        1 - supp_x - supp_y + supp_x * supp_y,
-    )
-    return ContingencyTable(
-        observed=tuple(float(v) for v in observed),
-        expected=tuple(float(v) for v in expected),
-        m=m,
-    )
 
 
 def chi_squared(table: ContingencyTable) -> float:
@@ -175,7 +145,7 @@ def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeas
         raise DomainError("basket count must be positive")
     if count_x <= 0 or count_y <= 0:
         raise DomainError("confidence and lift are undefined for empty marginals")
-    if not 0 <= count_xy <= min(count_x, count_y) or max(count_x, count_y) > m:
+    if not 0 <= count_xy <= min(count_x, count_y) or count_x + count_y - count_xy > m:
         raise DomainError(
             f"inconsistent counts: xy={count_xy}, x={count_x}, y={count_y}, m={m}"
         )
@@ -189,11 +159,6 @@ def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeas
     )
 
 
-def supp(itemset: Iterable[Item], db: BasketDatabase) -> float:
-    """Fraction of baskets containing `itemset`; 1.0 for the empty set."""
-    return db.supp(itemset)
-
-
 def min_count_for(threshold: float, m: int) -> int:
     """Smallest basket count c with c/m >= threshold."""
     c = max(1, math.ceil(threshold * m))
@@ -204,69 +169,13 @@ def min_count_for(threshold: float, m: int) -> int:
     return c
 
 
-# A base itemset is counted against extensions through one of two routes:
-# dense bases stay as packed words (AND + popcount per extension row),
-# sparse bases become tid arrays and extensions are gathered from the
-# boolean membership matrix, costing one byte per covered basket instead
-# of m/8 bytes. The cutoff is the density where both cost the same.
-_SPARSE_DIVISOR = 8
+def _count_over(db: BasketDatabase, tids: np.ndarray, ext_ids: Sequence[int]) -> np.ndarray:
+    """count(cover AND {e}) for each extension id, given the cover's ordinals."""
+    return db.bits[np.ix_(np.asarray(ext_ids), tids)].sum(axis=1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class _Base:
-    packed: np.ndarray | None  # uint64 row when dense
-    tids: np.ndarray | None  # basket ordinals when sparse
-    count: int
-
-
-def _and_words(words: np.ndarray, ids: Sequence[int]) -> np.ndarray:
-    acc = words[ids[0]]
-    for i in ids[1:]:
-        acc = acc & words[i]
-    return acc
-
-
-def _make_base(db: BasketDatabase, ids: Sequence[int]) -> _Base:
-    ordered = sorted(ids, key=lambda i: db.counts[i])
-    smallest = int(db.counts[ordered[0]])
-    if smallest * _SPARSE_DIVISOR < db.m:
-        # Narrow the smallest item's tid list through the others.
-        bools = db.bools
-        tids = db.tid_lists[ordered[0]]
-        for i in ordered[1:]:
-            tids = tids[bools[i, tids] != 0]
-        return _Base(None, tids, len(tids))
-    packed = _and_words(db.words, ids)
-    count = int(np.bitwise_count(packed).sum())
-    if count * _SPARSE_DIVISOR < db.m:
-        expanded = np.unpackbits(packed.view(np.uint8), count=db.m)
-        return _Base(None, np.nonzero(expanded)[0], count)
-    return _Base(packed, None, count)
-
-
-def _count_over(db: BasketDatabase, base: _Base, ext_ids: Sequence[int]) -> np.ndarray:
-    """count(base AND {e}) for each extension id."""
-    n = len(ext_ids)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if base.tids is not None:
-        if len(base.tids) == 0:
-            return np.zeros(n, dtype=np.int64)
-        sub = db.bools[np.ix_(np.asarray(ext_ids), base.tids)]
-        return sub.sum(axis=1, dtype=np.int64)
-    words = db.words
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, _BATCH_BYTES // (words.shape[1] * 8))
-    ids = np.asarray(ext_ids)
-    for lo in range(0, n, chunk):
-        block = ids[lo : lo + chunk]
-        out[lo : lo + len(block)] = np.bitwise_count(words[block] & base.packed).sum(
-            axis=1, dtype=np.int64
-        )
-    return out
-
-
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
+    """Worker count to use: every core for None; below 1 is a ConfigError."""
     if workers is None:
         return max(1, os.cpu_count() or 1)
     if workers < 1:
@@ -295,8 +204,7 @@ def frequent_antecedents(
     Candidates at level k+1 join two frequent k-sets sharing a prefix and
     are pruned unless every k-subset is frequent.
     """
-    workers = _resolve_workers(workers)
-    db.bools  # materialize before any parallel counting
+    workers = resolve_workers(workers)
     exclude_id = db.item_ids.get(exclude) if exclude is not None else None
 
     freq: dict[tuple[int, ...], int] = {}
@@ -355,7 +263,7 @@ def frequent_antecedents(
 
         def count_job(job):
             prefix, la, exts = job
-            return _count_over(db, _make_base(db, prefix + (la,)), exts)
+            return _count_over(db, db.cover(prefix + (la,)), exts)
 
         results = _run_jobs(jobs, count_job, workers)
         next_level: dict[tuple[int, ...], int] = {}
@@ -382,7 +290,7 @@ def _co_counts(
 
     def count_job(job):
         prefix, tails = job
-        return _count_over(db, _make_base(db, prefix + (target_id,)), tails)
+        return _count_over(db, db.cover(prefix + (target_id,)), tails)
 
     results = _run_jobs(jobs, count_job, workers)
     out: dict[tuple[int, ...], int] = {}
@@ -406,7 +314,7 @@ def mine_rules(
     is sorted for reproducible output; treat it as a set.
     """
     constraints = constraints or MiningConstraints()
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     consequent_id = db.item_ids.get(consequent)
     if consequent_id is None:
         raise DomainError(f"consequent does not appear in any basket: {consequent}")
@@ -449,7 +357,7 @@ def mine_all_rules(
     every other item as a candidate consequent in one vectorized pass.
     """
     constraints = constraints or MiningConstraints()
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     min_count = min_count_for(constraints.min_left_support, db.m)
     freq = frequent_antecedents(
         db, min_count, constraints.max_antecedent, exclude=None, workers=workers
@@ -465,7 +373,7 @@ def mine_all_rules(
     def count_job(job):
         prefix, tails = job
         return [
-            _count_over(db, _make_base(db, prefix + (tail,)), all_ids) for tail in tails
+            _count_over(db, db.cover(prefix + (tail,)), all_ids) for tail in tails
         ]
 
     results = _run_jobs(jobs, count_job, workers)

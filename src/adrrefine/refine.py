@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .baskets import pre_outcome_basket
-from .codes import Item, ItemKind, ReadCode, read_truncate
+from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
 from .errors import DomainError
 from .events import EventStore
 from .mining import AssociationRule
@@ -62,15 +62,26 @@ class SignalReport:
     assessments: tuple[InstanceAssessment, ...]
 
 
+def rule_consequent(hoi_query: ReadCode) -> Item:
+    """The rule consequent that stands for an outcome query: its level-3 form.
+
+    Mining normalizes diagnosis items to level 3, so a deeper query is
+    refined through its level-3 ancestor's rules. A coarser query has no
+    rules of its own, so it is rejected rather than left unadjusted.
+    """
+    if read_level(hoi_query) < RULE_CONSEQUENT_LEVEL:
+        raise DomainError(
+            f"outcome query {hoi_query} is above level {RULE_CONSEQUENT_LEVEL}; "
+            f"rules exist only for level-{RULE_CONSEQUENT_LEVEL} outcomes"
+        )
+    return Item(ItemKind.READ, str(read_truncate(hoi_query, RULE_CONSEQUENT_LEVEL)))
+
+
 def extract_hoi_rules(
     rules: list[AssociationRule], hoi_query: ReadCode
 ) -> list[AssociationRule]:
-    """Rules whose consequent is the query's level-3 form.
-
-    Mining normalizes diagnosis items to level 3, so a deeper outcome
-    query is refined through its level-3 ancestor's rules.
-    """
-    target = Item(ItemKind.READ, str(read_truncate(hoi_query, RULE_CONSEQUENT_LEVEL)))
+    """Rules whose consequent is `rule_consequent(hoi_query)`."""
+    target = rule_consequent(hoi_query)
     return [r for r in rules if r.consequent == target]
 
 
@@ -144,13 +155,13 @@ def refine(
     unless supplied, so externally listed instances (or given counts)
     can be pushed through the same arithmetic.
     """
+    hoi_rules = extract_hoi_rules(rules, spec.hoi)
     if exposures is None:
         exposures = exposure_count(spec.doi, store)
     if exposures <= 0:
         raise DomainError("no patients exposed to the drug family; risk undefined")
     if instances is None:
         instances = find_instances(spec, store)
-    hoi_rules = extract_hoi_rules(rules, spec.hoi)
 
     def assess(inst: SignalInstance) -> InstanceAssessment:
         return assess_instance(store, inst, hoi_rules, include_same_day, lift_threshold)

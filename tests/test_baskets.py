@@ -115,18 +115,32 @@ class TestIndex:
         assert db.supp([]) == 1.0
 
     def test_pair_counts_match_scan(self):
+        # Itemsets of size 0-3 over items whose densities sit on both sides
+        # of m/8, plus items that appear in no basket.
         rng = random.Random(7)
-        items = [Item(ItemKind.READ, f"A{i:02d}..") for i in range(12)]
+        densities = [0.02, 0.05, 0.08, 0.11, 0.14, 0.2, 0.3, 0.45, 0.6, 0.8, 0.95]
+        items = [Item(ItemKind.READ, f"A{i:02d}..") for i in range(len(densities))]
         baskets = []
-        for j in range(50):
-            members = frozenset(it for it in items if rng.random() < 0.35)
+        for j in range(400):
+            members = frozenset(it for it, d in zip(items, densities) if rng.random() < d)
             baskets.append((f"p{j}", members | {GENDER_M}))
         db = BasketDatabase(baskets)
-        for _ in range(200):
-            pair = rng.sample(items, 2)
-            scan = sum(1 for _, b in baskets if set(pair) <= b)
-            assert db.count(pair) == scan
-            assert db.supp(pair) == scan / db.m
+        unknown = [Item(ItemKind.READ, "Zzz.."), Item(ItemKind.BNF, "9.9.0.0")]
+        pool = items + [GENDER_M] + unknown
+        for _ in range(400):
+            itemset = rng.sample(pool, rng.randint(0, 3))
+            want = [o for o, (_, b) in enumerate(baskets) if set(itemset) <= b]
+            assert db.count(itemset) == len(want)
+            assert db.supp(itemset) == len(want) / db.m
+            if all(it in db for it in itemset):
+                assert db.cover([db.item_ids[it] for it in itemset]).tolist() == want
+
+    def test_index_is_read_only(self, worked_store):
+        db = build_database(worked_store, min_active_months=0)
+        with pytest.raises(ValueError):
+            db.bits[0, 0] = 1
+        with pytest.raises(ValueError):
+            db.ordinals(GENDER_M)[0] = 3
 
     def test_unknown_item_count_is_zero(self, worked_store):
         db = build_database(worked_store, min_active_months=0)

@@ -289,6 +289,40 @@ class TestRefine:
         assert "error:" in err
 
 
+class TestRejectedRequests:
+    """Requests without a defined answer exit 1 on both mining and refinement."""
+
+    @staticmethod
+    def argv(command, worked_example_dir, tmp_path, spec):
+        argv = [
+            command,
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--spec", str(spec),
+        ]
+        if command == "mine":
+            return argv + ["--out", str(tmp_path / "rules.csv"), "--min-active-months", "0"]
+        return argv + ["--rules", str(worked_example_dir / "rules.csv"), "--out", str(tmp_path / "report")]
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_outcome_query_above_level_three(self, capsys, worked_example_dir, tmp_path, command):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"doi_items": ["1.1.0.0"], "hoi_code": "H0..."}))
+        code, _, err = run_cli(capsys, *self.argv(command, worked_example_dir, tmp_path, spec))
+        assert code == 1
+        assert "level" in err
+        assert not (tmp_path / "rules.csv").exists()
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_zero_workers(self, capsys, worked_example_dir, tmp_path, command):
+        spec = worked_example_dir / "signal.json"
+        argv = self.argv(command, worked_example_dir, tmp_path, spec) + ["--workers", "0"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "workers" in err
+
+
 class TestSynth:
     def test_seed_reproducibility(self, capsys, tmp_path):
         spec = scenario_file(tmp_path)

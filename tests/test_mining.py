@@ -10,15 +10,14 @@ from adrrefine.errors import ConfigError, DomainError
 from adrrefine.mining import (
     AssociationRule,
     MiningConstraints,
-    build_contingency,
     chi_squared,
+    contingency_from_counts,
     min_count_for,
     mine_all_rules,
     mine_rules,
     read_rules_csv,
     read_rules_json,
     rule_measures,
-    supp,
     write_rules_csv,
     write_rules_json,
 )
@@ -73,11 +72,11 @@ class TestConstraints:
 
 class TestContingency:
     def test_independence_gives_equal_cells(self):
-        t = build_contingency(0.25, 0.5, 0.5, 100)
+        t = contingency_from_counts(25, 50, 50, 100)
         assert t.observed == t.expected == (0.25, 0.25, 0.25, 0.25)
 
     def test_perfect_overlap(self):
-        t = build_contingency(0.5, 0.5, 0.5, 100)
+        t = contingency_from_counts(50, 50, 50, 100)
         assert t.observed == (0.5, 0.0, 0.0, 0.5)
 
     def test_cells_sum_to_one(self):
@@ -87,30 +86,24 @@ class TestContingency:
             cx = rng.randint(1, m)
             cy = rng.randint(1, m)
             cxy = rng.randint(max(0, cx + cy - m), min(cx, cy))
-            t = build_contingency(Fraction(cxy, m), Fraction(cx, m), Fraction(cy, m), m)
+            t = contingency_from_counts(cxy, cx, cy, m)
             assert math.isclose(sum(t.observed), 1.0, abs_tol=1e-12)
             assert math.isclose(sum(t.expected), 1.0, abs_tol=1e-12)
             assert all(v >= 0 for v in t.observed + t.expected)
 
-    def test_inconsistent_supports_rejected(self):
-        with pytest.raises(DomainError):
-            build_contingency(0.6, 0.5, 0.7, 10)
-        with pytest.raises(DomainError):
-            build_contingency(0.1, 0.9, 0.8, 10)  # union would exceed 1
-
 
 class TestChiSquared:
     def test_zero_when_observed_equals_expected(self):
-        t = build_contingency(0.25, 0.5, 0.5, 100)
+        t = contingency_from_counts(25, 50, 50, 100)
         assert chi_squared(t) == 0.0
 
     def test_hand_computed_perfect_association(self):
         # counts 50/0/0/50 in 100 baskets: every cell contributes 25.
-        t = build_contingency(0.5, 0.5, 0.5, 100)
+        t = contingency_from_counts(50, 50, 50, 100)
         assert chi_squared(t) == pytest.approx(100.0, abs=1e-12)
 
     def test_degenerate_marginal_flagged_as_zero(self):
-        t = build_contingency(0.5, 0.5, 1.0, 100)
+        t = contingency_from_counts(50, 50, 100, 100)
         assert t.degenerate
         assert chi_squared(t) == 0.0
 
@@ -121,7 +114,7 @@ class TestChiSquared:
             cx = rng.randint(1, m)
             cy = rng.randint(1, m)
             cxy = rng.randint(max(0, cx + cy - m), min(cx, cy))
-            t = build_contingency(Fraction(cxy, m), Fraction(cx, m), Fraction(cy, m), m)
+            t = contingency_from_counts(cxy, cx, cy, m)
             got = chi_squared(t)
             want = chi2_counts_oracle(cxy, cx, cy, m)
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
@@ -151,6 +144,10 @@ class TestRuleMeasures:
             rule_measures(0, 0, 2, 4)
         with pytest.raises(DomainError):
             rule_measures(0, 2, 0, 4)
+        with pytest.raises(DomainError):
+            rule_measures(6, 5, 7, 10)  # more joint than antecedent baskets
+        with pytest.raises(DomainError):
+            rule_measures(1, 9, 8, 10)  # union of X and Y would exceed m
 
     def test_identities_on_random_counts(self):
         rng = random.Random(34)
@@ -348,16 +345,3 @@ class TestRuleSerialization:
         with pytest.raises(DomainError):
             AssociationRule(frozenset([c]), c, 0.1, 0.2, 0.5, 1.0, 0.0)
 
-
-class TestSupp:
-    def test_empty_itemset(self, worked_store):
-        from adrrefine.baskets import build_database
-
-        db = build_database(worked_store, min_active_months=0)
-        assert supp([], db) == 1.0
-
-    def test_singleton_fraction(self):
-        a, b = Item(ItemKind.READ, "A00.."), Item(ItemKind.READ, "B00..")
-        baskets = [("p0", frozenset([a])), ("p1", frozenset([a])), ("p2", frozenset([a, b])), ("p3", frozenset([b]))]
-        db = BasketDatabase(baskets)
-        assert supp([a], db) == 0.75

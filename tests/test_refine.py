@@ -52,6 +52,16 @@ class TestExtractHoiRules:
     def test_empty_rule_set(self):
         assert extract_hoi_rules([], parse_read("H05..")) == []
 
+    def test_query_above_level_three_rejected(self, worked_store, worked_rules, worked_spec):
+        # The instances exist, but no rule has a level-1/2 consequent, so
+        # refinement would silently report the unadjusted risk.
+        for code in ("H0...", "H...."):
+            with pytest.raises(DomainError):
+                extract_hoi_rules(worked_rules, parse_read(code))
+            spec = SignalSpec(doi=worked_spec.doi, hoi=parse_read(code), window=worked_spec.window)
+            with pytest.raises(DomainError):
+                refine(spec, worked_rules, worked_store)
+
 
 class TestAssessInstance:
     def test_worked_example_instances(self, worked_store, worked_rules, worked_instances):
