@@ -6,7 +6,9 @@ and shows how left support lets rules with a rare consequent surface,
 while lift and chi-squared grade the association strength.
 """
 
+import os
 import random
+import tempfile
 
 from adrrefine import (
     AssociationRule,
@@ -60,5 +62,6 @@ top = max(rules, key=lambda r: r.lift)
 assert DRUG_A in top.antecedent, "the planted association should rank first by lift"
 print(f"\nhighest lift antecedent contains {DRUG_A.token}, as planted")
 
-write_rules_csv(rules, "/tmp/demo_rules.csv")
-print("rules written to /tmp/demo_rules.csv")
+out = os.path.join(tempfile.gettempdir(), "demo_rules.csv")
+write_rules_csv(rules, out)
+print(f"rules written to {out}")

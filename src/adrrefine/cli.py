@@ -212,6 +212,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _add_cohort_files(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--patients", required=True, help="patients.csv path")
+    p.add_argument("--events", required=True, help="events.csv path")
+
+
+def _add_exclusions(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--exclusion-months", type=int, default=DEFAULTS.exclusion_months,
+                   help="months of prescriptions dropped after registration")
+    p.add_argument("--end-buffer-days", type=int, default=DEFAULTS.end_buffer_days,
+                   help="days of prescriptions dropped before the database end")
+
+
+def _add_window(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window-start", type=int, default=None,
+                   help=f"override window start day (spec default {DEFAULTS.window_start})")
+    p.add_argument("--window-end", type=int, default=None,
+                   help=f"override window end day (spec default {DEFAULTS.window_end})")
+
+
+def _add_min_active_months(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--min-active-months", type=int, default=DEFAULTS.min_active_months,
+                   help="activity span required for mining eligibility")
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel workers (default: all cores)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adrrefine",
@@ -228,18 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("ingest", "load cohort files, apply exclusions, print counts", cmd_ingest)
-    p.add_argument("--patients", required=True, help="patients.csv path")
-    p.add_argument("--events", required=True, help="events.csv path")
-    p.add_argument("--exclusion-months", type=int, default=DEFAULTS.exclusion_months,
-                   help="months of prescriptions dropped after registration")
-    p.add_argument("--end-buffer-days", type=int, default=DEFAULTS.end_buffer_days,
-                   help="days of prescriptions dropped before the database end")
-    p.add_argument("--min-active-months", type=int, default=DEFAULTS.min_active_months,
-                   help="activity span required for mining eligibility")
+    _add_cohort_files(p)
+    _add_exclusions(p)
+    _add_min_active_months(p)
 
     p = add("mine", "mine association rules from patient baskets", cmd_mine)
-    p.add_argument("--patients", required=True, help="patients.csv path")
-    p.add_argument("--events", required=True, help="events.csv path")
+    _add_cohort_files(p)
     p.add_argument("--out", required=True, help="rules output (.csv or .json)")
     p.add_argument("--spec", default=None,
                    help="optional signal spec JSON; restricts mining to the outcome's consequent")
@@ -249,28 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum rule confidence")
     p.add_argument("--max-antecedent", type=int, default=DEFAULTS.max_antecedent,
                    help="largest antecedent size")
-    p.add_argument("--min-active-months", type=int, default=DEFAULTS.min_active_months,
-                   help="activity span required for mining eligibility")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: all cores)")
+    _add_min_active_months(p)
+    _add_workers(p)
 
     p = add("signal", "score a drug-outcome signal and list its instances", cmd_signal)
-    p.add_argument("--patients", required=True, help="patients.csv path")
-    p.add_argument("--events", required=True, help="events.csv path")
+    _add_cohort_files(p)
     p.add_argument("--spec", required=True, help="signal spec JSON path")
     p.add_argument("--out", required=True, help="instances.csv output path")
-    p.add_argument("--window-start", type=int, default=None,
-                   help=f"override window start day (spec default {DEFAULTS.window_start})")
-    p.add_argument("--window-end", type=int, default=None,
-                   help=f"override window end day (spec default {DEFAULTS.window_end})")
-    p.add_argument("--exclusion-months", type=int, default=DEFAULTS.exclusion_months,
-                   help="months of prescriptions dropped after registration")
-    p.add_argument("--end-buffer-days", type=int, default=DEFAULTS.end_buffer_days,
-                   help="days of prescriptions dropped before the database end")
+    _add_window(p)
+    _add_exclusions(p)
 
     p = add("refine", "filter signal instances and report adjusted risk", cmd_refine)
-    p.add_argument("--patients", required=True, help="patients.csv path")
-    p.add_argument("--events", required=True, help="events.csv path")
+    _add_cohort_files(p)
     p.add_argument("--rules", required=True, help="mined rules file (.csv or .json)")
     p.add_argument("--spec", required=True, help="signal spec JSON path")
     p.add_argument("--out", required=True, help="output directory for report.json/report.csv")
@@ -281,16 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-same-day", action="store_true",
                    default=DEFAULTS.include_same_day,
                    help="count items recorded on the outcome day as prior history")
-    p.add_argument("--window-start", type=int, default=None,
-                   help=f"override window start day (spec default {DEFAULTS.window_start})")
-    p.add_argument("--window-end", type=int, default=None,
-                   help=f"override window end day (spec default {DEFAULTS.window_end})")
-    p.add_argument("--exclusion-months", type=int, default=DEFAULTS.exclusion_months,
-                   help="months of prescriptions dropped after registration")
-    p.add_argument("--end-buffer-days", type=int, default=DEFAULTS.end_buffer_days,
-                   help="days of prescriptions dropped before the database end")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: all cores)")
+    _add_window(p)
+    _add_exclusions(p)
+    _add_workers(p)
 
     p = add("synth", "generate a synthetic cohort with ground-truth labels", cmd_synth)
     p.add_argument("--spec", required=True, help="scenario JSON path")

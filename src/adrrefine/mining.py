@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,8 +103,9 @@ def chi_squared(table: ContingencyTable) -> float:
     return table.m * total
 
 
-@dataclass(frozen=True)
-class RuleMeasures:
+class RuleMeasures(NamedTuple):
+    """The five measures of a rule, in `AssociationRule`'s field order."""
+
     support: float
     left_support: float
     confidence: float
@@ -276,28 +277,53 @@ def frequent_antecedents(
     return freq
 
 
-def _co_counts(
+def _emit_rules(
     db: BasketDatabase,
-    sets_sorted: list[tuple[int, ...]],
-    target_id: int,
+    freq: dict[tuple[int, ...], int],
+    target_ids: Sequence[int],
+    min_confidence: float,
     workers: int,
-) -> dict[tuple[int, ...], int]:
-    """count(X union {target}) for every id-tuple X, grouped by shared prefix."""
-    jobs = [
+) -> list[AssociationRule]:
+    """Every rule X => {y} with X in `freq`, y a target outside X, and
+    confidence at least `min_confidence`, sorted by `sort_key`.
+
+    Antecedents sharing a prefix P form a group whose count(X union {y})
+    values make one targets x tails matrix. It is counted along its
+    shorter side: the cover of P+{y} per target gathered over the tails,
+    or the cover of P+{tail} per tail gathered over the targets.
+    """
+    if not freq:
+        return []
+    targets = np.asarray(target_ids, dtype=np.int64)
+    antecedents = sorted(freq)
+    groups = [
         (prefix, [t[-1] for t in group])
-        for prefix, group in groupby(sets_sorted, key=lambda t: t[:-1])
+        for prefix, group in groupby(antecedents, key=lambda t: t[:-1])
     ]
 
-    def count_job(job):
-        prefix, tails = job
-        return _count_over(db, db.cover(prefix + (target_id,)), tails)
+    def count_group(group) -> np.ndarray:
+        prefix, tails = group
+        if len(targets) <= len(tails):
+            return np.stack([_count_over(db, db.cover(prefix + (y,)), tails) for y in target_ids])
+        return np.stack([_count_over(db, db.cover(prefix + (t,)), targets) for t in tails], axis=1)
 
-    results = _run_jobs(jobs, count_job, workers)
-    out: dict[tuple[int, ...], int] = {}
-    for (prefix, tails), counts in zip(jobs, results):
-        for tail, c in zip(tails, counts):
-            out[prefix + (tail,)] = int(c)
-    return out
+    # count(X union {y}): one row per target, one column per antecedent.
+    xy = np.concatenate(_run_jobs(groups, count_group, workers), axis=1)
+    count_x = [freq[ids] for ids in antecedents]
+    cols, rows = np.nonzero(~(xy / np.asarray(count_x) < min_confidence).T)
+    count_y = db.counts.tolist()
+    rules = []
+    last = None
+    for j, r, count_xy in zip(cols.tolist(), rows.tolist(), xy[rows, cols].tolist()):
+        ids, y = antecedents[j], target_ids[r]
+        if y in ids:
+            continue  # a target inside the antecedent makes no rule
+        if j != last:
+            antecedent, last = frozenset(db.items[i] for i in ids), j
+        measures = rule_measures(count_xy, count_x[j], count_y[y], db.m)
+        rules.append(AssociationRule(antecedent, db.items[y], *measures))
+    rules.sort(key=AssociationRule.sort_key)
+    return rules
 
 
 def mine_rules(
@@ -322,28 +348,7 @@ def mine_rules(
     freq = frequent_antecedents(
         db, min_count, constraints.max_antecedent, exclude=consequent, workers=workers
     )
-    xy = _co_counts(db, sorted(freq), consequent_id, workers)
-    count_y = int(db.counts[consequent_id])
-
-    rules = []
-    for ids, count_x in freq.items():
-        count_xy = xy[ids]
-        if count_xy / count_x < constraints.min_confidence:
-            continue
-        measures = rule_measures(count_xy, count_x, count_y, db.m)
-        rules.append(
-            AssociationRule(
-                antecedent=frozenset(db.items[i] for i in ids),
-                consequent=consequent,
-                support=measures.support,
-                left_support=measures.left_support,
-                confidence=measures.confidence,
-                lift=measures.lift,
-                chi_squared=measures.chi_squared,
-            )
-        )
-    rules.sort(key=AssociationRule.sort_key)
-    return rules
+    return _emit_rules(db, freq, [consequent_id], constraints.min_confidence, workers)
 
 
 def mine_all_rules(
@@ -353,8 +358,9 @@ def mine_all_rules(
 ) -> list[AssociationRule]:
     """Union of mine_rules over every item appearing in the corpus.
 
-    Frequent antecedents are computed once; each is then counted against
-    every other item as a candidate consequent in one vectorized pass.
+    Frequent antecedents are computed once with no item excluded; every
+    item is then a target of the same emitter as `mine_rules`, which
+    skips the antecedents that contain it.
     """
     constraints = constraints or MiningConstraints()
     workers = resolve_workers(workers)
@@ -362,47 +368,9 @@ def mine_all_rules(
     freq = frequent_antecedents(
         db, min_count, constraints.max_antecedent, exclude=None, workers=workers
     )
-    n_items = len(db.items)
-    all_ids = list(range(n_items))
-    sets_sorted = sorted(freq)
-    jobs = [
-        (prefix, [t[-1] for t in group])
-        for prefix, group in groupby(sets_sorted, key=lambda t: t[:-1])
-    ]
-
-    def count_job(job):
-        prefix, tails = job
-        return [
-            _count_over(db, db.cover(prefix + (tail,)), all_ids) for tail in tails
-        ]
-
-    results = _run_jobs(jobs, count_job, workers)
-    rules = []
-    for (prefix, tails), rows in zip(jobs, results):
-        for tail, against_all in zip(tails, rows):
-            ids = prefix + (tail,)
-            count_x = freq[ids]
-            member = set(ids)
-            for cid in range(n_items):
-                if cid in member:
-                    continue
-                count_xy = int(against_all[cid])
-                if count_xy / count_x < constraints.min_confidence:
-                    continue
-                measures = rule_measures(count_xy, count_x, int(db.counts[cid]), db.m)
-                rules.append(
-                    AssociationRule(
-                        antecedent=frozenset(db.items[i] for i in ids),
-                        consequent=db.items[cid],
-                        support=measures.support,
-                        left_support=measures.left_support,
-                        confidence=measures.confidence,
-                        lift=measures.lift,
-                        chi_squared=measures.chi_squared,
-                    )
-                )
-    rules.sort(key=AssociationRule.sort_key)
-    return rules
+    return _emit_rules(
+        db, freq, range(len(db.items)), constraints.min_confidence, workers
+    )
 
 
 _CSV_HEADER = [

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .baskets import pre_outcome_basket
 from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
 from .errors import DomainError
 from .events import EventStore
-from .mining import AssociationRule
+from .mining import AssociationRule, _run_jobs, resolve_workers
 from .signals import (
     AbResult,
     SignalInstance,
@@ -155,6 +154,7 @@ def refine(
     unless supplied, so externally listed instances (or given counts)
     can be pushed through the same arithmetic.
     """
+    workers = resolve_workers(workers)
     hoi_rules = extract_hoi_rules(rules, spec.hoi)
     if exposures is None:
         exposures = exposure_count(spec.doi, store)
@@ -166,11 +166,7 @@ def refine(
     def assess(inst: SignalInstance) -> InstanceAssessment:
         return assess_instance(store, inst, hoi_rules, include_same_day, lift_threshold)
 
-    if workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            assessments = tuple(pool.map(assess, instances))
-    else:
-        assessments = tuple(assess(inst) for inst in instances)
+    assessments = tuple(_run_jobs(instances, assess, workers))
 
     n = len(assessments)
     matched = [a for a in assessments if a.matched_rule_count > 0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from adrrefine.errors import ConfigError, DomainError
 from adrrefine.mining import (
     AssociationRule,
     MiningConstraints,
+    RuleMeasures,
     chi_squared,
     contingency_from_counts,
     min_count_for,
@@ -282,14 +284,30 @@ class TestMineRules:
 
 class TestMineAllRules:
     def test_equals_per_consequent_mining(self):
-        rng = random.Random(40)
-        db = random_db(rng, max_baskets=120, max_items=10)
-        constraints = MiningConstraints(0.05, 0.05, 2)
-        all_rules = mine_all_rules(db, constraints)
-        for consequent in db.items:
-            per = mine_rules(db, consequent, constraints)
-            subset = [r for r in all_rules if r.consequent == consequent]
-            assert subset == per
+        # The emitter unpacks RuleMeasures into AssociationRule by position.
+        fields = tuple(f.name for f in dataclasses.fields(AssociationRule))
+        assert RuleMeasures._fields == fields[2:]
+        # A floor of one basket makes every item frequent, so the level-1
+        # group has as many tails as targets and deeper groups have fewer:
+        # both counting sides run, and size-3 antecedents put consequents
+        # inside 2-item prefixes. `==` compares the measures bit for bit.
+        for seed in (40, 43, 45, 50, 51):
+            rng = random.Random(seed)
+            db = random_db(rng, max_baskets=120, max_items=10)
+            constraints = MiningConstraints(0.001, 0.05, 3)
+            all_rules = mine_all_rules(db, constraints)
+            assert any(len(r.antecedent) == 3 for r in all_rules)
+            for consequent in db.items:
+                per = mine_rules(db, consequent, constraints)
+                subset = [r for r in all_rules if r.consequent == consequent]
+                assert subset == per
+
+    def test_no_frequent_antecedent_gives_no_rules(self):
+        a, b = Item(ItemKind.READ, "A00.."), Item(ItemKind.READ, "B00..")
+        db = BasketDatabase([("p0", frozenset([a])), ("p1", frozenset([b]))])
+        constraints = MiningConstraints(0.9, 0.5, 2)
+        assert mine_all_rules(db, constraints) == []
+        assert mine_rules(db, b, constraints) == []
 
     def test_two_item_toy_db(self):
         a, b = Item(ItemKind.READ, "A00.."), Item(ItemKind.READ, "B00..")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from adrrefine.codes import Item, ItemKind, parse_bnf, parse_read
-from adrrefine.errors import DomainError
+from adrrefine.errors import ConfigError, DomainError
 from adrrefine.events import apply_prescription_exclusions
 from adrrefine.mining import AssociationRule, read_rules_csv
 from adrrefine.refine import (
@@ -167,6 +167,11 @@ class TestRefine:
         b = refine(worked_spec, worked_rules, worked_store, instances=worked_instances,
                    exposures=25, workers=4)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_invalid_worker_count_rejected(self, worked_store, worked_rules, worked_spec, workers):
+        with pytest.raises(ConfigError):
+            refine(worked_spec, worked_rules, worked_store, workers=workers)
 
     def test_lift_threshold_monotone(self, worked_store, worked_rules, worked_instances, worked_spec):
         counts = []
