@@ -19,22 +19,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import Item, gender_item, normalize_item
+from .codes import Item, gender_item
 from .errors import DomainError
 from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, eligible_patients
-
-ItemSet = frozenset  # alias for readability; baskets are frozensets of Item
 
 
 def build_basket(store: EventStore, patient_id: str) -> frozenset[Item]:
     """Whole-history basket: gender plus every normalized retained event."""
-    patient = store.patients.get(patient_id)
-    if patient is None:
-        raise DomainError(f"unknown patient: {patient_id}")
-    items = {gender_item(patient.gender)}
-    for ev in store.patient_events(patient_id):
-        items.add(normalize_item(ev.code_type, ev.code))
-    return frozenset(items)
+    return pre_outcome_basket(store, patient_id, dt.date.max, include_same_day=True)
 
 
 def pre_outcome_basket(
@@ -53,13 +45,14 @@ def pre_outcome_basket(
     patient = store.patients.get(patient_id)
     if patient is None:
         raise DomainError(f"unknown patient: {patient_id}")
+    table = store.code_table
     items = {gender_item(patient.gender)}
     for ev in store.patient_events(patient_id):
         if ev.date > cutoff_date:
             break
         if ev.date == cutoff_date and not include_same_day:
             continue
-        items.add(normalize_item(ev.code_type, ev.code))
+        items.add(table[ev.code_type, ev.code][1])
     return frozenset(items)
 
 

@@ -165,12 +165,20 @@ def bnf_truncate(code: BnfCode, k: int) -> BnfCode:
     return BnfCode(parts)  # type: ignore[arg-type]
 
 
-def read_item(code: ReadCode) -> Item:
-    return Item(ItemKind.READ, str(read_truncate(code, READ_NORMALIZE_LEVEL)))
-
-
-def bnf_item(code: BnfCode) -> Item:
+def code_item(code: ReadCode | BnfCode) -> Item:
+    """Mining item of a parsed code: diagnosis at level 3, drug at level 2."""
+    if isinstance(code, ReadCode):
+        return Item(ItemKind.READ, str(read_truncate(code, READ_NORMALIZE_LEVEL)))
     return Item(ItemKind.BNF, str(bnf_truncate(code, BNF_NORMALIZE_LEVEL)))
+
+
+def parse_code(code_type: str, code: str) -> ReadCode | BnfCode:
+    """Parse a raw event code by its type: the one READ/BNF dispatch."""
+    if code_type == "READ":
+        return parse_read(code)
+    if code_type == "BNF":
+        return parse_bnf(code)
+    raise ParseError(f"code_type must be READ or BNF: {code_type!r}")
 
 
 def gender_item(gender: str) -> Item:
@@ -185,23 +193,16 @@ def normalize_item(code_type: str, code: str) -> Item:
     Diagnosis codes map to their level-3 form, drug codes to their
     level-2 form. Raises ParseError for unparseable input.
     """
-    if code_type == "READ":
-        return read_item(parse_read(code))
-    if code_type == "BNF":
-        return bnf_item(parse_bnf(code))
-    raise ParseError(f"unknown code type {code_type!r}")
+    return code_item(parse_code(code_type, code))
 
 
 def parse_item(token: str) -> Item:
     """Inverse of Item.token; round-trips any canonical item string."""
     if token.startswith("GENDER:"):
         return gender_item(token[len("GENDER:"):])
-    if "." in token and len(token) != READ_LENGTH:
-        code = parse_bnf(token)
-        if bnf_level(code) > BNF_NORMALIZE_LEVEL:
-            raise ParseError(f"bnf item must be level <= {BNF_NORMALIZE_LEVEL}: {token!r}")
-        return Item(ItemKind.BNF, str(code))
-    code = parse_read(token)
-    if read_level(code) > READ_NORMALIZE_LEVEL:
-        raise ParseError(f"read item must be level <= {READ_NORMALIZE_LEVEL}: {token!r}")
-    return Item(ItemKind.READ, str(code))
+    code = parse_bnf(token) if "." in token and len(token) != READ_LENGTH else parse_read(token)
+    item = code_item(code)
+    if item.value != str(code):
+        levels = f"diagnosis level {READ_NORMALIZE_LEVEL}, drug level {BNF_NORMALIZE_LEVEL}"
+        raise ParseError(f"item is deeper than its normalized level ({levels}): {token!r}")
+    return item

@@ -13,9 +13,10 @@ import calendar
 import csv
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, TextIO
 
-from .codes import parse_bnf, parse_read
+from .codes import BnfCode, Item, ReadCode, code_item, parse_code
 from .errors import DomainError, ParseError
 
 DEFAULT_EXCLUSION_MONTHS = 12
@@ -39,11 +40,31 @@ class EventRecord:
     code: str
 
 
+CodeTable = dict[tuple[str, str], tuple[ReadCode | BnfCode, Item]]
+
+
+def _add_code(table: CodeTable, code_type: str, code: str) -> None:
+    key = (code_type, code)
+    if key not in table:
+        parsed = parse_code(code_type, code)
+        table[key] = (parsed, code_item(parsed))
+
+
 @dataclass(frozen=True)
 class EventStore:
     patients: dict[str, PatientInfo]
     events: dict[str, tuple[EventRecord, ...]]  # per patient, date-ordered
     db_end_date: dt.date | None = None
+
+    @cached_property
+    def code_table(self) -> CodeTable:
+        """Each distinct (code_type, code) of the store, parsed once, mapped
+        to its parsed code and its mining item. Built on first use; raises
+        ParseError if a record's code is malformed."""
+        table: CodeTable = {}
+        for ev in self.iter_events():
+            _add_code(table, ev.code_type, ev.code)
+        return table
 
     @property
     def patient_count(self) -> int:
@@ -82,10 +103,6 @@ def months_between(start: dt.date, end: dt.date) -> int:
     return n
 
 
-def _parse_date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text)
-
-
 def _read_patients(fh: TextIO, source: str) -> dict[str, PatientInfo]:
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -104,14 +121,14 @@ def _read_patients(fh: TextIO, source: str) -> dict[str, PatientInfo]:
         if gender not in ("M", "F"):
             raise ParseError(f"gender must be M or F: {gender!r}", source=source, line=lineno)
         try:
-            patients[pid] = PatientInfo(pid, gender, int(yob), _parse_date(reg))
+            patients[pid] = PatientInfo(pid, gender, int(yob), dt.date.fromisoformat(reg))
         except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), source=source, line=lineno) from None
     return patients
 
 
 def _read_events(
-    fh: TextIO, source: str, patients: dict[str, PatientInfo]
+    fh: TextIO, source: str, patients: dict[str, PatientInfo], table: CodeTable
 ) -> dict[str, list[EventRecord]]:
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -128,19 +145,10 @@ def _read_events(
         patient = patients.get(pid)
         if patient is None:
             raise ParseError(f"unknown patient_id {pid!r}", source=source, line=lineno)
-        try:
-            date = _parse_date(date_text)
-        except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=lineno) from None
-        if code_type == "READ":
-            checked = parse_read  # validate eagerly so bad rows carry a line number
-        elif code_type == "BNF":
-            checked = parse_bnf
-        else:
-            raise ParseError(f"code_type must be READ or BNF: {code_type!r}", source=source, line=lineno)
-        try:
-            checked(code)
-        except ParseError as exc:
+        try:  # validate codes eagerly so bad rows carry a line number
+            date = dt.date.fromisoformat(date_text)
+            _add_code(table, code_type, code)
+        except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), source=source, line=lineno) from None
         if date < patient.registration_date:
             raise ParseError(
@@ -165,8 +173,9 @@ def load(
     """
     with open(patients_file, newline="") as fh:
         patients = _read_patients(fh, patients_file)
+    table: CodeTable = {}
     with open(events_file, newline="") as fh:
-        events = _read_events(fh, events_file, patients)
+        events = _read_events(fh, events_file, patients, table)
     max_date: dt.date | None = None
     for evs in events.values():
         evs.sort(key=lambda e: e.date)  # stable: ingestion order preserved on ties
@@ -175,11 +184,13 @@ def load(
             if max_date is None or last > max_date:
                 max_date = last
     end = db_end_date if db_end_date is not None else max_date
-    return EventStore(
+    store = EventStore(
         patients=patients,
         events={pid: tuple(evs) for pid, evs in events.items()},
         db_end_date=end,
     )
+    store.__dict__["code_table"] = table  # fill the cached property: rows were validated into it
+    return store
 
 
 def apply_prescription_exclusions(

@@ -373,19 +373,8 @@ def mine_all_rules(
     )
 
 
-_CSV_HEADER = [
-    "antecedent",
-    "consequent",
-    "left_support",
-    "support",
-    "confidence",
-    "lift",
-    "chi_squared",
-]
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
+_CSV_HEADER = ["antecedent", "consequent", *_MEASURES]
 
 
 def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
@@ -394,17 +383,8 @@ def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for r in ordered:
-            writer.writerow(
-                [
-                    "|".join(r.antecedent_tokens),
-                    r.consequent.token,
-                    _fmt(r.left_support),
-                    _fmt(r.support),
-                    _fmt(r.confidence),
-                    _fmt(r.lift),
-                    _fmt(r.chi_squared),
-                ]
-            )
+            numbers = (f"{getattr(r, name):.12g}" for name in _MEASURES)
+            writer.writerow(["|".join(r.antecedent_tokens), r.consequent.token, *numbers])
 
 
 def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
@@ -413,11 +393,7 @@ def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
         {
             "antecedent": list(r.antecedent_tokens),
             "consequent": r.consequent.token,
-            "left_support": r.left_support,
-            "support": r.support,
-            "confidence": r.confidence,
-            "lift": r.lift,
-            "chi_squared": r.chi_squared,
+            **{name: getattr(r, name) for name in _MEASURES},
         }
         for r in ordered
     ]
@@ -427,21 +403,26 @@ def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
 
 
 def _rule_from_fields(
-    antecedent_tokens: Iterable[str], consequent_token: str, numbers: dict[str, float]
+    antecedent_tokens: Sequence[str],
+    consequent_token: str,
+    numbers: Sequence[str | float],
+    items: dict[str, Item],
 ) -> AssociationRule:
+    """`numbers` come in `_MEASURES` order. `items` caches one file's parsed
+    tokens, so each token is parsed once and its rules share one Item."""
+    for token in (*antecedent_tokens, consequent_token):
+        if token not in items:
+            items[token] = parse_item(token)
     return AssociationRule(
-        antecedent=frozenset(parse_item(t) for t in antecedent_tokens),
-        consequent=parse_item(consequent_token),
-        support=numbers["support"],
-        left_support=numbers["left_support"],
-        confidence=numbers["confidence"],
-        lift=numbers["lift"],
-        chi_squared=numbers["chi_squared"],
+        antecedent=frozenset(items[t] for t in antecedent_tokens),
+        consequent=items[consequent_token],
+        **{name: float(v) for name, v in zip(_MEASURES, numbers)},
     )
 
 
 def read_rules_csv(path: str) -> list[AssociationRule]:
     rules = []
+    items: dict[str, Item] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -457,13 +438,8 @@ def read_rules_csv(path: str) -> list[AssociationRule]:
                     line=lineno,
                 )
             try:
-                numbers = {
-                    name: float(row[i])
-                    for i, name in enumerate(_CSV_HEADER)
-                    if i >= 2
-                }
-                rules.append(_rule_from_fields(row[0].split("|"), row[1], numbers))
-            except (ValueError, ParseError) as exc:
+                rules.append(_rule_from_fields(row[0].split("|"), row[1], row[2:], items))
+            except (ValueError, ParseError, DomainError) as exc:
                 raise ParseError(str(exc), source=path, line=lineno) from None
     return rules
 
@@ -475,10 +451,11 @@ def read_rules_json(path: str) -> list[AssociationRule]:
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), source=path) from None
     rules = []
+    items: dict[str, Item] = {}
     for obj in payload:
         try:
-            numbers = {k: float(obj[k]) for k in _CSV_HEADER[2:]}
-            rules.append(_rule_from_fields(obj["antecedent"], obj["consequent"], numbers))
-        except (KeyError, TypeError, ValueError, ParseError) as exc:
+            numbers = [obj[name] for name in _MEASURES]
+            rules.append(_rule_from_fields(obj["antecedent"], obj["consequent"], numbers, items))
+        except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
             raise ParseError(f"bad rule object: {exc}", source=path) from None
     return rules

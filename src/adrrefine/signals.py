@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .codes import (
     BnfCode,
+    Item,
     ReadCode,
     bnf_level,
     bnf_truncate,
@@ -89,9 +90,10 @@ def load_signal_spec(path: str) -> SignalSpec:
 
 def hoi_matches(record: EventRecord, hoi_query: ReadCode) -> bool:
     """True when a diagnosis record equals the query or descends from it."""
-    if record.code_type != "READ":
-        return False
-    code = parse_read(record.code)
+    return record.code_type == "READ" and _descends(parse_read(record.code), hoi_query)
+
+
+def _descends(code: ReadCode, hoi_query: ReadCode) -> bool:
     return read_truncate(code, read_level(hoi_query)) == hoi_query
 
 
@@ -100,12 +102,32 @@ def doi_matches(code: BnfCode, doi: frozenset[BnfCode]) -> bool:
     return any(bnf_truncate(code, bnf_level(entry)) == entry for entry in doi)
 
 
+def _family(store: EventStore, doi: frozenset[BnfCode]) -> dict[str, Item]:
+    """The store's drug codes in the family, each with its level-2 item.
+
+    This and `_outcome_codes` key codes by string alone: a string that
+    parses as one code type cannot parse as the other (a diagnosis code has
+    exactly 5 characters, a drug code 4 dotted parts, so at least 7)."""
+    return {
+        code: item
+        for (code_type, code), (parsed, item) in store.code_table.items()
+        if code_type == "BNF" and doi_matches(parsed, doi)
+    }
+
+
+def _outcome_codes(store: EventStore, hoi_query: ReadCode) -> set[str]:
+    """The store's diagnosis codes that equal the query or descend from it."""
+    return {
+        code
+        for (code_type, code), (parsed, _) in store.code_table.items()
+        if code_type == "READ" and _descends(parsed, hoi_query)
+    }
+
+
 def first_doi_date(store: EventStore, patient_id: str, doi: frozenset[BnfCode]) -> dt.date | None:
     """Earliest retained prescription of the drug family, if any."""
-    for ev in store.patient_events(patient_id):
-        if ev.code_type == "BNF" and doi_matches(parse_bnf(ev.code), doi):
-            return ev.date
-    return None
+    events, family = store.patient_events(patient_id), _family(store, doi)
+    return next((ev.date for ev in events if ev.code in family), None)
 
 
 @dataclass(frozen=True)
@@ -124,18 +146,18 @@ def ab_ratio(spec: SignalSpec, store: EventStore) -> AbResult:
     A zero before-count leaves the ratio equal to the after-count.
     """
     start, end = spec.window
+    family = _family(store, spec.doi)
+    outcome = _outcome_codes(store, spec.hoi)
     after = before = 0
     for pid in store.patients:
         events = store.patient_events(pid)
-        hoi_dates = [ev.date for ev in events if hoi_matches(ev, spec.hoi)]
-        seen: set[tuple[dt.date, BnfCode]] = set()
+        hoi_dates = [ev.date for ev in events if ev.code in outcome]
+        seen: set[tuple[dt.date, Item]] = set()
         for ev in events:
-            if ev.code_type != "BNF":
+            item = family.get(ev.code)
+            if item is None:
                 continue
-            code = parse_bnf(ev.code)
-            if not doi_matches(code, spec.doi):
-                continue
-            key = (ev.date, bnf_truncate(code, 2))
+            key = (ev.date, item)
             if key in seen:
                 continue
             seen.add(key)
@@ -150,16 +172,19 @@ def find_instances(spec: SignalSpec, store: EventStore) -> list[SignalInstance]:
     """One instance per patient whose first prescription is followed by a
     matching outcome inside the window; the earliest such outcome wins."""
     start, end = spec.window
+    family = _family(store, spec.doi)
+    outcome = _outcome_codes(store, spec.hoi)
     instances = []
     for pid in store.patients:
-        doi_date = first_doi_date(store, pid, spec.doi)
+        events = store.patient_events(pid)
+        doi_date = next((ev.date for ev in events if ev.code in family), None)
         if doi_date is None:
             continue
-        for ev in store.patient_events(pid):
+        for ev in events:
             gap = (ev.date - doi_date).days
             if gap > end:
                 break
-            if gap >= start and hoi_matches(ev, spec.hoi):
+            if gap >= start and ev.code in outcome:
                 instances.append(SignalInstance(pid, doi_date, ev.date))
                 break
     instances.sort(key=lambda inst: inst.patient_id)
@@ -168,8 +193,9 @@ def find_instances(spec: SignalSpec, store: EventStore) -> list[SignalInstance]:
 
 def exposure_count(doi: frozenset[BnfCode], store: EventStore) -> int:
     """Number of patients with at least one retained family prescription."""
+    family = _family(store, doi)
     return sum(
-        1 for pid in store.patients if first_doi_date(store, pid, doi) is not None
+        1 for pid in store.patients if any(ev.code in family for ev in store.patient_events(pid))
     )
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import parse_bnf, parse_read
+from .codes import parse_bnf, parse_code, parse_read
 from .errors import ConfigError, ParseError
 from .events import EventRecord, EventStore, PatientInfo
 from .signals import doi_matches
@@ -108,13 +108,13 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("catalog must not be empty")
     for item in config.catalog:
         _check_probability(f"daily_rate of {item.code}", item.daily_rate)
-        _parse_code(item.code_type, item.code)
+        parse_code(item.code_type, item.code)
     conf = config.confounder
     if conf is not None:
         if not conf.antecedent:
             raise ConfigError("confounder antecedent must not be empty")
         for code_type, code in conf.antecedent:
-            _parse_code(code_type, code)
+            parse_code(code_type, code)
         parse_read(conf.outcome_code)
         parse_bnf(conf.doi_code)
         _check_probability("prevalence", conf.prevalence)
@@ -139,14 +139,6 @@ def validate_config(config: ScenarioConfig) -> None:
         lo, hi = adr.latency_days
         if not 1 <= lo <= hi:
             raise ConfigError(f"latency_days must satisfy 1 <= lo <= hi: {adr.latency_days}")
-
-
-def _parse_code(code_type: str, code: str):
-    if code_type == "READ":
-        return parse_read(code)
-    if code_type == "BNF":
-        return parse_bnf(code)
-    raise ConfigError(f"code_type must be READ or BNF: {code_type!r}")
 
 
 def expected_filter_rate(config: ScenarioConfig) -> float:

@@ -1,8 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrrefine.cli import DEFAULTS, main
+from adrrefine.refine import rule_consequent
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +293,25 @@ class TestRefine:
         assert code == 1
         assert "error:" in err
 
+    def test_malformed_rule_exits_two_with_line(self, capsys, worked_example_dir, tmp_path):
+        rules = tmp_path / "bad.csv"
+        rules.write_text(
+            "antecedent,consequent,left_support,support,confidence,lift,chi_squared\n"
+            "H05..|A11..,H05..,0.2,0.1,0.5,1.5,2.0\n"
+        )
+        code, _, err = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(rules),
+            "--spec", str(worked_example_dir / "signal.json"),
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 2
+        assert f"{rules}:2:" in err
+        assert not (tmp_path / "report").exists()
+
 
 class TestRejectedRequests:
     """Requests without a defined answer exit 1 on both mining and refinement."""
@@ -338,6 +362,15 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "x"))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("code_type, code", [("ICD", "C10.."), ("READ", "C1")])
+    def test_bad_catalog_code_is_parse_error(self, capsys, tmp_path, code_type, code):
+        catalog = [{"code_type": code_type, "code": code, "daily_rate": 0.0004}]
+        spec = scenario_file(tmp_path, catalog=catalog)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "error:" in err
+        assert not (tmp_path / "x").exists()
 
     def test_generated_cohort_passes_ingest(self, capsys, tmp_path):
         spec = scenario_file(tmp_path)
@@ -425,3 +458,63 @@ class TestHelp:
         out = capsys.readouterr().out
         assert str(DEFAULTS.lift_threshold) in out
         assert str(DEFAULTS.exclusion_months) in out
+
+
+class TestLibraryMatchesCli:
+    """The in-memory library path and the CLI's file path give equal reports."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        patient_count=st.integers(200, 400),
+        recording=st.sampled_from([0.0, 0.5, 0.9]),
+        query=st.sampled_from(["N771.", "N771z"]),
+        window=st.sampled_from([(1, 60), (1, 20), (10, 90)]),
+    )
+    def test_reports_equal(self, seed, patient_count, recording, query, window):
+        from adrrefine.baskets import build_database
+        from adrrefine.events import apply_prescription_exclusions
+        from adrrefine.mining import mine_rules
+        from adrrefine.refine import refine, report_to_dict
+        from adrrefine.signals import load_signal_spec
+        from adrrefine.synth import generate_store, load_scenario
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            confounder = {
+                "antecedent": [["READ", "K55.."], ["BNF", "9.9.0.0"]],
+                "outcome_code": "N771z",
+                "doi_code": "5.1.2.0",
+                "prevalence": 0.2,
+                "recording_probability": recording,
+                "activation_probability": 0.5,
+                "doi_coprescription_probability": 0.6,
+            }
+            catalog = [
+                {"code_type": "BNF", "code": "5.1.0.0", "daily_rate": 0.0005},
+                {"code_type": "READ", "code": "C10..", "daily_rate": 0.0004},
+                {"code_type": "READ", "code": "N771.", "daily_rate": 0.0001},
+            ]
+            scenario = scenario_file(
+                tmp_path, seed=seed, patient_count=patient_count, catalog=catalog,
+                confounder=confounder,
+            )
+            spec_path = tmp_path / "signal.json"
+            spec_path.write_text(
+                json.dumps({"doi_items": ["5.1.0.0"], "hoi_code": query, "window": list(window)})
+            )
+
+            spec = load_signal_spec(str(spec_path))
+            store, _ = generate_store(load_scenario(scenario))
+            rules = mine_rules(build_database(store), rule_consequent(spec.hoi), workers=1)
+            report = report_to_dict(refine(spec, rules, apply_prescription_exclusions(store)))
+
+            cohort = ["--patients", str(tmp_path / "c" / "patients.csv"),
+                      "--events", str(tmp_path / "c" / "events.csv")]
+            rules_path = str(tmp_path / "rules.json")
+            assert main(["synth", "--spec", scenario, "--out", str(tmp_path / "c")]) == 0
+            assert main(["mine", *cohort, "--spec", str(spec_path), "--out", rules_path,
+                         "--workers", "1"]) == 0
+            assert main(["refine", *cohort, "--rules", rules_path, "--spec", str(spec_path),
+                         "--out", str(tmp_path / "report"), "--workers", "1"]) == 0
+            assert json.loads((tmp_path / "report" / "report.json").read_text()) == report

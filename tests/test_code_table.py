@@ -1,0 +1,158 @@
+"""The per-store code table: each distinct event code is parsed once."""
+
+import datetime as dt
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from adrrefine.baskets import build_basket, build_database, pre_outcome_basket
+from adrrefine.codes import BnfCode, ReadCode, normalize_item, parse_bnf, parse_code, parse_read
+from adrrefine.errors import ParseError
+from adrrefine.events import (
+    EventRecord,
+    EventStore,
+    PatientInfo,
+    apply_prescription_exclusions,
+    load,
+)
+from adrrefine.mining import mine_rules
+from adrrefine.refine import refine, rule_consequent
+from adrrefine.signals import SignalSpec, ab_ratio, exposure_count, find_instances
+from adrrefine.synth import CatalogItem, PlantedConfounder, ScenarioConfig, generate
+
+from conftest import write_cohort
+
+SPEC = SignalSpec(doi=frozenset([parse_bnf("5.1.0.0")]), hoi=parse_read("N771."))
+
+SCENARIO = ScenarioConfig(
+    seed=7,
+    patient_count=300,
+    observation_days=1460,
+    catalog=(
+        CatalogItem("BNF", "5.1.0.0", 0.0006),
+        CatalogItem("BNF", "5.1.2.0", 0.0003),
+        CatalogItem("READ", "C10..", 0.0005),
+        CatalogItem("READ", "N771z", 0.0002),
+        CatalogItem("READ", "H33..", 0.0004),
+    ),
+    confounder=PlantedConfounder(
+        antecedent=(("READ", "K55.."),),
+        outcome_code="N771.",
+        doi_code="5.1.0.0",
+        prevalence=0.3,
+        recording_probability=0.7,
+        activation_probability=0.6,
+        doi_coprescription_probability=0.6,
+    ),
+)
+
+
+def store_with(records: list[tuple[str, str]]) -> EventStore:
+    """An in-memory store: one patient, one event per (code_type, code)."""
+    info = PatientInfo("p1", "F", 1960, dt.date(2000, 1, 1))
+    day = dt.date(2005, 1, 1)
+    events = tuple(
+        EventRecord("p1", day + dt.timedelta(days=k), t, c) for k, (t, c) in enumerate(records)
+    )
+    return EventStore({"p1": info}, {"p1": events})
+
+
+class TestParseCode:
+    def test_dispatch(self):
+        assert parse_code("READ", "A11zz") == parse_read("A11zz")
+        assert parse_code("BNF", "5.1.12.0") == parse_bnf("5.1.12.0")
+
+    def test_unknown_code_type_names_the_type(self):
+        with pytest.raises(ParseError, match="code_type must be READ or BNF: 'ICD'"):
+            parse_code("ICD", "A11..")
+        with pytest.raises(ParseError, match="code_type must be READ or BNF: 'ICD'"):
+            normalize_item("ICD", "A11..")
+
+
+class TestCodeTable:
+    def test_one_entry_per_distinct_code(self, worked_store):
+        distinct = {(ev.code_type, ev.code) for ev in worked_store.iter_events()}
+        table = worked_store.code_table
+        assert set(table) == distinct
+        for (code_type, code), (parsed, item) in table.items():
+            assert parsed == parse_code(code_type, code)
+            assert item == normalize_item(code_type, code)
+
+    def test_loaded_table_equals_lazily_built_table(self, worked_store):
+        rebuilt = EventStore(worked_store.patients, worked_store.events, worked_store.db_end_date)
+        assert "code_table" not in vars(rebuilt)
+        assert rebuilt.code_table == worked_store.code_table
+        assert rebuilt == worked_store
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda store: build_basket(store, "p1"),
+            lambda store: exposure_count(SPEC.doi, store),
+            lambda store: find_instances(SPEC, store),
+            lambda store: ab_ratio(SPEC, store),
+        ],
+        ids=["basket", "exposure", "instances", "ab_ratio"],
+    )
+    def test_invalid_record_in_code_built_store_fails_on_first_use(self, use):
+        store = store_with([("BNF", "5.1.0.0"), ("READ", "N77")])
+        with pytest.raises(ParseError, match="'N77'"):
+            use(store)
+
+    def test_unknown_code_type_in_code_built_store(self):
+        store = store_with([("ICD", "N771.")])
+        with pytest.raises(ParseError, match="code_type must be READ or BNF"):
+            pre_outcome_basket(store, "p1", dt.date(2006, 1, 1))
+
+    def test_bad_code_after_valid_repeats_keeps_its_line(self, tmp_path):
+        patients, events = write_cohort(
+            tmp_path,
+            ["p1,M,1950,2000-01-01"],
+            ["p1,2001-01-01,READ,A11..", "p1,2001-02-01,READ,A11..", "p1,2001-03-01,READ,A1.1."],
+        )
+        with pytest.raises(
+            ParseError, match=r":4: read code has a dot before a non-dot character: 'A1\.1\.'"
+        ):
+            load(patients, events)
+
+
+def doubled_cohort(src: Path, dst: Path) -> tuple[str, str]:
+    """The same patients and codes with every event row written twice."""
+    dst.mkdir()
+    (dst / "patients.csv").write_bytes((src / "patients.csv").read_bytes())
+    header, *rows = (src / "events.csv").read_text().splitlines()
+    (dst / "events.csv").write_text("\n".join([header, *(r for r in rows for _ in (0, 1))]) + "\n")
+    return str(dst / "patients.csv"), str(dst / "events.csv")
+
+
+def code_constructions(monkeypatch, patients: str, events: str) -> Counter:
+    """ReadCode/BnfCode constructions over baskets, mining and refine on a
+    loaded cohort (the load itself is not counted)."""
+    store = load(patients, events)
+    counts: Counter = Counter()
+    for cls in (ReadCode, BnfCode):
+
+        def counting(self, original=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    db = build_database(store)
+    rules = mine_rules(db, rule_consequent(SPEC.hoi), workers=1)
+    refine(SPEC, rules, apply_prescription_exclusions(store))
+    monkeypatch.undo()
+    return counts
+
+
+def test_parse_work_scales_with_distinct_codes_not_events(monkeypatch, tmp_path):
+    generate(SCENARIO, str(tmp_path / "once"))
+    once = (str(tmp_path / "once" / "patients.csv"), str(tmp_path / "once" / "events.csv"))
+    twice = doubled_cohort(tmp_path / "once", tmp_path / "twice")
+    assert len(load(*twice).code_table) == len(load(*once).code_table)
+    assert load(*twice).event_count == 2 * load(*once).event_count
+
+    single = code_constructions(monkeypatch, *once)
+    double = code_constructions(monkeypatch, *twice)
+    assert single["ReadCode"] > 0 and single["BnfCode"] > 0
+    assert double == single

@@ -7,7 +7,6 @@ from adrrefine.codes import (
     BnfCode,
     Item,
     ItemKind,
-    bnf_item,
     bnf_level,
     bnf_truncate,
     gender_item,

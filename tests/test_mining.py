@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from adrrefine.baskets import BasketDatabase
 from adrrefine.codes import Item, ItemKind
-from adrrefine.errors import ConfigError, DomainError
+from adrrefine.errors import ConfigError, DomainError, ParseError
 from adrrefine.mining import (
     AssociationRule,
     MiningConstraints,
@@ -362,4 +363,36 @@ class TestRuleSerialization:
             AssociationRule(frozenset(), c, 0.1, 0.2, 0.5, 1.0, 0.0)
         with pytest.raises(DomainError):
             AssociationRule(frozenset([c]), c, 0.1, 0.2, 0.5, 1.0, 0.0)
+
+    def test_csv_rule_with_consequent_in_antecedent_reports_line(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_text(
+            "antecedent,consequent,left_support,support,confidence,lift,chi_squared\n"
+            "B11..,A11..,0.2,0.1,0.5,1.5,2.0\n"
+            "A11..|B11..,A11..,0.2,0.1,0.5,1.5,2.0\n"
+        )
+        with pytest.raises(ParseError, match=r"rules\.csv:3: .*also in antecedent") as info:
+            read_rules_csv(str(path))
+        assert (info.value.source, info.value.line) == (str(path), 3)
+
+    def test_json_rule_with_empty_antecedent_is_parse_error(self, tmp_path):
+        path = tmp_path / "rules.json"
+        numbers = dict(left_support=0.2, support=0.1, confidence=0.5, lift=1.5, chi_squared=2.0)
+        path.write_text(json.dumps([{"antecedent": [], "consequent": "A11..", **numbers}]))
+        with pytest.raises(ParseError, match="antecedent must not be empty") as info:
+            read_rules_json(str(path))
+        assert info.value.source == str(path)
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_rules_of_one_file_share_items(self, tmp_path, suffix):
+        rng = random.Random(43)
+        rules = mine_all_rules(random_db(rng, max_baskets=100, max_items=8), MiningConstraints(0.05, 0.05, 2))
+        path = str(tmp_path / f"rules.{suffix}")
+        (write_rules_csv if suffix == "csv" else write_rules_json)(rules, path)
+        loaded = (read_rules_csv if suffix == "csv" else read_rules_json)(path)
+        by_token = {}
+        for r in loaded:
+            for item in (*r.antecedent, r.consequent):
+                assert by_token.setdefault(item.token, item) is item
+        assert len(by_token) < sum(len(r.antecedent) + 1 for r in loaded)
 

@@ -6,7 +6,7 @@ import pytest
 
 from adrrefine.codes import parse_bnf, parse_read
 from adrrefine.errors import ConfigError, ParseError
-from adrrefine.events import EventRecord, load
+from adrrefine.events import EventRecord, EventStore, PatientInfo, load
 from adrrefine.signals import (
     SignalInstance,
     SignalSpec,
@@ -30,6 +30,99 @@ def make_spec(**kwargs) -> SignalSpec:
     defaults = dict(doi=DOI, hoi=parse_read("H05.."), window=(1, 60))
     defaults.update(kwargs)
     return SignalSpec(**defaults)
+
+
+DRUG_POOL = ["1.1.0.0", "1.1.2.0", "1.1.2.3", "1.1.3.0", "1.2.0.0", "1.2.4.1", "2.1.0.0"]
+DIAGNOSIS_POOL = ["H05..", "H05z.", "H05zz", "H05za", "H051.", "H06..", "B57.."]
+# Family entries at levels 1-4, and a mixed-level family.
+FAMILIES = [("1.0.0.0",), ("1.1.0.0",), ("1.1.2.0",), ("1.1.2.3",), ("1.1.2.3", "1.2.0.0")]
+# Outcome queries at levels 3-5.
+OUTCOME_QUERIES = ["H05..", "H05z.", "H05zz"]
+
+
+def random_store(rng: random.Random, n_patients: int = 40) -> EventStore:
+    """An in-memory store with repeated same-day prescriptions (of one code
+    and of siblings under one level-2 item) and outcomes recorded on a
+    prescription day."""
+    base = dt.date(2004, 1, 1)
+    patients, events = {}, {}
+    for i in range(n_patients):
+        pid = f"p{i}"
+        patients[pid] = PatientInfo(pid, "F", 1960, dt.date(2000, 1, 1))
+        evs = []
+        for _ in range(rng.randint(0, 5)):
+            day = base + dt.timedelta(days=rng.randint(0, 400))
+            code = rng.choice(DRUG_POOL)
+            evs += [EventRecord(pid, day, "BNF", code)] * rng.randint(1, 3)
+            sibling = [c for c in DRUG_POOL if c != code and c[:3] == code[:3]]
+            if sibling and rng.random() < 0.3:
+                evs.append(EventRecord(pid, day, "BNF", rng.choice(sibling)))
+            if rng.random() < 0.3:
+                evs.append(EventRecord(pid, day, "READ", rng.choice(DIAGNOSIS_POOL)))
+        for _ in range(rng.randint(0, 5)):
+            day = base + dt.timedelta(days=rng.randint(0, 400))
+            evs.append(EventRecord(pid, day, "READ", rng.choice(DIAGNOSIS_POOL)))
+        evs.sort(key=lambda e: e.date)
+        events[pid] = tuple(evs)
+    return EventStore(patients, events)
+
+
+def oracle_specs():
+    for family in FAMILIES:
+        for query in OUTCOME_QUERIES:
+            for window in ((1, 60), (3, 20)):
+                doi = frozenset(parse_bnf(c) for c in family)
+                yield make_spec(doi=doi, hoi=parse_read(query), window=window)
+
+
+def day_scan_ab(spec: SignalSpec, store) -> tuple[int, int]:
+    """Walk every day offset in the window per distinct prescription."""
+    after = before = 0
+    for pid in store.patients:
+        events = store.patient_events(pid)
+        hoi_days = {e.date for e in events if hoi_matches(e, spec.hoi)}
+        seen = set()
+        for e in events:
+            if e.code_type != "BNF" or not doi_matches(parse_bnf(e.code), spec.doi):
+                continue
+            key = (e.date, str(parse_bnf(e.code).parts[:2]))
+            if key in seen:
+                continue
+            seen.add(key)
+            offsets = range(spec.window[0], spec.window[1] + 1)
+            if any(e.date + dt.timedelta(days=k) in hoi_days for k in offsets):
+                after += 1
+            if any(e.date - dt.timedelta(days=k) in hoi_days for k in offsets):
+                before += 1
+    return after, before
+
+
+def record_scan_first_dates(store, doi) -> dict[str, dt.date]:
+    """Each exposed patient's earliest family prescription, record by record."""
+    first = {}
+    for pid in store.patients:
+        dates = [
+            e.date
+            for e in store.patient_events(pid)
+            if e.code_type == "BNF" and doi_matches(parse_bnf(e.code), doi)
+        ]
+        if dates:
+            first[pid] = min(dates)
+    return first
+
+
+def record_scan_instances(spec: SignalSpec, store) -> list[SignalInstance]:
+    start, end = spec.window
+    instances = []
+    for pid, doi_date in record_scan_first_dates(store, spec.doi).items():
+        hits = [
+            e.date
+            for e in store.patient_events(pid)
+            if hoi_matches(e, spec.hoi) and start <= (e.date - doi_date).days <= end
+        ]
+        if hits:
+            instances.append(SignalInstance(pid, doi_date, min(hits)))
+    return sorted(instances, key=lambda inst: inst.patient_id)
 
 
 class TestSpecValidation:
@@ -165,26 +258,14 @@ class TestAbRatio:
         store = load(*write_cohort(tmp_path, patients_rows, rows))
         spec = make_spec()
         res = ab_ratio(spec, store)
+        assert (res.after_count, res.before_count) == day_scan_ab(spec, store)
 
-        # Oracle: walk every day offset in the window per distinct prescription.
-        after = before = 0
-        for pid in store.patients:
-            events = store.patient_events(pid)
-            hoi_days = {e.date for e in events if hoi_matches(e, spec.hoi)}
-            seen = set()
-            for e in events:
-                if e.code_type != "BNF" or not doi_matches(parse_bnf(e.code), spec.doi):
-                    continue
-                key = (e.date, str(parse_bnf(e.code).parts[:2]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                offsets = range(spec.window[0], spec.window[1] + 1)
-                if any(e.date + dt.timedelta(days=k) in hoi_days for k in offsets):
-                    after += 1
-                if any(e.date - dt.timedelta(days=k) in hoi_days for k in offsets):
-                    before += 1
-        assert (res.after_count, res.before_count) == (after, before)
+        # Extra inputs: in-memory stores over family and outcome levels.
+        for seed in (51, 52, 53):
+            store = random_store(random.Random(seed))
+            for spec in oracle_specs():
+                res = ab_ratio(spec, store)
+                assert (res.after_count, res.before_count) == day_scan_ab(spec, store), spec
 
 
 class TestFindInstances:
@@ -239,6 +320,34 @@ class TestFindInstances:
     def test_instance_count_bounded_by_exposure(self, worked_store):
         spec = make_spec()
         assert len(find_instances(spec, worked_store)) <= exposure_count(spec.doi, worked_store)
+
+
+class TestRecordScanOracle:
+    """Exposures, first dates and instances against per-record scans over
+    `doi_matches`/`hoi_matches`, at family levels 1-4 and outcome levels 3-5."""
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_matches_record_scan(self, seed):
+        store = random_store(random.Random(seed))
+        for spec in oracle_specs():
+            first = record_scan_first_dates(store, spec.doi)
+            assert exposure_count(spec.doi, store) == len(first)
+            assert {pid: first_doi_date(store, pid, spec.doi) for pid in store.patients} == {
+                pid: first.get(pid) for pid in store.patients
+            }
+            assert find_instances(spec, store) == record_scan_instances(spec, store), spec
+
+    def test_oracle_inputs_cover_the_edge_cases(self):
+        store = random_store(random.Random(61))
+        same_day_repeats = same_day_outcomes = 0
+        for pid in store.patients:
+            evs = store.patient_events(pid)
+            drugs = [(e.date, e.code) for e in evs if e.code_type == "BNF"]
+            same_day_repeats += len(drugs) - len(set(drugs))
+            drug_days = {d for d, _ in drugs}
+            same_day_outcomes += sum(1 for e in evs if e.code_type == "READ" and e.date in drug_days)
+        assert same_day_repeats > 0 and same_day_outcomes > 0
+        assert sum(1 for spec in oracle_specs() if find_instances(spec, store)) > 10
 
 
 class TestExposureCount:

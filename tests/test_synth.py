@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import pytest
 
 from adrrefine.codes import parse_bnf
-from adrrefine.errors import ConfigError
+from adrrefine.errors import ConfigError, ParseError
 from adrrefine.events import load
 from adrrefine.signals import doi_matches
 from adrrefine.synth import (
@@ -109,6 +110,18 @@ class TestValidation:
         bad = PlantedAdr(("5.1.0.0",), "N772.", 0.01, latency_days=(0, 60))
         with pytest.raises(ConfigError):
             validate_config(make_config(adr=bad))
+
+    @pytest.mark.parametrize(
+        "code_type, code", [("ICD", "C10.."), ("READ", "C1"), ("BNF", "5.1.0")]
+    )
+    def test_bad_catalog_code_is_parse_error(self, code_type, code):
+        with pytest.raises(ParseError):
+            validate_config(make_config(catalog=(CatalogItem(code_type, code, 0.001),)))
+
+    def test_unknown_antecedent_code_type_is_parse_error(self):
+        bad = dataclasses.replace(CONFOUNDER, antecedent=(("ICD", "K55.."),))
+        with pytest.raises(ParseError, match="code_type must be READ or BNF"):
+            validate_config(make_config(confounder=bad))
 
 
 class TestDeterminism:
