@@ -3,13 +3,23 @@
 Rules have an itemset antecedent and a single-item consequent. The
 left-support constraint (on the antecedent alone) replaces the usual
 rule-support constraint so that rules predicting rare consequents are
-still discoverable. Growth is level-wise: an antecedent whose support
-falls below the left-support floor is never extended, which is sound
-because support is anti-monotone under supersets. Confidence is not
-anti-monotone, so it filters at emission only.
+still discoverable. Confidence is not anti-monotone, so it filters at
+emission only.
 
-All measures are derived from exact integer basket counts at the last
-step; reports are bit-reproducible across runs and worker counts.
+Counting works on conditional basket sets, the vertical-database idea
+of Eclat and FP-growth. For a frequent itemset Q, the 0/1 rows of Q's
+frequent one-item extensions over the baskets holding Q, multiplied by
+their own transpose, give count(Q | {r, s}) for every pair of them at
+once. One such Gram matrix per prefix finds the frequent itemsets two
+items larger than the prefix; the same product over the baskets that
+also hold a consequent gives the rules' joint counts. Support is
+anti-monotone under supersets, so an itemset below the left-support
+floor is never a prefix or a row, and because every count is exact no
+candidate needs a subset prune.
+
+All measures are derived from exact integer basket counts, as columns
+over all rules at once that equal the one-rule formula bit for bit;
+reports are bit-reproducible across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ class ContingencyTable:
         return any(e == 0.0 for e in self.expected)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationRule:
     antecedent: frozenset[Item]
     consequent: Item
@@ -140,8 +150,57 @@ def contingency_from_counts(
     return ContingencyTable(observed=observed, expected=expected, m=m)
 
 
+def _measure_columns(
+    count_xy: np.ndarray, count_x: np.ndarray, count_y: np.ndarray, m: int
+) -> RuleMeasures:
+    """The five measures of many rules at once, as float64 columns.
+
+    Each entry equals the scalar formula on Python ints bit for bit:
+    every measure and contingency cell is one correctly rounded division
+    of exact integer products, as in `contingency_from_counts`. numpy
+    divides int64 operands in float64, which is exact while every
+    product (at most m*m) stays below 2**53; above that the counts
+    become Python ints in object columns. Squares go through
+    `np.float_power`, the C `pow` of Python's `**` (`d * d` can differ
+    in the last bit), and the four chi-squared terms add in cell order.
+    """
+    if m * m >= 2**53:
+        count_xy, count_x, count_y = (
+            np.asarray(c).astype(object) for c in (count_xy, count_x, count_y)
+        )
+
+    def div(a, b) -> np.ndarray:
+        return np.asarray(a / b, dtype=np.float64)
+
+    mm = m * m
+    observed = (
+        div(count_xy, m),
+        div(count_x - count_xy, m),
+        div(count_y - count_xy, m),
+        div(m - count_x - count_y + count_xy, m),
+    )
+    expected = (
+        div(count_x * count_y, mm),
+        div(count_x * (m - count_y), mm),
+        div(count_y * (m - count_x), mm),
+        div((m - count_x) * (m - count_y), mm),
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0, t1, t2, t3 = (np.float_power(o - e, 2) / e for o, e in zip(observed, expected))
+        chi = m * (((t0 + t1) + t2) + t3)
+    degenerate = np.logical_or.reduce([e == 0.0 for e in expected])
+    return RuleMeasures(
+        support=observed[0],
+        left_support=div(count_x, m),
+        confidence=div(count_xy, count_x),
+        lift=div(count_xy * m, count_x * count_y),
+        chi_squared=np.where(degenerate, 0.0, chi),
+    )
+
+
 def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeasures:
-    """All five rule measures from exact basket counts."""
+    """All five rule measures from exact basket counts (one row of
+    `_measure_columns`)."""
     if m <= 0:
         raise DomainError("basket count must be positive")
     if count_x <= 0 or count_y <= 0:
@@ -150,14 +209,10 @@ def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeas
         raise DomainError(
             f"inconsistent counts: xy={count_xy}, x={count_x}, y={count_y}, m={m}"
         )
-    table = contingency_from_counts(count_xy, count_x, count_y, m)
-    return RuleMeasures(
-        support=count_xy / m,
-        left_support=count_x / m,
-        confidence=count_xy / count_x,
-        lift=(count_xy * m) / (count_x * count_y),
-        chi_squared=chi_squared(table),
+    columns = _measure_columns(
+        *(np.array([int(c)], dtype=np.int64) for c in (count_xy, count_x, count_y)), int(m)
     )
+    return RuleMeasures(*(float(c[0]) for c in columns))
 
 
 def min_count_for(threshold: float, m: int) -> int:
@@ -170,9 +225,40 @@ def min_count_for(threshold: float, m: int) -> int:
     return c
 
 
-def _count_over(db: BasketDatabase, tids: np.ndarray, ext_ids: Sequence[int]) -> np.ndarray:
-    """count(cover AND {e}) for each extension id, given the cover's ordinals."""
-    return db.bits[np.ix_(np.asarray(ext_ids), tids)].sum(axis=1, dtype=np.int64)
+# Bytes of one float block of `_gram`; bounds the kernel's working memory.
+_GRAM_BYTES = 1 << 25
+# Rules built per block of measure columns in `_emit_rules`.
+_RULE_BLOCK = 4096
+
+
+def _gram(
+    db: BasketDatabase, prefix: tuple[int, ...], rows: np.ndarray, extra: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Co-occurrence counts of the items `rows` inside the baskets holding
+    every item of `prefix` and `extra`, as an int64 rows x rows matrix.
+
+    Off-diagonal cell (r, s) is count(prefix | extra | {rows[r], rows[s]});
+    diagonal cell r is count(prefix | extra | {rows[r]}). The 0/1 block of
+    `rows` over the cover is multiplied by its own transpose, chunked over
+    baskets so one float block stays within `_GRAM_BYTES`. The product is
+    exact: every partial sum is an integer of at most m, and float32 holds
+    those exactly while m < 2**24 (float64 is used above that).
+    """
+    tids = db.cover(prefix + extra)
+    dtype = np.float32 if db.m < 2**24 else np.float64
+    step = max(1, _GRAM_BYTES // (np.dtype(dtype).itemsize * max(1, len(rows))))
+    gram = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for lo in range(0, len(tids), step):
+        block = db.bits[np.ix_(rows, tids[lo : lo + step])].astype(dtype)
+        gram += (block @ block.T).astype(np.int64)
+    return gram
+
+
+def _union(*ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of non-negative id arrays, through a
+    bincount rather than `np.unique`: with numpy 2.4, unique's first call
+    alone adds about 1.6 MB of resident memory."""
+    return np.flatnonzero(np.bincount(np.concatenate(ids)))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -200,79 +286,45 @@ def frequent_antecedents(
     exclude: Item | None = None,
     workers: int | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Level-wise frequent itemsets as sorted item-id tuples -> basket count.
+    """Frequent itemsets of at most `max_size` items, as sorted item-id
+    tuples -> basket count, level by level in sorted order.
 
-    Candidates at level k+1 join two frequent k-sets sharing a prefix and
-    are pruned unless every k-subset is frequent.
+    Level k+2 comes from one `_gram` per frequent k-set Q, over Q's tails
+    (the items t > max(Q) with Q | {t} frequent): off-diagonal cell
+    (r, s) is count(Q | {r, s}), kept when it reaches `min_count`. Every
+    frequent (k+2)-set is found this way, because Q | {r} and Q | {s}
+    are frequent subsets of it, and its count is exact, so no candidate
+    needs a subset prune. Level 2 takes Q = (), level 3 Q = (a,).
     """
     workers = resolve_workers(workers)
     exclude_id = db.item_ids.get(exclude) if exclude is not None else None
-
-    freq: dict[tuple[int, ...], int] = {}
-    current: list[tuple[int, ...]] = []
-    for i in range(len(db.items)):
-        if i == exclude_id:
-            continue
-        c = int(db.counts[i])
-        if c >= min_count:
-            freq[(i,)] = c
-            current.append((i,))
-    current.sort()
+    level = [
+        (i,)
+        for i in range(len(db.items))
+        if i != exclude_id and db.counts[i] >= min_count
+    ]
+    freq = {ids: int(db.counts[ids[0]]) for ids in level}
 
     size = 1
-    while size < max_size and current:
-        jobs: list[tuple[tuple[int, ...], int, np.ndarray]] = []
-        # Join step: extend each k-set with the larger tails of its prefix
-        # group, then prune candidates with an infrequent k-subset. The
-        # pair->triple transition dominates, so its prune uses a boolean
-        # adjacency row per leading item instead of generic tuple checks.
-        pair_rows: dict[int, np.ndarray] = {}
-        current_set: set[tuple[int, ...]] = set()
-        if size == 2:
-            n_items = len(db.items)
-            for a, b in current:
-                row = pair_rows.get(a)
-                if row is None:
-                    row = np.zeros(n_items, dtype=bool)
-                    pair_rows[a] = row
-                row[b] = True
-        elif size >= 3:
-            current_set = set(current)
-        for prefix, group in groupby(current, key=lambda t: t[:-1]):
-            tails = np.asarray([t[-1] for t in group])
-            for idx in range(len(tails) - 1):
-                la = int(tails[idx])
-                exts = tails[idx + 1 :]
-                if size == 2:
-                    row = pair_rows.get(la)
-                    exts = exts[row[exts]] if row is not None else exts[:0]
-                elif size >= 3:
-                    exts = np.asarray(
-                        [
-                            e
-                            for e in exts
-                            if all(
-                                tuple(v for v in prefix + (la, int(e)) if v != drop)
-                                in current_set
-                                for drop in prefix
-                            )
-                        ],
-                        dtype=tails.dtype,
-                    )
-                if len(exts):
-                    jobs.append((prefix, la, exts))
+    while size < max_size and level:
+        groups = []
+        for prefix, group in groupby(level, key=lambda t: t[:-1]):
+            tails = np.array([t[-1] for t in group])
+            if len(tails) > 1:
+                groups.append((prefix, tails))
 
-        def count_job(job):
-            prefix, la, exts = job
-            return _count_over(db, db.cover(prefix + (la,)), exts)
+        def count_group(group):
+            prefix, tails = group
+            gram = _gram(db, prefix, tails)
+            r, s = np.nonzero(np.triu(gram >= min_count, 1))
+            return tails[r].tolist(), tails[s].tolist(), gram[r, s].tolist()
 
-        results = _run_jobs(jobs, count_job, workers)
-        next_level: dict[tuple[int, ...], int] = {}
-        for (prefix, la, exts), counts in zip(jobs, results):
-            for j in np.nonzero(counts >= min_count)[0]:
-                next_level[prefix + (la, int(exts[j]))] = int(counts[j])
-        freq.update(next_level)
-        current = sorted(next_level)
+        level = []
+        for (prefix, _), cells in zip(groups, _run_jobs(groups, count_group, workers)):
+            for r, s, count in zip(*cells):
+                ids = prefix + (r, s)
+                freq[ids] = count
+                level.append(ids)
         size += 1
     return freq
 
@@ -285,44 +337,89 @@ def _emit_rules(
     workers: int,
 ) -> list[AssociationRule]:
     """Every rule X => {y} with X in `freq`, y a target outside X, and
-    confidence at least `min_confidence`, sorted by `sort_key`.
+    confidence at least `min_confidence`, ordered by (y, X) ids.
 
-    Antecedents sharing a prefix P form a group whose count(X union {y})
-    values make one targets x tails matrix. It is counted along its
-    shorter side: the cover of P+{y} per target gathered over the tails,
-    or the cover of P+{tail} per tail gathered over the targets.
+    count(X | {y}) comes from prefix Grams. A prefix Q serves the
+    antecedents Q | {r, s} and, for Q = (), the single items {r}, written
+    as cell (r, r). Counted on the target side, `_gram(db, Q, rows,
+    extra=(y,))` holds count(X | {y}) in each antecedent's cell. Counted
+    on the antecedent side, the Gram of P = Q | {r} (or of () for single
+    items) over P's tails and the targets holds count(P | {t, y}) in cell
+    (t, y). Each prefix takes the side with fewer Grams; a worker holds
+    one Gram at a time, and keeps only the cells passing confidence.
     """
-    if not freq:
-        return []
-    targets = np.asarray(target_ids, dtype=np.int64)
     antecedents = sorted(freq)
-    groups = [
-        (prefix, [t[-1] for t in group])
-        for prefix, group in groupby(antecedents, key=lambda t: t[:-1])
-    ]
+    count_x = np.array([freq[ids] for ids in antecedents], dtype=np.int64)
+    targets = np.asarray(target_ids, dtype=np.int64)
+    # Per prefix Q: the item pair (r, s) of each antecedent it serves and
+    # the antecedent's index in `antecedents`. The antecedents of one size
+    # are sorted, so those sharing Q are contiguous.
+    served: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    sizes = np.array([len(ids) for ids in antecedents])
+    for size in sorted(set(sizes.tolist())):
+        ks = np.flatnonzero(sizes == size)
+        ids = np.array([antecedents[k] for k in ks]).reshape(len(ks), size)
+        pairs, heads = ids[:, [-2, -1] if size > 1 else [0, 0]], ids[:, :-2]
+        starts = np.flatnonzero(np.r_[True, (heads[1:] != heads[:-1]).any(axis=1)]).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(ks)]):
+            q = tuple(heads[lo].tolist())
+            cells = (pairs[lo:hi, 0], pairs[lo:hi, 1], ks[lo:hi])
+            if q in served:  # () serves the single items and the pairs
+                cells = tuple(map(np.concatenate, zip(served[q], cells)))
+            served[q] = cells
 
-    def count_group(group) -> np.ndarray:
-        prefix, tails = group
-        if len(targets) <= len(tails):
-            return np.stack([_count_over(db, db.cover(prefix + (y,)), tails) for y in target_ids])
-        return np.stack([_count_over(db, db.cover(prefix + (t,)), targets) for t in tails], axis=1)
+    def target_side(q, r, s, ks, y):
+        rows = _union(r, s)
+        xy = _gram(db, q, rows, (y,))[np.searchsorted(rows, r), np.searchsorted(rows, s)]
+        keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
+        return np.full(keep.sum(), y), ks[keep], xy[keep]
 
-    # count(X union {y}): one row per target, one column per antecedent.
-    xy = np.concatenate(_run_jobs(groups, count_group, workers), axis=1)
-    count_x = [freq[ids] for ids in antecedents]
-    cols, rows = np.nonzero(~(xy / np.asarray(count_x) < min_confidence).T)
-    count_y = db.counts.tolist()
+    def antecedent_side(p, tails, ks):
+        rows = _union(tails, targets)
+        gram = _gram(db, p, rows)
+        xy = gram[np.ix_(np.searchsorted(rows, tails), np.searchsorted(rows, targets))]
+        ys = np.broadcast_to(targets, xy.shape)
+        outside_p = (targets[:, None] != np.array(p, dtype=np.int64)).all(axis=1)
+        keep = (tails[:, None] != ys) & outside_p & ~(xy / count_x[ks][:, None] < min_confidence)
+        return ys[keep], np.broadcast_to(ks[:, None], xy.shape)[keep], xy[keep]
+
+    jobs = []
+    for q, (r, s, ks) in served.items():
+        single = r == s
+        # The antecedent side's groups P: () for the single items, q | {lead}
+        # for each leading item of a pair.
+        leads = _union(r[~single]).tolist()
+        if len(targets) <= len(leads) + bool(single.any()):
+            jobs.extend((target_side, q, r, s, ks, y) for y in targets.tolist() if y not in q)
+            continue
+        if single.any():
+            jobs.append((antecedent_side, q, r[single], ks[single]))
+        for lead in leads:
+            pair = (r == lead) & ~single
+            jobs.append((antecedent_side, q + (lead,), s[pair], ks[pair]))
+
+    if not jobs:
+        return []
+    results = _run_jobs(jobs, lambda job: job[0](*job[1:]), workers)
+    ys, ks, xy = (np.concatenate(column) for column in zip(*results))
+    order = np.lexsort((ks, ys))
+    ys, ks, xy = ys[order], ks[order], xy[order]
+    # Rules are built a block at a time, so the measure columns and their
+    # Python floats stay small next to the rules they go into.
+    items = db.items
+    sets: list[frozenset[Item] | None] = [None] * len(antecedents)
     rules = []
-    last = None
-    for j, r, count_xy in zip(cols.tolist(), rows.tolist(), xy[rows, cols].tolist()):
-        ids, y = antecedents[j], target_ids[r]
-        if y in ids:
-            continue  # a target inside the antecedent makes no rule
-        if j != last:
-            antecedent, last = frozenset(db.items[i] for i in ids), j
-        measures = rule_measures(count_xy, count_x[j], count_y[y], db.m)
-        rules.append(AssociationRule(antecedent, db.items[y], *measures))
-    rules.sort(key=AssociationRule.sort_key)
+    for lo in range(0, len(ks), _RULE_BLOCK):
+        k_block, y_block = ks[lo : lo + _RULE_BLOCK], ys[lo : lo + _RULE_BLOCK]
+        columns = _measure_columns(
+            xy[lo : lo + _RULE_BLOCK], count_x[k_block], db.counts[y_block], db.m
+        )
+        values = zip(k_block.tolist(), y_block.tolist(), *(c.tolist() for c in columns))
+        for k, y, *measures in values:
+            antecedent = sets[k]
+            if antecedent is None:
+                antecedent = sets[k] = frozenset(items[i] for i in antecedents[k])
+            rules.append(AssociationRule(antecedent, items[y], *measures))
     return rules
 
 
@@ -377,25 +474,33 @@ _MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
 _CSV_HEADER = ["antecedent", "consequent", *_MEASURES]
 
 
+def _sorted_with_tokens(
+    rules: Iterable[AssociationRule],
+) -> list[tuple[str, tuple[str, ...], AssociationRule]]:
+    """(consequent token, antecedent tokens, rule) in `sort_key` order,
+    with each rule's tokens worked out once."""
+    decorated = [(r.consequent.token, r.antecedent_tokens, r) for r in rules]
+    decorated.sort(key=lambda row: row[:2])
+    return decorated
+
+
 def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
-    ordered = sorted(rules, key=AssociationRule.sort_key)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for r in ordered:
+        for consequent, antecedent, r in _sorted_with_tokens(rules):
             numbers = (f"{getattr(r, name):.12g}" for name in _MEASURES)
-            writer.writerow(["|".join(r.antecedent_tokens), r.consequent.token, *numbers])
+            writer.writerow(["|".join(antecedent), consequent, *numbers])
 
 
 def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
-    ordered = sorted(rules, key=AssociationRule.sort_key)
     payload = [
         {
-            "antecedent": list(r.antecedent_tokens),
-            "consequent": r.consequent.token,
+            "antecedent": list(antecedent),
+            "consequent": consequent,
             **{name: getattr(r, name) for name in _MEASURES},
         }
-        for r in ordered
+        for consequent, antecedent, r in _sorted_with_tokens(rules)
     ]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)

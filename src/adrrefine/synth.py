@@ -169,8 +169,23 @@ def _patient_rng(seed: int, ordinal: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ordinal,)))
 
 
+def _family_codes(config: ScenarioConfig) -> frozenset[str]:
+    """The drug codes the scenario can record that fall in the planted
+    reaction's drug family (empty without a planted reaction)."""
+    adr = config.adr
+    if adr is None:
+        return frozenset()
+    doi = frozenset(parse_bnf(code) for code in adr.doi_items)
+    drugs = {item.code for item in config.catalog if item.code_type == "BNF"}
+    conf = config.confounder
+    if conf is not None:
+        drugs.add(conf.doi_code)
+        drugs.update(code for code_type, code in conf.antecedent if code_type == "BNF")
+    return frozenset(code for code in drugs if doi_matches(parse_bnf(code), doi))
+
+
 def _generate_patient(
-    config: ScenarioConfig, ordinal: int, rates: np.ndarray
+    config: ScenarioConfig, ordinal: int, rates: np.ndarray, family_codes: frozenset[str]
 ) -> tuple[PatientInfo, list[EventRecord], list[TruthRow]]:
     rng = _patient_rng(config.seed, ordinal)
     pid = f"s{ordinal:07d}"
@@ -210,11 +225,8 @@ def _generate_patient(
 
     adr = config.adr
     if adr is not None:
-        doi = frozenset(parse_bnf(code) for code in adr.doi_items)
         doi_days = [
-            day
-            for day, code_type, code, _ in raw
-            if code_type == "BNF" and doi_matches(parse_bnf(code), doi)
+            day for day, code_type, code, _ in raw if code_type == "BNF" and code in family_codes
         ]
         if doi_days and rng.random() < adr.reaction_probability:
             latency = int(rng.integers(adr.latency_days[0], adr.latency_days[1] + 1))
@@ -243,12 +255,13 @@ def generate_store(config: ScenarioConfig) -> tuple[EventStore, list[TruthRow]]:
     """Generate a cohort directly as an in-memory store plus truth labels."""
     validate_config(config)
     rates = np.array([item.daily_rate for item in config.catalog])
+    family_codes = _family_codes(config)
     patients: dict[str, PatientInfo] = {}
     events: dict[str, tuple[EventRecord, ...]] = {}
     truth: list[TruthRow] = []
     max_date: dt.date | None = None
     for ordinal in range(config.patient_count):
-        info, evs, rows = _generate_patient(config, ordinal, rates)
+        info, evs, rows = _generate_patient(config, ordinal, rates, family_codes)
         patients[info.patient_id] = info
         events[info.patient_id] = tuple(evs)
         truth.extend(rows)

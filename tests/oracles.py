@@ -27,6 +27,40 @@ def chi2_counts_oracle(count_xy: int, count_x: int, count_y: int, m: int) -> flo
     return total
 
 
+def scalar_rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> tuple:
+    """(support, left_support, confidence, lift, chi_squared) the way the
+    miner computed them one rule at a time: Python ints, one correctly
+    rounded division per contingency cell, `(o - e) ** 2 / e` summed in
+    cell order, 0.0 when a marginal is 0 or m. The miner's measure
+    columns must equal these bit for bit."""
+    mm = m * m
+    observed = (
+        count_xy / m,
+        (count_x - count_xy) / m,
+        (count_y - count_xy) / m,
+        (m - count_x - count_y + count_xy) / m,
+    )
+    expected = (
+        (count_x * count_y) / mm,
+        (count_x * (m - count_y)) / mm,
+        (count_y * (m - count_x)) / mm,
+        ((m - count_x) * (m - count_y)) / mm,
+    )
+    chi = 0.0
+    if not any(e == 0.0 for e in expected):
+        total = 0.0
+        for o, e in zip(observed, expected):
+            total += (o - e) ** 2 / e
+        chi = m * total
+    return (
+        count_xy / m,
+        count_x / m,
+        count_xy / count_x,
+        (count_xy * m) / (count_x * count_y),
+        chi,
+    )
+
+
 def brute_force_rules(baskets, consequent, min_left_support, min_confidence, max_antecedent):
     """Exhaustively enumerate every antecedent of size <= max_antecedent.
 

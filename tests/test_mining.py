@@ -4,8 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adrrefine import mining
 from adrrefine.baskets import BasketDatabase
 from adrrefine.codes import Item, ItemKind
 from adrrefine.errors import ConfigError, DomainError, ParseError
@@ -25,16 +29,18 @@ from adrrefine.mining import (
     write_rules_json,
 )
 
-from oracles import brute_force_rules, chi2_counts_oracle
+from oracles import brute_force_rules, chi2_counts_oracle, scalar_rule_measures
 
 ITEM_POOL = [Item(ItemKind.READ, f"{c}{i:02d}..") for c in "ABCDE" for i in range(4)]
 
 
-def random_db(rng: random.Random, max_baskets=300, max_items=20, min_baskets=20, min_items=4):
+def random_db(
+    rng: random.Random, max_baskets=300, max_items=20, min_baskets=20, min_items=4, density=None
+):
     n_items = rng.randint(min_items, max_items)
     n_baskets = rng.randint(min_baskets, max_baskets)
     items = ITEM_POOL[:n_items]
-    density = rng.uniform(0.08, 0.5)
+    density = rng.uniform(0.08, 0.5) if density is None else density
     baskets = []
     for j in range(n_baskets):
         members = frozenset(it for it in items if rng.random() < density)
@@ -189,6 +195,70 @@ class TestRuleMeasures:
             assert math.isclose(a.chi_squared, b.chi_squared, rel_tol=1e-9, abs_tol=1e-9)
 
 
+# The largest basket count whose square, the largest product the
+# measures divide, is below 2**53; above it the columns use Python ints.
+EXACT_M = math.isqrt(2**53 - 1)
+
+
+@st.composite
+def count_rows(draw):
+    """A basket count m and rows (xy, x, y) of consistent counts, drawn
+    to hit degenerate marginals (x = m, y = m), xy = 0 and both sides of
+    EXACT_M."""
+    m = draw(
+        st.one_of(
+            st.integers(1, 3000),
+            st.integers(EXACT_M - 40, EXACT_M + 40),
+            st.integers(2**27, 10**12),
+        )
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.one_of(st.just(m), st.integers(1, m)))
+        y = draw(st.one_of(st.just(m), st.integers(1, m)))
+        lo, hi = max(0, x + y - m), min(x, y)
+        rows.append((draw(st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi))), x, y))
+    return m, rows
+
+
+class TestMeasureColumns:
+    # Counts where squaring by `d * d` instead of `** 2` moves chi-squared
+    # by one unit in the last place, on both sides of EXACT_M.
+    @settings(max_examples=400, deadline=None)
+    @given(count_rows())
+    @example((200, [(130, 179, 131), (0, 20, 180), (50, 200, 50), (9, 9, 200)]))
+    @example((EXACT_M, [(21759742, 33391407, 32447788), (0, 1, 1), (3, EXACT_M, 3)]))
+    @example((EXACT_M + 1, [(24824010, 45878481, 40233596), (0, 1, 1), (3, 3, EXACT_M + 1)]))
+    def test_columns_equal_scalar_formula_bit_for_bit(self, drawn):
+        m, rows = drawn
+        xy, x, y = (np.array(column, dtype=np.int64) for column in zip(*rows))
+        columns = mining._measure_columns(xy, x, y, m)
+        for k, row in enumerate(rows):
+            want = scalar_rule_measures(*row, m)
+            assert tuple(float(column[k]) for column in columns) == want
+            assert tuple(rule_measures(*row, m)) == want
+
+
+class TestGram:
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.6, 0.95])
+    def test_cells_equal_cover_counts(self, monkeypatch, density):
+        # A budget of a few floats forces many chunks per Gram.
+        monkeypatch.setattr(mining, "_GRAM_BYTES", 64)
+        rng = random.Random(int(density * 100))
+        db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=density)
+        n = len(db.items)
+        for _ in range(15):
+            ids = rng.sample(range(n), rng.randint(2, 8))
+            prefix = tuple(sorted(ids[:rng.randint(0, 2)]))
+            extra = tuple(ids[len(prefix) : len(prefix) + rng.randint(0, 1)])
+            rows = np.array(sorted(set(ids) - set(prefix) - set(extra)) or [ids[-1]])
+            gram = mining._gram(db, prefix, rows, extra)
+            for i, r in enumerate(rows.tolist()):
+                for j, s in enumerate(rows.tolist()):
+                    want = len(db.cover(prefix + extra + (r, s)))
+                    assert gram[i, j] == want, (prefix, extra, r, s)
+
+
 def assert_rules_match_oracle(db, consequent, constraints):
     mined = mine_rules(db, consequent, constraints)
     oracle = brute_force_rules(
@@ -220,6 +290,24 @@ class TestMineRules:
                 max_antecedent=rng.randint(1, 3),
             )
             assert_rules_match_oracle(db, consequent, constraints)
+
+    @pytest.mark.parametrize("max_antecedent", [4, 5])
+    def test_deep_antecedents_match_brute_force(self, max_antecedent):
+        # Level L counts from the Grams of (L-2)-item prefixes; these
+        # depths reach prefixes of 2 and 3 items.
+        rng = random.Random(60 + max_antecedent)
+        sizes = set()
+        for _ in range(6):
+            db = random_db(rng, max_baskets=160, max_items=12, min_items=7, density=0.5)
+            constraints = MiningConstraints(
+                rng.choice([0.01, 0.05]), rng.choice([0.01, 0.3]), max_antecedent
+            )
+            consequent = rng.choice(db.items)
+            assert_rules_match_oracle(db, consequent, constraints)
+            rules = mine_rules(db, consequent, constraints)
+            assert rules == sorted(rules, key=AssociationRule.sort_key)
+            sizes.update(len(r.antecedent) for r in rules)
+        assert max_antecedent in sizes
 
     def test_ubiquitous_items_give_unit_lift(self):
         a, c = Item(ItemKind.READ, "A00.."), Item(ItemKind.READ, "C00..")
@@ -302,6 +390,29 @@ class TestMineAllRules:
                 per = mine_rules(db, consequent, constraints)
                 subset = [r for r in all_rules if r.consequent == consequent]
                 assert subset == per
+
+    @pytest.mark.parametrize("max_antecedent", [4, 5])
+    def test_deep_antecedents_match_brute_force(self, max_antecedent):
+        rng = random.Random(70 + max_antecedent)
+        for _ in range(4):
+            db = random_db(rng, max_baskets=120, max_items=10, min_items=6, density=0.5)
+            constraints = MiningConstraints(0.02, rng.choice([0.01, 0.3]), max_antecedent)
+            all_rules = mine_all_rules(db, constraints)
+            assert all_rules == sorted(all_rules, key=AssociationRule.sort_key)
+            baskets = [set(b) for _, b in db.baskets]
+            for consequent in db.items:
+                oracle = brute_force_rules(
+                    baskets, consequent, 0.02, constraints.min_confidence, max_antecedent
+                )
+                mined = {r.antecedent: r for r in all_rules if r.consequent == consequent}
+                assert set(mined) == set(oracle)
+                for antecedent, want in oracle.items():
+                    r = mined[antecedent]
+                    got = (r.support, r.left_support, r.confidence, r.lift, r.chi_squared)
+                    assert all(
+                        math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9) for g, w in zip(got, want)
+                    )
+            assert any(len(r.antecedent) == max_antecedent for r in all_rules)
 
     def test_no_frequent_antecedent_gives_no_rules(self):
         a, b = Item(ItemKind.READ, "A00.."), Item(ItemKind.READ, "B00..")
