@@ -107,10 +107,7 @@ def chi_squared(table: ContingencyTable) -> float:
     """
     if table.degenerate:
         return 0.0
-    total = 0.0
-    for o, e in zip(table.observed, table.expected):
-        total += (o - e) ** 2 / e
-    return table.m * total
+    return float(_chi_sum(table.observed, table.expected, table.m))
 
 
 class RuleMeasures(NamedTuple):
@@ -123,17 +120,15 @@ class RuleMeasures(NamedTuple):
     chi_squared: float
 
 
-def contingency_from_counts(
-    count_xy: int, count_x: int, count_y: int, m: int
-) -> ContingencyTable:
-    """Contingency cells from integer counts.
+def _cells(count_xy, count_x, count_y, m):
+    """Observed and expected cell proportions, as two 4-tuples, from
+    counts given as Python ints or as integer columns.
 
     Every cell is one correctly-rounded division of exact integer
     products, so algebraically equal cells (observed == expected under
     independence) come out as identical floats and the chi-squared is
     exactly zero exactly when the lift is one.
     """
-    count_xy, count_x, count_y, m = int(count_xy), int(count_x), int(count_y), int(m)
     mm = m * m
     observed = (
         count_xy / m,
@@ -147,6 +142,23 @@ def contingency_from_counts(
         (count_y * (m - count_x)) / mm,
         ((m - count_x) * (m - count_y)) / mm,
     )
+    return observed, expected
+
+
+def _chi_sum(observed, expected, m):
+    """m * sum((O-E)^2 / E), squaring through `np.float_power`, the C
+    `pow` of Python's `**` (`d * d` can differ in the last bit), and
+    adding the four terms in cell order."""
+    t0, t1, t2, t3 = (np.float_power(o - e, 2) / e for o, e in zip(observed, expected))
+    return m * (((t0 + t1) + t2) + t3)
+
+
+def contingency_from_counts(
+    count_xy: int, count_x: int, count_y: int, m: int
+) -> ContingencyTable:
+    """Contingency cells from integer counts (see `_cells`)."""
+    m = int(m)
+    observed, expected = _cells(int(count_xy), int(count_x), int(count_y), m)
     return ContingencyTable(observed=observed, expected=expected, m=m)
 
 
@@ -156,13 +168,11 @@ def _measure_columns(
     """The five measures of many rules at once, as float64 columns.
 
     Each entry equals the scalar formula on Python ints bit for bit:
-    every measure and contingency cell is one correctly rounded division
-    of exact integer products, as in `contingency_from_counts`. numpy
-    divides int64 operands in float64, which is exact while every
-    product (at most m*m) stays below 2**53; above that the counts
-    become Python ints in object columns. Squares go through
-    `np.float_power`, the C `pow` of Python's `**` (`d * d` can differ
-    in the last bit), and the four chi-squared terms add in cell order.
+    every measure and contingency cell (`_cells`) is one correctly
+    rounded division of exact integer products. numpy divides int64
+    operands in float64, which is exact while every product (at most
+    m*m) stays below 2**53; above that the counts become Python ints in
+    object columns.
     """
     if m * m >= 2**53:
         count_xy, count_x, count_y = (
@@ -172,22 +182,12 @@ def _measure_columns(
     def div(a, b) -> np.ndarray:
         return np.asarray(a / b, dtype=np.float64)
 
-    mm = m * m
-    observed = (
-        div(count_xy, m),
-        div(count_x - count_xy, m),
-        div(count_y - count_xy, m),
-        div(m - count_x - count_y + count_xy, m),
-    )
-    expected = (
-        div(count_x * count_y, mm),
-        div(count_x * (m - count_y), mm),
-        div(count_y * (m - count_x), mm),
-        div((m - count_x) * (m - count_y), mm),
+    observed, expected = (
+        tuple(np.asarray(c, dtype=np.float64) for c in cells)
+        for cells in _cells(count_xy, count_x, count_y, m)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0, t1, t2, t3 = (np.float_power(o - e, 2) / e for o, e in zip(observed, expected))
-        chi = m * (((t0 + t1) + t2) + t3)
+        chi = _chi_sum(observed, expected, m)
     degenerate = np.logical_or.reduce([e == 0.0 for e in expected])
     return RuleMeasures(
         support=observed[0],
@@ -225,7 +225,9 @@ def min_count_for(threshold: float, m: int) -> int:
     return c
 
 
-# Bytes of one float block of `_gram`; bounds the kernel's working memory.
+# Bytes of one rows x baskets float32 input block of `_gram`. It bounds
+# only that block: the Gram itself and each chunk's product are rows x
+# rows, so they grow with the square of the row count.
 _GRAM_BYTES = 1 << 25
 # Rules built per block of measure columns in `_emit_rules`.
 _RULE_BLOCK = 4096
@@ -240,16 +242,17 @@ def _gram(
     Off-diagonal cell (r, s) is count(prefix | extra | {rows[r], rows[s]});
     diagonal cell r is count(prefix | extra | {rows[r]}). The 0/1 block of
     `rows` over the cover is multiplied by its own transpose, chunked over
-    baskets so one float block stays within `_GRAM_BYTES`. The product is
-    exact: every partial sum is an integer of at most m, and float32 holds
-    those exactly while m < 2**24 (float64 is used above that).
+    baskets so one float32 block stays within `_GRAM_BYTES`, and each
+    chunk's product is summed in int64. The product is exact at any m: a
+    chunk's partial sums are integers of at most its basket count, which
+    `_GRAM_BYTES` keeps at or below 2**23, and float32 holds every
+    integer up to 2**24 exactly.
     """
     tids = db.cover(prefix + extra)
-    dtype = np.float32 if db.m < 2**24 else np.float64
-    step = max(1, _GRAM_BYTES // (np.dtype(dtype).itemsize * max(1, len(rows))))
+    step = max(1, _GRAM_BYTES // (4 * max(1, len(rows))))
     gram = np.zeros((len(rows), len(rows)), dtype=np.int64)
     for lo in range(0, len(tids), step):
-        block = db.bits[np.ix_(rows, tids[lo : lo + step])].astype(dtype)
+        block = db.bits[np.ix_(rows, tids[lo : lo + step])].astype(np.float32)
         gram += (block @ block.T).astype(np.int64)
     return gram
 
@@ -341,16 +344,13 @@ def _emit_rules(
 
     count(X | {y}) comes from prefix Grams. A prefix Q serves the
     antecedents Q | {r, s} and, for Q = (), the single items {r}, written
-    as cell (r, r). Counted on the target side, `_gram(db, Q, rows,
-    extra=(y,))` holds count(X | {y}) in each antecedent's cell. Counted
-    on the antecedent side, the Gram of P = Q | {r} (or of () for single
-    items) over P's tails and the targets holds count(P | {t, y}) in cell
-    (t, y). Each prefix takes the side with fewer Grams; a worker holds
-    one Gram at a time, and keeps only the cells passing confidence.
+    as cell (r, r); `_gram(db, Q, rows, extra=(y,))`, over the baskets
+    holding y, has count(X | {y}) in each antecedent's cell. A worker
+    holds one Gram at a time, and keeps only the cells passing
+    confidence.
     """
     antecedents = sorted(freq)
     count_x = np.array([freq[ids] for ids in antecedents], dtype=np.int64)
-    targets = np.asarray(target_ids, dtype=np.int64)
     # Per prefix Q: the item pair (r, s) of each antecedent it serves and
     # the antecedent's index in `antecedents`. The antecedents of one size
     # are sorted, so those sharing Q are contiguous.
@@ -368,39 +368,22 @@ def _emit_rules(
                 cells = tuple(map(np.concatenate, zip(served[q], cells)))
             served[q] = cells
 
-    def target_side(q, r, s, ks, y):
+    def count_target(job):
+        q, r, s, ks, y = job
         rows = _union(r, s)
         xy = _gram(db, q, rows, (y,))[np.searchsorted(rows, r), np.searchsorted(rows, s)]
         keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
         return np.full(keep.sum(), y), ks[keep], xy[keep]
 
-    def antecedent_side(p, tails, ks):
-        rows = _union(tails, targets)
-        gram = _gram(db, p, rows)
-        xy = gram[np.ix_(np.searchsorted(rows, tails), np.searchsorted(rows, targets))]
-        ys = np.broadcast_to(targets, xy.shape)
-        outside_p = (targets[:, None] != np.array(p, dtype=np.int64)).all(axis=1)
-        keep = (tails[:, None] != ys) & outside_p & ~(xy / count_x[ks][:, None] < min_confidence)
-        return ys[keep], np.broadcast_to(ks[:, None], xy.shape)[keep], xy[keep]
-
-    jobs = []
-    for q, (r, s, ks) in served.items():
-        single = r == s
-        # The antecedent side's groups P: () for the single items, q | {lead}
-        # for each leading item of a pair.
-        leads = _union(r[~single]).tolist()
-        if len(targets) <= len(leads) + bool(single.any()):
-            jobs.extend((target_side, q, r, s, ks, y) for y in targets.tolist() if y not in q)
-            continue
-        if single.any():
-            jobs.append((antecedent_side, q, r[single], ks[single]))
-        for lead in leads:
-            pair = (r == lead) & ~single
-            jobs.append((antecedent_side, q + (lead,), s[pair], ks[pair]))
-
+    jobs = [
+        (q, r, s, ks, y)
+        for q, (r, s, ks) in served.items()
+        for y in target_ids
+        if y not in q
+    ]
     if not jobs:
         return []
-    results = _run_jobs(jobs, lambda job: job[0](*job[1:]), workers)
+    results = _run_jobs(jobs, count_target, workers)
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
     order = np.lexsort((ks, ys))
     ys, ks, xy = ys[order], ks[order], xy[order]

@@ -237,6 +237,7 @@ class TestMeasureColumns:
             want = scalar_rule_measures(*row, m)
             assert tuple(float(column[k]) for column in columns) == want
             assert tuple(rule_measures(*row, m)) == want
+            assert chi_squared(contingency_from_counts(*row, m)) == want[4]
 
 
 class TestGram:
@@ -376,10 +377,9 @@ class TestMineAllRules:
         # The emitter unpacks RuleMeasures into AssociationRule by position.
         fields = tuple(f.name for f in dataclasses.fields(AssociationRule))
         assert RuleMeasures._fields == fields[2:]
-        # A floor of one basket makes every item frequent, so the level-1
-        # group has as many tails as targets and deeper groups have fewer:
-        # both counting sides run, and size-3 antecedents put consequents
-        # inside 2-item prefixes. `==` compares the measures bit for bit.
+        # A floor of one basket makes every item frequent, so size-3
+        # antecedents put consequents inside 2-item prefixes. `==` compares
+        # the measures bit for bit.
         for seed in (40, 43, 45, 50, 51):
             rng = random.Random(seed)
             db = random_db(rng, max_baskets=120, max_items=10)
