@@ -39,6 +39,7 @@ from .mining import (
     ContingencyTable,
     MiningConstraints,
     RuleMeasures,
+    RuleTable,
     chi_squared,
     contingency_from_counts,
     mine_all_rules,

@@ -92,7 +92,7 @@ def _load_spec(args) -> signals.SignalSpec:
     return spec
 
 
-def _read_rules(path: str) -> list[mining.AssociationRule]:
+def _read_rules(path: str) -> mining.RuleTable:
     if path.endswith(".json"):
         return mining.read_rules_json(path)
     return mining.read_rules_csv(path)

@@ -20,18 +20,28 @@ candidate needs a subset prune.
 All measures are derived from exact integer basket counts, as columns
 over all rules at once that equal the one-rule formula bit for bit;
 reports are bit-reproducible across runs and worker counts.
+
+Mined rules stay columns: a `RuleTable` holds item-id columns for the
+antecedents and consequents over one shared item vocabulary, plus the
+five measure columns. The miner fills it from its count columns, the
+rules-file writers format it a column at a time, the readers build it
+a column at a time, and refinement matches baskets against it with
+array masks. It is a read-only sequence of `AssociationRule`s, each
+built only when it is accessed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +52,12 @@ from .errors import ConfigError, DomainError, ParseError
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
 DEFAULT_MIN_CONFIDENCE = 0.01
 DEFAULT_MAX_ANTECEDENT = 3
+
+# The measure columns in rules-file order.
+_MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
+# Rows turned into Python objects at a time, when iterating a `RuleTable`
+# or reading rules.csv, so one block's objects die before the next block.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,134 @@ class AssociationRule:
         return (self.consequent.token, self.antecedent_tokens)
 
 
+class RuleTable(Sequence):
+    """Rules as columns over one item vocabulary.
+
+    `items` is the vocabulary in token order. `antecedent` is an
+    (n, width) int32 matrix of item ids, each row ascending and padded
+    with -1 at the end; `consequent` is an int32 id column; the five
+    measures are float64 columns named as on `AssociationRule`.
+
+    The table is a read-only sequence of `AssociationRule`s and compares
+    `==` to a list of them. An int index builds one rule; any other
+    numpy index (a slice, a mask, row numbers) gives a table of those
+    rows. Rules are built on access and not kept: one iteration shares
+    the table's `Item`s and one frozenset per distinct antecedent row.
+    """
+
+    __slots__ = ("items", "antecedent", "consequent", *_MEASURES)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        items: Sequence[Item],
+        antecedent: np.ndarray,
+        consequent: np.ndarray,
+        left_support: np.ndarray,
+        support: np.ndarray,
+        confidence: np.ndarray,
+        lift: np.ndarray,
+        chi_squared: np.ndarray,
+    ):
+        self.items: tuple[Item, ...] = tuple(items)
+        self.antecedent = antecedent
+        self.consequent = consequent
+        self.left_support = left_support
+        self.support = support
+        self.confidence = confidence
+        self.lift = lift
+        self.chi_squared = chi_squared
+        # The two rule invariants, on whole columns; the first bad row
+        # raises the message `AssociationRule` would.
+        bad = np.flatnonzero(
+            (antecedent[:, 0] < 0) | (antecedent == consequent[:, None]).any(axis=1)
+        )
+        if len(bad):
+            self[int(bad[0])]
+
+    @classmethod
+    def from_rules(cls, rules: Iterable[AssociationRule]) -> RuleTable:
+        """`rules` itself when it is a table, else a table of its rules in
+        their order."""
+        if isinstance(rules, RuleTable):
+            return rules
+        rules = list(rules)
+        items = sorted(
+            {it for r in rules for it in (*r.antecedent, r.consequent)}, key=lambda it: it.token
+        )
+        ids = {it: k for k, it in enumerate(items)}
+        return cls(
+            items,
+            _id_matrix([sorted(ids[it] for it in r.antecedent) for r in rules]),
+            np.array([ids[r.consequent] for r in rules], dtype=np.int32),
+            *(np.array([getattr(r, name) for r in rules], dtype=np.float64) for name in _MEASURES),
+        )
+
+    def __len__(self) -> int:
+        return len(self.consequent)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            k = range(len(self))[key]
+            items = self.items
+            return AssociationRule(
+                frozenset(items[i] for i in self.antecedent[k].tolist() if i >= 0),
+                items[int(self.consequent[k])],
+                *(float(getattr(self, name)[k]) for name in _RULE_MEASURES),
+            )
+        return RuleTable(
+            self.items,
+            self.antecedent[key],
+            self.consequent[key],
+            *(getattr(self, name)[key] for name in _MEASURES),
+        )
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        items = self.items
+        rows, inverse = _distinct_rows(self.antecedent)
+        sets: list[frozenset[Item] | None] = [None] * len(rows)
+        for lo in range(0, len(self), _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
+            columns = (getattr(self, name)[block].tolist() for name in _RULE_MEASURES)
+            for k, y, *measures in zip(
+                inverse[block].tolist(), self.consequent[block].tolist(), *columns
+            ):
+                antecedent = sets[k]
+                if antecedent is None:
+                    antecedent = sets[k] = frozenset(
+                        items[i] for i in rows[k].tolist() if i >= 0
+                    )
+                yield AssociationRule(antecedent, items[y], *measures)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RuleTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<RuleTable: {len(self)} rules over {len(self.items)} items>"
+
+
+def _id_matrix(rows: list[list[int]]) -> np.ndarray:
+    """Item-id rows as an int32 matrix padded with -1, at least one wide."""
+    width = max([1, *map(len, rows)])
+    matrix = np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int32)
+    return matrix.reshape(len(rows), width)
+
+
+def _distinct_rows(antecedent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an id matrix, sorted, and each row's index
+    among them (a lexsort: `np.unique(axis=0)` sorts rows as opaque bytes
+    and takes several times as long)."""
+    order = np.lexsort(antecedent.T[::-1])
+    rows = antecedent[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 def chi_squared(table: ContingencyTable) -> float:
     """Count-scaled chi-squared: m * sum((O-E)^2 / E) over the four cells.
 
@@ -118,6 +262,10 @@ class RuleMeasures(NamedTuple):
     confidence: float
     lift: float
     chi_squared: float
+
+
+# The measure columns in `AssociationRule`'s field order.
+_RULE_MEASURES = RuleMeasures._fields
 
 
 def _cells(count_xy, count_x, count_y, m):
@@ -229,8 +377,6 @@ def min_count_for(threshold: float, m: int) -> int:
 # only that block: the Gram itself and each chunk's product are rows x
 # rows, so they grow with the square of the row count.
 _GRAM_BYTES = 1 << 25
-# Rules built per block of measure columns in `_emit_rules`.
-_RULE_BLOCK = 4096
 
 
 def _gram(
@@ -338,9 +484,10 @@ def _emit_rules(
     target_ids: Sequence[int],
     min_confidence: float,
     workers: int,
-) -> list[AssociationRule]:
+) -> RuleTable:
     """Every rule X => {y} with X in `freq`, y a target outside X, and
-    confidence at least `min_confidence`, ordered by (y, X) ids.
+    confidence at least `min_confidence`, as a table over `db.items`
+    ordered by (y, X) ids.
 
     count(X | {y}) comes from prefix Grams. A prefix Q serves the
     antecedents Q | {r, s} and, for Q = (), the single items {r}, written
@@ -351,6 +498,8 @@ def _emit_rules(
     """
     antecedents = sorted(freq)
     count_x = np.array([freq[ids] for ids in antecedents], dtype=np.int64)
+    # Row k holds the ids of antecedents[k], padded with -1.
+    matrix = np.full((len(antecedents), max(map(len, antecedents), default=1)), -1, np.int32)
     # Per prefix Q: the item pair (r, s) of each antecedent it serves and
     # the antecedent's index in `antecedents`. The antecedents of one size
     # are sorted, so those sharing Q are contiguous.
@@ -359,6 +508,7 @@ def _emit_rules(
     for size in sorted(set(sizes.tolist())):
         ks = np.flatnonzero(sizes == size)
         ids = np.array([antecedents[k] for k in ks]).reshape(len(ks), size)
+        matrix[ks, :size] = ids
         pairs, heads = ids[:, [-2, -1] if size > 1 else [0, 0]], ids[:, :-2]
         starts = np.flatnonzero(np.r_[True, (heads[1:] != heads[:-1]).any(axis=1)]).tolist()
         for lo, hi in zip(starts, starts[1:] + [len(ks)]):
@@ -381,29 +531,13 @@ def _emit_rules(
         for y in target_ids
         if y not in q
     ]
-    if not jobs:
-        return []
-    results = _run_jobs(jobs, count_target, workers)
+    # With no jobs there are no rules: three empty columns.
+    results = _run_jobs(jobs, count_target, workers) or [(np.empty(0, np.int64),) * 3]
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
     order = np.lexsort((ks, ys))
     ys, ks, xy = ys[order], ks[order], xy[order]
-    # Rules are built a block at a time, so the measure columns and their
-    # Python floats stay small next to the rules they go into.
-    items = db.items
-    sets: list[frozenset[Item] | None] = [None] * len(antecedents)
-    rules = []
-    for lo in range(0, len(ks), _RULE_BLOCK):
-        k_block, y_block = ks[lo : lo + _RULE_BLOCK], ys[lo : lo + _RULE_BLOCK]
-        columns = _measure_columns(
-            xy[lo : lo + _RULE_BLOCK], count_x[k_block], db.counts[y_block], db.m
-        )
-        values = zip(k_block.tolist(), y_block.tolist(), *(c.tolist() for c in columns))
-        for k, y, *measures in values:
-            antecedent = sets[k]
-            if antecedent is None:
-                antecedent = sets[k] = frozenset(items[i] for i in antecedents[k])
-            rules.append(AssociationRule(antecedent, items[y], *measures))
-    return rules
+    measures = _measure_columns(xy, count_x[ks], db.counts[ys], db.m)
+    return RuleTable(db.items, matrix[ks], ys.astype(np.int32), **measures._asdict())
 
 
 def mine_rules(
@@ -411,12 +545,12 @@ def mine_rules(
     consequent: Item,
     constraints: MiningConstraints | None = None,
     workers: int | None = None,
-) -> list[AssociationRule]:
+) -> RuleTable:
     """All rules antecedent => {consequent} satisfying the constraints.
 
     Returns exactly the rules whose antecedent has at most
     `max_antecedent` items, excludes the consequent, meets the
-    left-support floor, and whose confidence meets the floor. The list
+    left-support floor, and whose confidence meets the floor. The table
     is sorted for reproducible output; treat it as a set.
     """
     constraints = constraints or MiningConstraints()
@@ -435,7 +569,7 @@ def mine_all_rules(
     db: BasketDatabase,
     constraints: MiningConstraints | None = None,
     workers: int | None = None,
-) -> list[AssociationRule]:
+) -> RuleTable:
     """Union of mine_rules over every item appearing in the corpus.
 
     Frequent antecedents are computed once with no item excluded; every
@@ -453,69 +587,155 @@ def mine_all_rules(
     )
 
 
-_MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
 _CSV_HEADER = ["antecedent", "consequent", *_MEASURES]
+# One rule of `json.dump(..., indent=1)` of the rule objects: antecedent
+# token lines, consequent, then the measures in `_MEASURES` order.
+_JSON_RULE = (
+    ' {\n  "antecedent": [\n%s\n  ],\n  "consequent": %s,\n'
+    + ",\n".join(f'  "{name}": %s' for name in _MEASURES)
+    + "\n }"
+)
 
 
-def _sorted_with_tokens(
-    rules: Iterable[AssociationRule],
-) -> list[tuple[str, tuple[str, ...], AssociationRule]]:
-    """(consequent token, antecedent tokens, rule) in `sort_key` order,
-    with each rule's tokens worked out once."""
-    decorated = [(r.consequent.token, r.antecedent_tokens, r) for r in rules]
-    decorated.sort(key=lambda row: row[:2])
-    return decorated
+def _text_columns(
+    rules: Iterable[AssociationRule], antecedent_text, token_text, number_text
+) -> Iterator[tuple[str, ...]]:
+    """Each rule as strings, in `sort_key` order: its antecedent through
+    `antecedent_text` of its sorted tokens, its consequent through
+    `token_text`, and its measures, in `_MEASURES` order, through
+    `number_text`. Each distinct antecedent row and each distinct value
+    of a measure is formatted once."""
+    table = RuleTable.from_rules(rules)
+    # Ids follow token order and the -1 pad sorts first, so this is the
+    # order of (consequent token, antecedent tokens), ties kept.
+    table = table[np.lexsort((*table.antecedent.T[::-1], table.consequent))]
+    tokens = [it.token for it in table.items]
+    rows, inverse = _distinct_rows(table.antecedent)
+    texts = [antecedent_text([tokens[i] for i in row if i >= 0]) for row in rows.tolist()]
+    consequents = [token_text(t) for t in tokens]
+    return zip(
+        [texts[k] for k in inverse.tolist()],
+        [consequents[y] for y in table.consequent.tolist()],
+        *(_formatted(getattr(table, name), number_text) for name in _MEASURES),
+    )
+
+
+def _formatted(column: np.ndarray, number_text) -> list[str]:
+    """`number_text` of each value, called once per distinct bit pattern."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = [number_text(v) for v in bits.view(np.float64).tolist()]
+    return [texts[k] for k in inverse.tolist()]
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it inside a row (quoted if needed)."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[: -len(",\r\n")]
+
+
+def _json_number(value: float) -> str:
+    """A float as `json` writes it."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
+    """The bytes `csv.writer` writes for the header and one row per rule,
+    in `sort_key` order: antecedent tokens `|`-joined, reals at 12
+    significant digits (which never need quoting)."""
+    lines = _text_columns(
+        rules, lambda tokens: _csv_field("|".join(tokens)), _csv_field, "{:.12g}".format
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for consequent, antecedent, r in _sorted_with_tokens(rules):
-            numbers = (f"{getattr(r, name):.12g}" for name in _MEASURES)
-            writer.writerow(["|".join(antecedent), consequent, *numbers])
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.writelines(",".join(fields) + "\r\n" for fields in lines)
 
 
 def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
-    payload = [
-        {
-            "antecedent": list(antecedent),
-            "consequent": consequent,
-            **{name: getattr(r, name) for name in _MEASURES},
-        }
-        for consequent, antecedent, r in _sorted_with_tokens(rules)
-    ]
+    """The bytes of `json.dump` with `indent=1` of one object per rule,
+    in `sort_key` order; reals are exact."""
+    lines = _text_columns(
+        rules,
+        lambda tokens: ",\n".join("   " + json.dumps(t) for t in tokens),
+        json.dumps,
+        _json_number,
+    )
+    body = ",\n".join(_JSON_RULE % fields for fields in lines)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f"[\n{body}\n]\n" if body else "[]\n")
 
 
-def _rule_from_fields(
+def _check_fields(
     antecedent_tokens: Sequence[str],
     consequent_token: str,
     numbers: Sequence[str | float],
     items: dict[str, Item],
-) -> AssociationRule:
-    """`numbers` come in `_MEASURES` order. `items` caches one file's parsed
-    tokens, so each token is parsed once and its rules share one Item."""
+) -> None:
+    """Build one rule from its fields a row at a time, raising the first
+    error of the row. `numbers` come in `_MEASURES` order; `items` caches
+    parsed tokens. The readers call this only to report a malformed row."""
     for token in (*antecedent_tokens, consequent_token):
         if token not in items:
             items[token] = parse_item(token)
-    return AssociationRule(
+    AssociationRule(
         antecedent=frozenset(items[t] for t in antecedent_tokens),
         consequent=items[consequent_token],
         **{name: float(v) for name, v in zip(_MEASURES, numbers)},
     )
 
 
-def read_rules_csv(path: str) -> list[AssociationRule]:
-    rules = []
-    items: dict[str, Item] = {}
+def _table_from_fields(antecedents: list, consequents: list, numbers: list, split) -> RuleTable:
+    """A table of rows given as antecedent keys (`split` gives a key's
+    tokens), consequent tokens, and the five raw measure columns in
+    `_MEASURES` order, each converted by `float`. Each distinct token and
+    antecedent key is parsed once."""
+    keys: dict = {}
+    key_of_row = [keys.setdefault(a, len(keys)) for a in antecedents]
+    key_tokens = [split(a) for a in keys]
+    parsed: dict[str, Item] = {}
+    for token in {t for tokens in key_tokens for t in tokens}.union(consequents):
+        parsed[token] = parse_item(token)
+    items = sorted(set(parsed.values()), key=lambda it: it.token)
+    item_id = {it: k for k, it in enumerate(items)}
+    token_id = {t: item_id[it] for t, it in parsed.items()}
+    distinct = _id_matrix([sorted({token_id[t] for t in tokens}) for tokens in key_tokens])
+    return RuleTable(
+        items,
+        distinct[np.array(key_of_row, dtype=np.intp)],
+        np.array([token_id[t] for t in consequents], dtype=np.int32),
+        *(np.array(list(map(float, column)), dtype=np.float64) for column in numbers),
+    )
+
+
+def read_rules_csv(path: str) -> RuleTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise ParseError(f"expected header {','.join(_CSV_HEADER)}", source=path, line=1)
+        # Rows go into columns a block at a time: the row lists die young,
+        # so the garbage collector never walks all of them (it did, and
+        # took about a third of the read).
+        columns: list[list[str]] = [[] for _ in _CSV_HEADER]
+        lengths: set[int] = set()
+        while block := list(islice(reader, _ROW_BLOCK)):
+            rows = [row for row in block if row]
+            lengths.update(map(len, rows))
+            for column, values in zip(columns, zip(*rows)):
+                column.extend(values)
+    try:
+        if lengths - {len(_CSV_HEADER)}:
+            raise ValueError("wrong field count")
+        return _table_from_fields(
+            columns[0], columns[1], columns[2:], lambda a: a.split("|")
+        )
+    except (ValueError, ParseError, DomainError):
+        pass
+    # Read the rows again one by one to report the first error with its line.
+    items: dict[str, Item] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -526,24 +746,34 @@ def read_rules_csv(path: str) -> list[AssociationRule]:
                     line=lineno,
                 )
             try:
-                rules.append(_rule_from_fields(row[0].split("|"), row[1], row[2:], items))
+                _check_fields(row[0].split("|"), row[1], row[2:], items)
             except (ValueError, ParseError, DomainError) as exc:
                 raise ParseError(str(exc), source=path, line=lineno) from None
-    return rules
+    raise AssertionError("a row failed as a column but not on its own")
 
 
-def read_rules_json(path: str) -> list[AssociationRule]:
+def read_rules_json(path: str) -> RuleTable:
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), source=path) from None
-    rules = []
+    try:
+        numbers = [[obj[name] for obj in payload] for name in _MEASURES]
+        return _table_from_fields(
+            [tuple(obj["antecedent"]) for obj in payload],
+            [obj["consequent"] for obj in payload],
+            numbers,
+            lambda a: a,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError, DomainError):
+        pass
+    # Go back over the objects to report the first error.
     items: dict[str, Item] = {}
     for obj in payload:
         try:
             numbers = [obj[name] for name in _MEASURES]
-            rules.append(_rule_from_fields(obj["antecedent"], obj["consequent"], numbers, items))
+            _check_fields(obj["antecedent"], obj["consequent"], numbers, items)
         except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
             raise ParseError(f"bad rule object: {exc}", source=path) from None
-    return rules
+    raise AssertionError("an object failed as a column but not on its own")

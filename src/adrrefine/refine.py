@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baskets import pre_outcome_basket
 from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
 from .errors import DomainError
 from .events import EventStore
-from .mining import AssociationRule, _run_jobs, resolve_workers
+from .mining import AssociationRule, RuleTable, _run_jobs, resolve_workers
 from .signals import (
     AbResult,
     SignalInstance,
@@ -77,17 +80,19 @@ def rule_consequent(hoi_query: ReadCode) -> Item:
 
 
 def extract_hoi_rules(
-    rules: list[AssociationRule], hoi_query: ReadCode
-) -> list[AssociationRule]:
+    rules: Iterable[AssociationRule], hoi_query: ReadCode
+) -> RuleTable:
     """Rules whose consequent is `rule_consequent(hoi_query)`."""
     target = rule_consequent(hoi_query)
-    return [r for r in rules if r.consequent == target]
+    table = RuleTable.from_rules(rules)
+    ids = [k for k, it in enumerate(table.items) if it == target]
+    return table[np.isin(table.consequent, ids)]
 
 
 def assess_instance(
     store: EventStore,
     instance: SignalInstance,
-    hoi_rules: list[AssociationRule],
+    hoi_rules: Iterable[AssociationRule],
     include_same_day: bool = False,
     lift_threshold: float = DEFAULT_LIFT_THRESHOLD,
 ) -> InstanceAssessment:
@@ -96,18 +101,22 @@ def assess_instance(
     Maxima over the matched rules' confidence, lift, and chi-squared are
     reported; all zero when nothing matches.
     """
+    rules = RuleTable.from_rules(hoi_rules)
     basket = pre_outcome_basket(
         store, instance.patient_id, instance.hoi_date, include_same_day
     )
-    matched = [r for r in hoi_rules if r.antecedent <= basket]
-    if matched:
-        max_lift = max(r.lift for r in matched)
+    # Basket membership per vocabulary id; the last entry, read through
+    # the -1 pad, counts as present.
+    member = np.array([it in basket for it in rules.items] + [True])
+    matched = member[rules.antecedent].all(axis=1)
+    if matched.any():
+        max_lift = max(rules.lift[matched].tolist())
         return InstanceAssessment(
             instance=instance,
-            matched_rule_count=len(matched),
-            max_confidence=max(r.confidence for r in matched),
+            matched_rule_count=int(matched.sum()),
+            max_confidence=max(rules.confidence[matched].tolist()),
             max_lift=max_lift,
-            max_chi_squared=max(r.chi_squared for r in matched),
+            max_chi_squared=max(rules.chi_squared[matched].tolist()),
             expected=max_lift > lift_threshold,
         )
     return InstanceAssessment(instance, 0, 0.0, 0.0, 0.0, False)
@@ -140,7 +149,7 @@ def adjusted_risk(instance_count: int, expected_count: int, exposures: int) -> f
 
 def refine(
     spec: SignalSpec,
-    rules: list[AssociationRule],
+    rules: Iterable[AssociationRule],
     store: EventStore,
     instances: list[SignalInstance] | None = None,
     exposures: int | None = None,

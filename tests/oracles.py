@@ -2,9 +2,13 @@
 
 These deliberately avoid the library's code paths: supports come from
 scanning tid-sets per candidate, and the chi-squared statistic is the
-textbook count-based 2x2 form. The miner must agree with them.
+textbook count-based 2x2 form. Rule matching is a frozenset subset
+test per rule, and the rules-file writers go a rule at a time through
+`csv.writer` and `json.dump`. The library must agree with them.
 """
 
+import csv
+import json
 from itertools import combinations
 
 
@@ -96,3 +100,52 @@ def brute_force_rules(baskets, consequent, min_left_support, min_confidence, max
                 chi2_counts_oracle(count_xy, count_x, count_y, m),
             )
     return found
+
+
+def assess_oracle(basket, rules, lift_threshold):
+    """(matched count, max confidence, max lift, max chi-squared, expected)
+    of one basket: a rule matches when its antecedent frozenset is a
+    subset of the basket; all zero and not expected without a match."""
+    matched = [r for r in rules if r.antecedent <= basket]
+    if not matched:
+        return (0, 0.0, 0.0, 0.0, False)
+    max_lift = max(r.lift for r in matched)
+    return (
+        len(matched),
+        max(r.confidence for r in matched),
+        max_lift,
+        max(r.chi_squared for r in matched),
+        max_lift > lift_threshold,
+    )
+
+
+RULE_FILE_MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
+
+
+def _sorted_rules(rules):
+    return sorted(rules, key=lambda r: (r.consequent.token, r.antecedent_tokens))
+
+
+def write_rules_csv_oracle(rules, path):
+    """rules.csv written a rule at a time through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["antecedent", "consequent", *RULE_FILE_MEASURES])
+        for r in _sorted_rules(rules):
+            numbers = (f"{getattr(r, name):.12g}" for name in RULE_FILE_MEASURES)
+            writer.writerow(["|".join(r.antecedent_tokens), r.consequent.token, *numbers])
+
+
+def write_rules_json_oracle(rules, path):
+    """rules.json written through `json.dump` of one object per rule."""
+    payload = [
+        {
+            "antecedent": list(r.antecedent_tokens),
+            "consequent": r.consequent.token,
+            **{name: getattr(r, name) for name in RULE_FILE_MEASURES},
+        }
+        for r in _sorted_rules(rules)
+    ]
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from adrrefine import mining
 from adrrefine.baskets import BasketDatabase
-from adrrefine.codes import Item, ItemKind
+from adrrefine.codes import Item, ItemKind, gender_item
 from adrrefine.errors import ConfigError, DomainError, ParseError
 from adrrefine.mining import (
     AssociationRule,
@@ -507,3 +508,43 @@ class TestRuleSerialization:
                 assert by_token.setdefault(item.token, item) is item
         assert len(by_token) < sum(len(r.antecedent) + 1 for r in loaded)
 
+
+def pinned_corpus_rules():
+    """`mine_all_rules` over a seeded corpus of diagnosis, drug and gender
+    items (1446 rules)."""
+    rng = random.Random(6061)
+    codes = [Item(ItemKind.READ, f"{c}{i}1..") for c in "HNC" for i in (1, 3)]
+    codes += [Item(ItemKind.BNF, f"{c}.{s}.0.0") for c, s in ((2, 2), (5, 1), (3, 4), (10, 1))]
+    presence = [0.55, 0.4, 0.3, 0.22, 0.15, 0.08, 0.5, 0.35, 0.2, 0.06]
+    baskets = []
+    for j in range(400):
+        members = {gender_item(rng.choice("MF"))}
+        members.update(it for it, p in zip(codes, presence) if rng.random() < p)
+        baskets.append((f"p{j}", frozenset(members)))
+    return mine_all_rules(BasketDatabase(baskets), MiningConstraints(0.02, 0.05, 3))
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRuleFileBytes:
+    # sha256 of the files the row-at-a-time writers wrote for this corpus.
+    PINNED = {
+        "csv": "b79d5b5f88a1962e60ccac2e6e4a26ffbcea7ce7d609833773f76289df4a26d8",
+        "json": "94868c640680b7c24b2daa48478678957736477709cc8a78a98f6cb0125ce34c",
+    }
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_pinned_bytes(self, tmp_path, suffix):
+        mined = pinned_corpus_rules()
+        assert len(mined) == 1446
+        write = write_rules_csv if suffix == "csv" else write_rules_json
+        path = tmp_path / f"rules.{suffix}"
+        write(mined, str(path))
+        assert sha256(path) == self.PINNED[suffix]
+        # The same rules as a shuffled list of AssociationRules.
+        rules = list(mined)
+        random.Random(5).shuffle(rules)
+        write(rules, str(tmp_path / f"list.{suffix}"))
+        assert sha256(tmp_path / f"list.{suffix}") == self.PINNED[suffix]
