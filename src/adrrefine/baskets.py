@@ -15,6 +15,9 @@ lifetime co-occurrence, refinement asks what was known before an outcome.
 from __future__ import annotations
 
 import datetime as dt
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,57 +45,95 @@ def pre_outcome_basket(
     of the outcome rather than prior history. `include_same_day` keeps
     them instead.
     """
-    patient = store.patients.get(patient_id)
-    if patient is None:
-        raise DomainError(f"unknown patient: {patient_id}")
-    table = store.code_table
-    items = {gender_item(patient.gender)}
-    for ev in store.patient_events(patient_id):
-        if ev.date > cutoff_date:
-            break
-        if ev.date == cutoff_date and not include_same_day:
-            continue
-        items.add(table[ev.code_type, ev.code][1])
-    return frozenset(items)
+    rows = store.rows(patient_id)
+    columns = store.columns
+    side = "right" if include_same_day else "left"
+    stop = rows.start + int(np.searchsorted(columns.day[rows], cutoff_date.toordinal(), side))
+    codes = columns.codes
+    ids = set(codes.item_id[columns.code[rows.start : stop]].tolist())
+    gender = gender_item(store.patients[patient_id].gender)
+    return frozenset([gender, *(codes.mining_items[i] for i in ids)])
+
+
+@dataclass(frozen=True)
+class BasketPairs:
+    """Baskets as columns: each basket's patient id (in basket ordinal
+    order), an item vocabulary in token order, and the distinct
+    (basket ordinal, item id) pairs in ascending basket order."""
+
+    pids: tuple[str, ...]
+    items: tuple[Item, ...]
+    basket: np.ndarray
+    item: np.ndarray
+
+
+def _pairs_from_sets(baskets: Iterable[tuple[str, frozenset[Item]]]) -> BasketPairs:
+    baskets = tuple(baskets)
+    sets = [basket for _, basket in baskets]
+    universe = set().union(*sets)
+    items = tuple(sorted(universe, key=lambda it: it.token))
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    total = int(sizes.sum())
+    # Corpora usually share one Item object per item, so look members up
+    # by identity first: hashing an Item runs Python code, an id does not.
+    by_identity = {id(it): k for k, it in enumerate(items)}
+    try:
+        item = np.fromiter(
+            map(by_identity.__getitem__, map(id, chain.from_iterable(sets))), np.int64, total
+        )
+    except KeyError:  # some member is an equal copy of a universe item
+        ids = {it: k for k, it in enumerate(items)}
+        item = np.fromiter(map(ids.__getitem__, chain.from_iterable(sets)), np.int64, total)
+    basket = np.repeat(np.arange(len(sets), dtype=np.int64), sizes)
+    return BasketPairs(tuple(pid for pid, _ in baskets), items, basket, item)
 
 
 class BasketDatabase:
     """An immutable basket corpus with a per-item vertical index.
 
-    `tid_lists[i]` holds the sorted int64 ordinals of the baskets that
-    contain item i; `bits` is the items x baskets membership matrix, one
-    0/1 byte per cell. Both are read-only. Basket ordinals follow store
-    patient order, so rebuilding from the same store yields identical
-    ordinals. Items are indexed in token order for deterministic ids.
+    Built from (patient id, frozenset of items) pairs or from
+    `BasketPairs`. `tid_lists[i]` holds the sorted int64 ordinals of the
+    baskets that contain item i; `bits` is the items x baskets membership
+    matrix, one 0/1 byte per cell. Both are read-only. Basket ordinals
+    follow the input order (store patient order for `build_database`), so
+    rebuilding from the same store yields identical ordinals. Items are
+    indexed in token order for deterministic ids.
     """
 
-    def __init__(self, baskets: Sequence[tuple[str, frozenset[Item]]]):
-        if not baskets:
+    def __init__(self, baskets: Sequence[tuple[str, frozenset[Item]]] | BasketPairs):
+        pairs = baskets if isinstance(baskets, BasketPairs) else _pairs_from_sets(baskets)
+        if not pairs.pids:
             raise DomainError("basket database is empty; mining is undefined")
-        self.baskets: tuple[tuple[str, frozenset[Item]], ...] = tuple(baskets)
-        self.m: int = len(self.baskets)
-        universe = set()
-        for _, basket in self.baskets:
-            universe.update(basket)
-        self.items: tuple[Item, ...] = tuple(sorted(universe, key=lambda it: it.token))
+        self.pids: tuple[str, ...] = pairs.pids
+        self.m: int = len(self.pids)
+        # Keep only the vocabulary's items that some basket holds.
+        counts = np.bincount(pairs.item, minlength=len(pairs.items))
+        held = counts > 0
+        self.items: tuple[Item, ...] = tuple(compress(pairs.items, held.tolist()))
+        item = pairs.item if held.all() else (np.cumsum(held) - 1)[pairs.item]
+        counts = counts[held]
         self.item_ids: dict[Item, int] = {it: i for i, it in enumerate(self.items)}
 
-        rows = [[] for _ in self.items]
-        for ordinal, (_, basket) in enumerate(self.baskets):
-            for item in basket:
-                rows[self.item_ids[item]].append(ordinal)
-        # Swap each Python list for its array in place, so every list is
-        # freed before the byte matrix is allocated.
-        for i, members in enumerate(rows):
-            rows[i] = np.array(members, dtype=np.int64)
+        # Stable by item, so each item's baskets stay in ascending order; a
+        # 16-bit key sorts by radix.
+        key = item.astype(np.uint16) if len(self.items) <= 1 << 16 else item
+        tids = pairs.basket.astype(np.int64)[np.argsort(key, kind="stable")]
+        tids.flags.writeable = False
         bits = np.zeros((len(self.items), self.m), dtype=np.uint8)
-        for i, tids in enumerate(rows):
-            bits[i, tids] = 1
-            tids.flags.writeable = False
+        bits[item, pairs.basket] = 1
         bits.flags.writeable = False
-        self.tid_lists: tuple[np.ndarray, ...] = tuple(rows)
+        self.tid_lists: tuple[np.ndarray, ...] = tuple(np.split(tids, np.cumsum(counts)[:-1]))
         self.bits: np.ndarray = bits
-        self.counts: np.ndarray = np.array([len(t) for t in rows], dtype=np.int64)
+        self.counts: np.ndarray = counts.astype(np.int64)
+
+    @cached_property
+    def baskets(self) -> tuple[tuple[str, frozenset[Item]], ...]:
+        """Each basket as (patient id, frozenset of items), in ordinal order."""
+        members: list[list[Item]] = [[] for _ in range(self.m)]
+        for item, tids in zip(self.items, self.tid_lists):
+            for ordinal in tids.tolist():
+                members[ordinal].append(item)
+        return tuple(zip(self.pids, map(frozenset, members)))
 
     def __contains__(self, item: Item) -> bool:
         return item in self.item_ids
@@ -139,21 +180,38 @@ class BasketDatabase:
 def build_database(
     store: EventStore, min_active_months: int = DEFAULT_MIN_ACTIVE_MONTHS
 ) -> BasketDatabase:
-    """One whole-history basket per eligible patient, in store order."""
+    """One whole-history basket per eligible patient, in store order: the
+    distinct (patient, item) pairs of its rows, plus its gender item."""
     eligible = eligible_patients(store, min_active_months)
-    baskets = [
-        (pid, build_basket(store, pid)) for pid in store.patients if pid in eligible
-    ]
-    if not baskets:
+    keep = np.fromiter((pid in eligible for pid in store.patients), bool, len(store.patients))
+    if not keep.any():
         raise DomainError(
             f"no patients active for {min_active_months}+ months; nothing to mine"
         )
-    return BasketDatabase(baskets)
+    pids = tuple(compress(store.patients, keep))
+    genders = [store.patients[pid].gender for pid in pids]
+    gender_items = {g: gender_item(g) for g in set(genders)}
+    columns = store.columns
+    codes = columns.codes
+    items = sorted({*codes.mining_items, *gender_items.values()}, key=lambda it: it.token)
+    vocab = {it: k for k, it in enumerate(items)}
+    code_vocab = np.array([vocab[it] for it in codes.mining_items], dtype=np.int64)
+
+    basket_of = np.cumsum(keep) - 1  # basket ordinal of each kept patient
+    rows = keep[columns.patient]
+    basket = np.concatenate([basket_of[columns.patient[rows]], np.arange(len(pids))])
+    item = np.concatenate([
+        code_vocab[codes.item_id[columns.code[rows]]],
+        [vocab[gender_items[g]] for g in genders],
+    ])
+    key = np.unique(basket * len(items) + item)  # distinct pairs, basket-major
+    pairs = BasketPairs(pids, tuple(items), key // len(items), key % len(items))
+    return BasketDatabase(pairs)
 
 
 def write_baskets(db: BasketDatabase, path: str) -> None:
     """Debug dump: one `patient_id,item1|item2|...` row per basket."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("patient_id,items\n")
         for pid, basket in db.baskets:
             tokens = "|".join(sorted(it.token for it in basket))

@@ -103,7 +103,9 @@ def cmd_ingest(args) -> int:
     excluded = events.apply_prescription_exclusions(
         store, args.exclusion_months, args.end_buffer_days
     )
-    eligible = events.eligible_patients(excluded, args.min_active_months)
+    # Mining takes its baskets from the full retained history, so count
+    # eligibility there: this is the number of baskets `mine` builds.
+    eligible = events.eligible_patients(store, args.min_active_months)
     _emit(
         {
             "patients": store.patient_count,
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("ingest", "load cohort files, apply exclusions, print counts", cmd_ingest)
+    p = add("ingest", "load cohort files, print event and mining-eligibility counts", cmd_ingest)
     _add_cohort_files(p)
     _add_exclusions(p)
     _add_min_active_months(p)

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one way inputs are opened.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
 """
+
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 
 class AdrRefineError(Exception):
@@ -30,3 +34,15 @@ class ParseError(AdrRefineError):
         elif source is not None:
             message = f"{source}: {message}"
         super().__init__(message)
+
+
+@contextmanager
+def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text. Bytes that are not UTF-8, met
+    anywhere while the file is read, raise a ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex(" ")
+        raise ParseError(f"not UTF-8 text: cannot decode byte(s) {bad}", source=path) from None

@@ -47,7 +47,7 @@ import numpy as np
 
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, open_input
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
 DEFAULT_MIN_CONFIDENCE = 0.01
@@ -646,7 +646,7 @@ def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
     lines = _text_columns(
         rules, lambda tokens: _csv_field("|".join(tokens)), _csv_field, "{:.12g}".format
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n")
         fh.writelines(",".join(fields) + "\r\n" for fields in lines)
 
@@ -661,7 +661,7 @@ def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
         _json_number,
     )
     body = ",\n".join(_JSON_RULE % fields for fields in lines)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"[\n{body}\n]\n" if body else "[]\n")
 
 
@@ -708,7 +708,7 @@ def _table_from_fields(antecedents: list, consequents: list, numbers: list, spli
 
 
 def read_rules_csv(path: str) -> RuleTable:
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:
@@ -733,7 +733,7 @@ def read_rules_csv(path: str) -> RuleTable:
         pass
     # Read the rows again one by one to report the first error with its line.
     items: dict[str, Item] = {}
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -753,7 +753,7 @@ def read_rules_csv(path: str) -> RuleTable:
 
 
 def read_rules_json(path: str) -> RuleTable:
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -243,7 +243,7 @@ def report_to_dict(report: SignalReport) -> dict:
 
 
 def write_report_json(report: SignalReport, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=1)
         fh.write("\n")
 
@@ -251,7 +251,7 @@ def write_report_json(report: SignalReport, path: str) -> None:
 def write_report_csv(report: SignalReport, path: str) -> None:
     """One summary row: outcome, query code, ab ratio, instance count,
     absolute risk, and the confounding-adjusted risk."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["hoi", "read_code", "ab_ratio", "instances", "risk", "confounding_adjusted_risk"]

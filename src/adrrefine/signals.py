@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .codes import (
     BnfCode,
-    Item,
     ReadCode,
     bnf_level,
     bnf_truncate,
@@ -26,7 +27,7 @@ from .codes import (
     read_level,
     read_truncate,
 )
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, open_input
 from .events import EventRecord, EventStore
 
 DEFAULT_WINDOW = (1, 60)
@@ -71,7 +72,7 @@ class SignalInstance:
 
 def load_signal_spec(path: str) -> SignalSpec:
     """Read a signal spec JSON file: doi_items, hoi_code, window, name."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -102,32 +103,37 @@ def doi_matches(code: BnfCode, doi: frozenset[BnfCode]) -> bool:
     return any(bnf_truncate(code, bnf_level(entry)) == entry for entry in doi)
 
 
-def _family(store: EventStore, doi: frozenset[BnfCode]) -> dict[str, Item]:
-    """The store's drug codes in the family, each with its level-2 item.
-
-    This and `_outcome_codes` key codes by string alone: a string that
-    parses as one code type cannot parse as the other (a diagnosis code has
-    exactly 5 characters, a drug code 4 dotted parts, so at least 7)."""
-    return {
-        code: item
-        for (code_type, code), (parsed, item) in store.code_table.items()
-        if code_type == "BNF" and doi_matches(parsed, doi)
-    }
+def _code_mask(store: EventStore, keep) -> np.ndarray:
+    """Per code id of the store's code table, `keep(parsed code)`."""
+    table = store.code_table
+    return np.fromiter((keep(parsed) for parsed, _ in table.values()), bool, len(table))
 
 
-def _outcome_codes(store: EventStore, hoi_query: ReadCode) -> set[str]:
-    """The store's diagnosis codes that equal the query or descend from it."""
-    return {
-        code
-        for (code_type, code), (parsed, _) in store.code_table.items()
-        if code_type == "READ" and _descends(parsed, hoi_query)
-    }
+def _family_mask(store: EventStore, doi: frozenset[BnfCode]) -> np.ndarray:
+    """Per code id: a drug code in the family."""
+    return _code_mask(store, lambda c: isinstance(c, BnfCode) and doi_matches(c, doi))
+
+
+def _outcome_mask(store: EventStore, hoi_query: ReadCode) -> np.ndarray:
+    """Per code id: a diagnosis code that equals the query or descends from it."""
+    return _code_mask(store, lambda c: isinstance(c, ReadCode) and _descends(c, hoi_query))
+
+
+# No two day numbers are further apart than this, so a window is cut to it.
+_MAX_GAP = dt.date.max.toordinal()
+
+
+def _window(spec: SignalSpec) -> tuple[int, int]:
+    start, end = spec.window
+    return min(start, _MAX_GAP + 1), min(end, _MAX_GAP)
 
 
 def first_doi_date(store: EventStore, patient_id: str, doi: frozenset[BnfCode]) -> dt.date | None:
     """Earliest retained prescription of the drug family, if any."""
-    events, family = store.patient_events(patient_id), _family(store, doi)
-    return next((ev.date for ev in events if ev.code in family), None)
+    rows = store.rows(patient_id)
+    columns = store.columns
+    hits = np.flatnonzero(_family_mask(store, doi)[columns.code[rows]])
+    return dt.date.fromordinal(int(columns.day[rows.start + hits[0]])) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -145,62 +151,71 @@ def ab_ratio(spec: SignalSpec, store: EventStore) -> AbResult:
     within the window after it, a "before" hit for the mirrored window.
     A zero before-count leaves the ratio equal to the after-count.
     """
-    start, end = spec.window
-    family = _family(store, spec.doi)
-    outcome = _outcome_codes(store, spec.hoi)
-    after = before = 0
-    for pid in store.patients:
-        events = store.patient_events(pid)
-        hoi_dates = [ev.date for ev in events if ev.code in outcome]
-        seen: set[tuple[dt.date, Item]] = set()
-        for ev in events:
-            item = family.get(ev.code)
-            if item is None:
-                continue
-            key = (ev.date, item)
-            if key in seen:
-                continue
-            seen.add(key)
-            if any(start <= (d - ev.date).days <= end for d in hoi_dates):
-                after += 1
-            if any(start <= (ev.date - d).days <= end for d in hoi_dates):
-                before += 1
+    start, end = _window(spec)
+    columns = store.columns
+    # Rows are ordered by (patient, day), and so are these keys.
+    key = (columns.patient.astype(np.int64) << 32) | columns.day
+    outcome = key[_outcome_mask(store, spec.hoi)[columns.code]]
+    family = _family_mask(store, spec.doi)[columns.code]
+    drug, item = key[family], columns.codes.item_id[columns.code[family]]
+    order = np.lexsort((item, drug))
+    drug, item = drug[order], item[order]
+    distinct = np.ones(len(drug), dtype=bool)
+    distinct[1:] = (drug[1:] != drug[:-1]) | (item[1:] != item[:-1])
+    drug = drug[distinct]
+
+    def hits(lo: np.ndarray, hi: np.ndarray) -> int:
+        """Prescriptions with an outcome key in [lo, hi]."""
+        return int(np.count_nonzero(
+            np.searchsorted(outcome, lo) < np.searchsorted(outcome, hi, side="right")
+        ))
+
+    after = hits(drug + start, drug + end)
+    before = hits(drug - end, drug - start)
     return AbResult(after, before, after / max(before, 1))
 
 
 def find_instances(spec: SignalSpec, store: EventStore) -> list[SignalInstance]:
     """One instance per patient whose first prescription is followed by a
     matching outcome inside the window; the earliest such outcome wins."""
-    start, end = spec.window
-    family = _family(store, spec.doi)
-    outcome = _outcome_codes(store, spec.hoi)
-    instances = []
-    for pid in store.patients:
-        events = store.patient_events(pid)
-        doi_date = next((ev.date for ev in events if ev.code in family), None)
-        if doi_date is None:
-            continue
-        for ev in events:
-            gap = (ev.date - doi_date).days
-            if gap > end:
-                break
-            if gap >= start and ev.code in outcome:
-                instances.append(SignalInstance(pid, doi_date, ev.date))
-                break
+    start, end = _window(spec)
+    columns = store.columns
+    patient, day = columns.patient, columns.day.astype(np.int64)
+    family = np.flatnonzero(_family_mask(store, spec.doi)[columns.code])
+    first = family[_group_starts(patient[family])]  # each exposed patient's first prescription
+    doi_day = np.full(len(store.patients), _MAX_GAP * 3, dtype=np.int64)  # beyond every window
+    doi_day[patient[first]] = day[first]
+    outcome = np.flatnonzero(_outcome_mask(store, spec.hoi)[columns.code])
+    gap = day[outcome] - doi_day[patient[outcome]]
+    hit = outcome[(gap >= start) & (gap <= end)]
+    hit = hit[_group_starts(patient[hit])]  # each patient's earliest outcome in the window
+    pids = list(store.patients)
+    instances = [
+        SignalInstance(pids[k], dt.date.fromordinal(d0), dt.date.fromordinal(d1))
+        for k, d0, d1 in zip(
+            patient[hit].tolist(), doi_day[patient[hit]].tolist(), day[hit].tolist()
+        )
+    ]
     instances.sort(key=lambda inst: inst.patient_id)
     return instances
 
 
+def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values begins."""
+    starts = np.ones(len(sorted_ids), dtype=bool)
+    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return np.flatnonzero(starts)
+
+
 def exposure_count(doi: frozenset[BnfCode], store: EventStore) -> int:
     """Number of patients with at least one retained family prescription."""
-    family = _family(store, doi)
-    return sum(
-        1 for pid in store.patients if any(ev.code in family for ev in store.patient_events(pid))
-    )
+    columns = store.columns
+    exposed = columns.patient[_family_mask(store, doi)[columns.code]]
+    return len(_group_starts(exposed))
 
 
 def write_instances_csv(instances: Iterable[SignalInstance], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "doi_date", "hoi_date"])
         for inst in instances:
@@ -209,7 +224,7 @@ def write_instances_csv(instances: Iterable[SignalInstance], path: str) -> None:
 
 def read_instances_csv(path: str) -> list[SignalInstance]:
     instances = []
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["patient_id", "doi_date", "hoi_date"]:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .codes import parse_bnf, parse_code, parse_read
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, open_input
 from .events import EventRecord, EventStore, PatientInfo
 from .signals import doi_matches
 
@@ -306,7 +306,7 @@ def _config_to_dict(config: ScenarioConfig) -> dict:
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario.json config file."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -359,18 +359,18 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "patients.csv", "w") as fh:
+    with open(out / "patients.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,gender,year_of_birth,registration_date\n")
         for info in store.patients.values():
             fh.write(
                 f"{info.patient_id},{info.gender},{info.year_of_birth},"
                 f"{info.registration_date.isoformat()}\n"
             )
-    with open(out / "events.csv", "w") as fh:
+    with open(out / "events.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,date,code_type,code\n")
         for ev in store.iter_events():
             fh.write(f"{ev.patient_id},{ev.date.isoformat()},{ev.code_type},{ev.code}\n")
-    with open(out / "ground_truth.csv", "w") as fh:
+    with open(out / "ground_truth.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,hoi_date,cause\n")
         for row in truth:
             fh.write(f"{row.patient_id},{row.hoi_date.isoformat()},{row.cause}\n")
@@ -384,7 +384,7 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
         "expected_filter_rate": expected_filter_rate(config),
         "config": _config_to_dict(config),
     }
-    with open(out / "metadata.json", "w") as fh:
+    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
     return summary
@@ -392,7 +392,7 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
 
 def read_ground_truth(path: str) -> list[TruthRow]:
     rows = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         header = fh.readline().strip()
         if header != "patient_id,hoi_date,cause":
             raise ParseError("expected header patient_id,hoi_date,cause", source=path, line=1)

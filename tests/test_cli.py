@@ -66,6 +66,21 @@ class TestIngest:
         assert code == 2
         assert "error:" in err
 
+    def test_eligible_count_is_the_mined_basket_count(self, capsys, tmp_path):
+        from adrrefine.baskets import build_database
+        from adrrefine.events import apply_prescription_exclusions, eligible_patients, load
+
+        scenario = scenario_file(tmp_path, patient_count=300)
+        assert run_cli(capsys, "synth", "--spec", scenario, "--out", str(tmp_path / "c"))[0] == 0
+        cohort = (str(tmp_path / "c" / "patients.csv"), str(tmp_path / "c" / "events.csv"))
+        code, out, _ = run_cli(capsys, "ingest", "--patients", cohort[0], "--events", cohort[1])
+        assert code == 0
+        store = load(*cohort)
+        m = build_database(store).m
+        # The exclusions change eligibility here, so the two counts differ.
+        assert len(eligible_patients(apply_prescription_exclusions(store))) != m
+        assert json.loads(out)["eligible_patients"] == m
+
     def test_corrupt_row_exits_two_with_line(self, capsys, tmp_path):
         patients = tmp_path / "patients.csv"
         events = tmp_path / "events.csv"
@@ -440,6 +455,68 @@ class TestSynth:
             if hits:
                 expected += 1
         assert payload["instance_count"] == expected
+
+
+class TestInputEncoding:
+    """Every input is read as UTF-8; other bytes exit 2 naming the file."""
+
+    @staticmethod
+    def corrupt(src: Path, dst: Path, old: bytes) -> str:
+        data = src.read_bytes()
+        assert old in data
+        dst.write_bytes(data.replace(old, old[:-1] + b"\xe9", 1))
+        return str(dst)
+
+    def check(self, capsys, bad: str, *argv) -> None:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {bad}: not UTF-8 text" in err
+
+    def worked(self, worked_example_dir, name: str) -> str:
+        return str(worked_example_dir / name)
+
+    def test_patients_csv(self, capsys, worked_example_dir, tmp_path):
+        bad = self.corrupt(worked_example_dir / "patients.csv", tmp_path / "patients.csv", b"M,")
+        self.check(capsys, bad, "ingest", "--patients", bad,
+                   "--events", self.worked(worked_example_dir, "events.csv"))
+
+    def test_events_csv(self, capsys, worked_example_dir, tmp_path):
+        bad = self.corrupt(worked_example_dir / "events.csv", tmp_path / "events.csv", b"H05")
+        self.check(capsys, bad, "ingest",
+                   "--patients", self.worked(worked_example_dir, "patients.csv"), "--events", bad)
+
+    @pytest.mark.parametrize("name", ["rules.csv", "rules.json", "signal.json", "instances.csv"])
+    def test_refine_inputs(self, capsys, worked_example_dir, tmp_path, name):
+        files = {n: self.worked(worked_example_dir, n) for n in ("signal.json", "instances.csv")}
+        rules = worked_example_dir / "rules.csv"
+        if name == "rules.json":
+            from adrrefine.mining import read_rules_csv, write_rules_json
+
+            rules = tmp_path / "good-rules.json"
+            write_rules_json(read_rules_csv(str(worked_example_dir / "rules.csv")), str(rules))
+        files["rules"] = str(rules)
+        source = rules if name.startswith("rules") else worked_example_dir / name
+        bad = self.corrupt(source, tmp_path / name, b"H05" if name != "instances.csv" else b"-0")
+        files["rules" if name.startswith("rules") else name] = bad
+        self.check(
+            capsys, bad, "refine",
+            "--patients", self.worked(worked_example_dir, "patients.csv"),
+            "--events", self.worked(worked_example_dir, "events.csv"),
+            "--rules", files["rules"], "--spec", files["signal.json"],
+            "--instances", files["instances.csv"], "--out", str(tmp_path / "report"),
+        )
+
+    def test_signal_spec(self, capsys, worked_example_dir, tmp_path):
+        bad = self.corrupt(worked_example_dir / "signal.json", tmp_path / "signal.json", b"H05")
+        self.check(capsys, bad, "signal",
+                   "--patients", self.worked(worked_example_dir, "patients.csv"),
+                   "--events", self.worked(worked_example_dir, "events.csv"),
+                   "--spec", bad, "--out", str(tmp_path / "instances.csv"))
+
+    def test_scenario_json(self, capsys, tmp_path):
+        good = Path(scenario_file(tmp_path))
+        bad = self.corrupt(good, tmp_path / "bad-scenario.json", b"K55")
+        self.check(capsys, bad, "synth", "--spec", bad, "--out", str(tmp_path / "c"))
 
 
 class TestHelp:

@@ -1,12 +1,21 @@
+import calendar
 import datetime as dt
 import json
 import random
 
 import pytest
 
-from adrrefine.codes import parse_bnf, parse_read
+from adrrefine.baskets import build_database, pre_outcome_basket
+from adrrefine.codes import Item, ItemKind, normalize_item, parse_bnf, parse_read
 from adrrefine.errors import ConfigError, ParseError
-from adrrefine.events import EventRecord, EventStore, PatientInfo, load
+from adrrefine.events import (
+    EventRecord,
+    EventStore,
+    PatientInfo,
+    apply_prescription_exclusions,
+    eligible_patients,
+    load,
+)
 from adrrefine.signals import (
     SignalInstance,
     SignalSpec,
@@ -239,6 +248,16 @@ class TestAbRatio:
         res = ab_ratio(make_spec(), load(*write_cohort(tmp_path, patients_rows, rows)))
         assert (res.after_count, res.before_count, res.ratio) == (10, 5, 2.0)
 
+    def test_same_day_prescriptions_count_once_per_level_two_item(self, tmp_path):
+        rows = [
+            "p1,2005-01-01,BNF,1.1.2.0", "p1,2005-01-01,BNF,1.1.3.0",  # one level-2 item
+            "p1,2005-01-01,BNF,1.2.0.0", "p1,2005-01-01,BNF,1.2.0.0",  # and another
+            "p1,2005-01-11,READ,H05..",
+        ]
+        store = load(*write_cohort(tmp_path, ["p1,M,1950,2000-01-01"], rows))
+        res = ab_ratio(make_spec(doi=frozenset([parse_bnf("1.0.0.0")])), store)
+        assert (res.after_count, res.before_count) == (2, 0)
+
     def test_unprescribed_doi(self, worked_store):
         res = ab_ratio(make_spec(doi=frozenset([parse_bnf("9.9.0.0")])), worked_store)
         assert (res.after_count, res.before_count, res.ratio) == (0, 0, 0.0)
@@ -375,3 +394,139 @@ class TestInstancesFile:
         path.write_text("patient_id,doi_date,hoi_date\np1,2005-01-01\n")
         with pytest.raises(ParseError, match=":2:"):
             read_instances_csv(str(path))
+
+
+def oracle_add_months(date: dt.date, months: int) -> dt.date:
+    """Shift by calendar months, clamping the day to the month's length."""
+    year, month0 = divmod(date.year * 12 + date.month - 1 + months, 12)
+    return dt.date(year, month0 + 1, min(date.day, calendar.monthrange(year, month0 + 1)[1]))
+
+
+# Month-end registrations (Jan 31, leap-day Feb 29) make the month
+# arithmetic clamp; the rest are plain.
+REGISTRATIONS = [
+    dt.date(2000, 1, 31), dt.date(2000, 2, 29), dt.date(2003, 1, 31), dt.date(2004, 2, 29),
+    dt.date(2001, 3, 31), dt.date(2002, 8, 31), dt.date(2001, 6, 15),
+]
+STORE_END = dt.date(2008, 3, 1)
+
+
+def calendar_store(rng: random.Random, n_patients: int = 70, end: dt.date | None = STORE_END):
+    """An in-memory store whose events sit on the boundaries the store
+    stages test: the registration cutoff (12 months) and a day either side,
+    the 30-day end buffer and a day either side, 23-25 months after the
+    first event, and same-day ties. Every seventh patient has no events."""
+    patients, events = {}, {}
+    for i in range(n_patients):
+        pid = f"q{i:02d}"
+        reg = rng.choice(REGISTRATIONS)
+        patients[pid] = PatientInfo(pid, rng.choice("MF"), 1950 + i, reg)
+        if i % 7 == 0:
+            events[pid] = ()
+            continue
+        cutoff = oracle_add_months(reg, 12)
+        anchors = [reg, cutoff - dt.timedelta(days=1), cutoff, cutoff + dt.timedelta(days=1)]
+        anchors += [
+            oracle_add_months(reg, k) + dt.timedelta(days=s) for k in (23, 24, 25) for s in (-1, 0, 1)
+        ]
+        anchors += [STORE_END - dt.timedelta(days=k) for k in (31, 30, 29, 0)]
+        span = (STORE_END - reg).days
+        anchors += [reg + dt.timedelta(days=rng.randint(0, span)) for _ in range(4)]
+        evs = []
+        for day in rng.sample(anchors, rng.randint(1, 8)):
+            if day < reg or day > STORE_END:
+                continue
+            for _ in range(rng.randint(1, 3)):  # same-day ties, mixed code types
+                if rng.random() < 0.6:
+                    evs.append(EventRecord(pid, day, "BNF", rng.choice(DRUG_POOL)))
+                else:
+                    evs.append(EventRecord(pid, day, "READ", rng.choice(DIAGNOSIS_POOL)))
+        evs.sort(key=lambda e: e.date)  # stable: ties keep their order
+        events[pid] = tuple(evs)
+    return EventStore(patients, events, end)
+
+
+def record_scan_exclusions(store, months: int, buffer_days: int) -> dict:
+    end = store.db_end_date
+    kept = {}
+    for pid, info in store.patients.items():
+        cutoff = oracle_add_months(info.registration_date, months)
+        kept[pid] = tuple(
+            e
+            for e in store.patient_events(pid)
+            if e.code_type != "BNF"
+            or not (e.date <= cutoff or (end is not None and (end - e.date).days < buffer_days))
+        )
+    return kept
+
+
+def record_scan_eligible(store, min_months: int) -> set[str]:
+    """Active for `min_months` whole months: the first event shifted by that
+    many months is still on or before the last event."""
+    eligible = set()
+    for pid in store.patients:
+        evs = store.patient_events(pid)
+        if min_months <= 0 or (evs and oracle_add_months(evs[0].date, min_months) <= evs[-1].date):
+            eligible.add(pid)
+    return eligible
+
+
+def record_scan_basket(store, pid: str, cutoff: dt.date, include_same_day: bool) -> frozenset:
+    items = {Item(ItemKind.GENDER, store.patients[pid].gender)}
+    for e in store.patient_events(pid):
+        if e.date < cutoff or (include_same_day and e.date == cutoff):
+            items.add(normalize_item(e.code_type, e.code))
+    return frozenset(items)
+
+
+class TestStoreScanOracle:
+    """Exclusions, eligibility, whole-history baskets and pre-outcome
+    baskets against per-record scans, on stores whose events sit on the
+    calendar and window boundaries."""
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_matches_record_scan(self, seed):
+        rng = random.Random(seed)
+        for end in (STORE_END, None):
+            store = calendar_store(rng, end=end)
+            for months, buffer_days in ((12, 30), (1, 0), (0, 365)):
+                excluded = apply_prescription_exclusions(store, months, buffer_days)
+                assert excluded.events == record_scan_exclusions(store, months, buffer_days)
+                assert excluded.db_end_date == store.db_end_date
+            for source in (store, apply_prescription_exclusions(store)):
+                for min_months in (-1, 0, 1, 23, 24, 25):
+                    assert eligible_patients(source, min_months) == record_scan_eligible(
+                        source, min_months
+                    )
+                db = build_database(source, 23)
+                eligible = record_scan_eligible(source, 23)
+                assert list(db.baskets) == [
+                    (pid, record_scan_basket(source, pid, dt.date.max, True))
+                    for pid in source.patients
+                    if pid in eligible
+                ]
+                for pid in source.patients:
+                    dates = sorted({e.date for e in source.patient_events(pid)})
+                    cutoffs = [dt.date(1999, 1, 1), *dates]
+                    cutoffs += [d + dt.timedelta(days=1) for d in dates]
+                    for cutoff in cutoffs:
+                        for same_day in (False, True):
+                            assert pre_outcome_basket(source, pid, cutoff, same_day) == (
+                                record_scan_basket(source, pid, cutoff, same_day)
+                            ), (pid, cutoff, same_day)
+
+    def test_oracle_inputs_cover_the_edge_cases(self):
+        store = calendar_store(random.Random(71))
+        regs = {info.registration_date for info in store.patients.values()}
+        assert {dt.date(2000, 1, 31), dt.date(2000, 2, 29)} <= regs
+        on_cutoff = on_buffer = ties = empty = 0
+        for pid, info in store.patients.items():
+            evs = store.patient_events(pid)
+            empty += not evs
+            drugs = [e.date for e in evs if e.code_type == "BNF"]
+            on_cutoff += oracle_add_months(info.registration_date, 12) in drugs
+            on_buffer += (STORE_END - dt.timedelta(days=30)) in drugs
+            ties += len(evs) - len({e.date for e in evs})
+        assert on_cutoff > 0 and on_buffer > 0 and ties > 0 and empty > 0
+        eligible = eligible_patients(store, 24)
+        assert 0 < len(eligible) < len(store.patients) - empty
