@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baskets, events, mining, signals, synth
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_workers
 from .refine import DEFAULT_LIFT_THRESHOLD, rule_consequent
 from .refine import refine as refine_signal
 from .refine import report_to_dict, write_report_csv, write_report_json
@@ -119,7 +119,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_mine(args) -> int:
     # Check the options and the outcome before the costly load.
-    workers = mining.resolve_workers(args.workers)
+    check_workers(args.workers)
     consequent = rule_consequent(signals.load_signal_spec(args.spec).hoi) if args.spec else None
     store = _load_store(args)
     t0 = time.perf_counter()
@@ -130,9 +130,9 @@ def cmd_mine(args) -> int:
     )
     t0 = time.perf_counter()
     if consequent is not None:
-        rules = mining.mine_rules(db, consequent, constraints, workers=workers)
+        rules = mining.mine_rules(db, consequent, constraints, workers=args.workers)
     else:
-        rules = mining.mine_all_rules(db, constraints, workers=workers)
+        rules = mining.mine_all_rules(db, constraints, workers=args.workers)
     _log("mine", rules=len(rules), seconds=f"{time.perf_counter() - t0:.3f}")
     if args.out.endswith(".json"):
         mining.write_rules_json(rules, args.out)
@@ -166,7 +166,7 @@ def cmd_signal(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    workers = mining.resolve_workers(args.workers)
+    check_workers(args.workers)
     store = _excluded_store(args)
     spec = _load_spec(args)
     rules = _read_rules(args.rules)
@@ -179,7 +179,7 @@ def cmd_refine(args) -> int:
         instances=instances,
         lift_threshold=args.lift_threshold,
         include_same_day=args.include_same_day,
-        workers=workers,
+        workers=args.workers,
     )
     _log(
         "refine",
@@ -240,7 +240,9 @@ def _add_min_active_months(p: argparse.ArgumentParser) -> None:
 
 def _add_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: all cores)")
+                   help="checked (must be >= 1) and has no effect: the pipeline runs on "
+                   "one Python thread, and numpy's BLAS threads, set by "
+                   "OPENBLAS_NUM_THREADS, are its only parallelism")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one way inputs are opened.
+"""Exception types shared across the package, the one way inputs are opened,
+and the one check of the `workers` keyword.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
@@ -20,6 +21,17 @@ class DomainError(AdrRefineError):
 
 class ConfigError(DomainError):
     """An invalid configuration value (bad probability, empty catalog, ...)."""
+
+
+def check_workers(workers: int | None) -> None:
+    """Reject a `workers` value below 1; None and any count from 1 up pass.
+
+    The library runs on the caller's thread, so the value has no other
+    effect: numpy's BLAS threads (`OPENBLAS_NUM_THREADS`) are the only
+    parallelism.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1: {workers}")
 
 
 class ParseError(AdrRefineError):

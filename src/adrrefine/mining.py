@@ -18,8 +18,9 @@ floor is never a prefix or a row, and because every count is exact no
 candidate needs a subset prune.
 
 All measures are derived from exact integer basket counts, as columns
-over all rules at once that equal the one-rule formula bit for bit;
-reports are bit-reproducible across runs and worker counts.
+over all rules at once that equal the one-rule formula bit for bit.
+Mining runs on the caller's thread, so reports are bit-reproducible
+across runs.
 
 Mined rules stay columns: a `RuleTable` holds item-id columns for the
 antecedents and consequents over one shared item vocabulary, plus the
@@ -36,9 +37,7 @@ import csv
 import io
 import json
 import math
-import os
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import NamedTuple
@@ -47,7 +46,7 @@ import numpy as np
 
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
-from .errors import ConfigError, DomainError, ParseError, open_input
+from .errors import ConfigError, DomainError, ParseError, check_workers, open_input
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
 DEFAULT_MIN_CONFIDENCE = 0.01
@@ -410,30 +409,11 @@ def _union(*ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(np.concatenate(ids)))
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Worker count to use: every core for None; below 1 is a ConfigError."""
-    if workers is None:
-        return max(1, os.cpu_count() or 1)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1: {workers}")
-    return workers
-
-
-def _run_jobs(jobs, fn, workers: int):
-    """Run `fn` over jobs, threaded when workers > 1. Results come back in
-    submission order, so the merged output never depends on scheduling."""
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def frequent_antecedents(
     db: BasketDatabase,
     min_count: int,
     max_size: int,
     exclude: Item | None = None,
-    workers: int | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Frequent itemsets of at most `max_size` items, as sorted item-id
     tuples -> basket count, level by level in sorted order.
@@ -445,7 +425,6 @@ def frequent_antecedents(
     are frequent subsets of it, and its count is exact, so no candidate
     needs a subset prune. Level 2 takes Q = (), level 3 Q = (a,).
     """
-    workers = resolve_workers(workers)
     exclude_id = db.item_ids.get(exclude) if exclude is not None else None
     level = [
         (i,)
@@ -456,24 +435,18 @@ def frequent_antecedents(
 
     size = 1
     while size < max_size and level:
-        groups = []
+        next_level = []
         for prefix, group in groupby(level, key=lambda t: t[:-1]):
             tails = np.array([t[-1] for t in group])
-            if len(tails) > 1:
-                groups.append((prefix, tails))
-
-        def count_group(group):
-            prefix, tails = group
+            if len(tails) < 2:
+                continue
             gram = _gram(db, prefix, tails)
             r, s = np.nonzero(np.triu(gram >= min_count, 1))
-            return tails[r].tolist(), tails[s].tolist(), gram[r, s].tolist()
-
-        level = []
-        for (prefix, _), cells in zip(groups, _run_jobs(groups, count_group, workers)):
-            for r, s, count in zip(*cells):
-                ids = prefix + (r, s)
+            for pair, count in zip(zip(tails[r].tolist(), tails[s].tolist()), gram[r, s].tolist()):
+                ids = prefix + pair
                 freq[ids] = count
-                level.append(ids)
+                next_level.append(ids)
+        level = next_level
         size += 1
     return freq
 
@@ -483,7 +456,6 @@ def _emit_rules(
     freq: dict[tuple[int, ...], int],
     target_ids: Sequence[int],
     min_confidence: float,
-    workers: int,
 ) -> RuleTable:
     """Every rule X => {y} with X in `freq`, y a target outside X, and
     confidence at least `min_confidence`, as a table over `db.items`
@@ -492,9 +464,8 @@ def _emit_rules(
     count(X | {y}) comes from prefix Grams. A prefix Q serves the
     antecedents Q | {r, s} and, for Q = (), the single items {r}, written
     as cell (r, r); `_gram(db, Q, rows, extra=(y,))`, over the baskets
-    holding y, has count(X | {y}) in each antecedent's cell. A worker
-    holds one Gram at a time, and keeps only the cells passing
-    confidence.
+    holding y, has count(X | {y}) in each antecedent's cell. One Gram is
+    held at a time, and only the cells passing confidence are kept.
     """
     antecedents = sorted(freq)
     count_x = np.array([freq[ids] for ids in antecedents], dtype=np.int64)
@@ -518,21 +489,17 @@ def _emit_rules(
                 cells = tuple(map(np.concatenate, zip(served[q], cells)))
             served[q] = cells
 
-    def count_target(job):
-        q, r, s, ks, y = job
+    # With no prefix-target pair there are no rules: three empty columns.
+    results = [(np.empty(0, np.int64),) * 3]
+    for q, (r, s, ks) in served.items():
         rows = _union(r, s)
-        xy = _gram(db, q, rows, (y,))[np.searchsorted(rows, r), np.searchsorted(rows, s)]
-        keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
-        return np.full(keep.sum(), y), ks[keep], xy[keep]
-
-    jobs = [
-        (q, r, s, ks, y)
-        for q, (r, s, ks) in served.items()
-        for y in target_ids
-        if y not in q
-    ]
-    # With no jobs there are no rules: three empty columns.
-    results = _run_jobs(jobs, count_target, workers) or [(np.empty(0, np.int64),) * 3]
+        at = np.searchsorted(rows, r), np.searchsorted(rows, s)
+        for y in target_ids:
+            if y in q:
+                continue
+            xy = _gram(db, q, rows, (y,))[at]
+            keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
+            results.append((np.full(keep.sum(), y), ks[keep], xy[keep]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
     order = np.lexsort((ks, ys))
     ys, ks, xy = ys[order], ks[order], xy[order]
@@ -552,17 +519,18 @@ def mine_rules(
     `max_antecedent` items, excludes the consequent, meets the
     left-support floor, and whose confidence meets the floor. The table
     is sorted for reproducible output; treat it as a set.
+
+    `workers` is checked (below 1 is a ConfigError) and has no other
+    effect: mining runs on the caller's thread.
     """
     constraints = constraints or MiningConstraints()
-    workers = resolve_workers(workers)
+    check_workers(workers)
     consequent_id = db.item_ids.get(consequent)
     if consequent_id is None:
         raise DomainError(f"consequent does not appear in any basket: {consequent}")
     min_count = min_count_for(constraints.min_left_support, db.m)
-    freq = frequent_antecedents(
-        db, min_count, constraints.max_antecedent, exclude=consequent, workers=workers
-    )
-    return _emit_rules(db, freq, [consequent_id], constraints.min_confidence, workers)
+    freq = frequent_antecedents(db, min_count, constraints.max_antecedent, exclude=consequent)
+    return _emit_rules(db, freq, [consequent_id], constraints.min_confidence)
 
 
 def mine_all_rules(
@@ -574,17 +542,14 @@ def mine_all_rules(
 
     Frequent antecedents are computed once with no item excluded; every
     item is then a target of the same emitter as `mine_rules`, which
-    skips the antecedents that contain it.
+    skips the antecedents that contain it. `workers` is checked as in
+    `mine_rules` and has no other effect.
     """
     constraints = constraints or MiningConstraints()
-    workers = resolve_workers(workers)
+    check_workers(workers)
     min_count = min_count_for(constraints.min_left_support, db.m)
-    freq = frequent_antecedents(
-        db, min_count, constraints.max_antecedent, exclude=None, workers=workers
-    )
-    return _emit_rules(
-        db, freq, range(len(db.items)), constraints.min_confidence, workers
-    )
+    freq = frequent_antecedents(db, min_count, constraints.max_antecedent, exclude=None)
+    return _emit_rules(db, freq, range(len(db.items)), constraints.min_confidence)
 
 
 _CSV_HEADER = ["antecedent", "consequent", *_MEASURES]
@@ -758,6 +723,11 @@ def read_rules_json(path: str) -> RuleTable:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), source=path) from None
+    if not isinstance(payload, list):
+        raise ParseError(
+            f"top level must be a list of rule objects, not {type(payload).__name__}",
+            source=path,
+        )
     try:
         numbers = [[obj[name] for obj in payload] for name in _MEASURES]
         return _table_from_fields(

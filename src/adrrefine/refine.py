@@ -19,9 +19,9 @@ import numpy as np
 
 from .baskets import pre_outcome_basket
 from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
-from .errors import DomainError
+from .errors import DomainError, check_workers
 from .events import EventStore
-from .mining import AssociationRule, RuleTable, _run_jobs, resolve_workers
+from .mining import AssociationRule, RuleTable
 from .signals import (
     AbResult,
     SignalInstance,
@@ -155,15 +155,17 @@ def refine(
     exposures: int | None = None,
     lift_threshold: float = DEFAULT_LIFT_THRESHOLD,
     include_same_day: bool = False,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> SignalReport:
     """Assess every instance of a signal and aggregate the refined risk.
 
     Instances and the exposure denominator are derived from the store
     unless supplied, so externally listed instances (or given counts)
-    can be pushed through the same arithmetic.
+    can be pushed through the same arithmetic. `workers` is checked
+    (below 1 is a ConfigError) and has no other effect: instances are
+    assessed on the caller's thread.
     """
-    workers = resolve_workers(workers)
+    check_workers(workers)
     hoi_rules = extract_hoi_rules(rules, spec.hoi)
     if exposures is None:
         exposures = exposure_count(spec.doi, store)
@@ -171,11 +173,10 @@ def refine(
         raise DomainError("no patients exposed to the drug family; risk undefined")
     if instances is None:
         instances = find_instances(spec, store)
-
-    def assess(inst: SignalInstance) -> InstanceAssessment:
-        return assess_instance(store, inst, hoi_rules, include_same_day, lift_threshold)
-
-    assessments = tuple(_run_jobs(instances, assess, workers))
+    assessments = tuple(
+        assess_instance(store, inst, hoi_rules, include_same_day, lift_threshold)
+        for inst in instances
+    )
 
     n = len(assessments)
     matched = [a for a in assessments if a.matched_rule_count > 0]

@@ -327,6 +327,23 @@ class TestRefine:
         assert f"{rules}:2:" in err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("top", ["5", "null", "{}"])
+    def test_rules_json_not_a_list_exits_two(self, capsys, worked_example_dir, tmp_path, top):
+        rules = tmp_path / "bad.json"
+        rules.write_text(top)
+        code, _, err = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(rules),
+            "--spec", str(worked_example_dir / "signal.json"),
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 2
+        assert f"error: {rules}: top level must be a list" in err
+        assert not (tmp_path / "report").exists()
+
 
 class TestRejectedRequests:
     """Requests without a defined answer exit 1 on both mining and refinement."""

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,35 @@ class TestMineAllRules:
         assert rule.lift == pytest.approx((2 * 4) / (3 * 3), rel=1e-12)
 
 
+def test_library_starts_no_thread(monkeypatch, worked_example_dir, worked_store):
+    # `workers` is checked and has no other effect: mining and refine run on
+    # the caller's thread, with numpy's BLAS threads the only parallelism.
+    from adrrefine.refine import refine
+    from adrrefine.signals import load_signal_spec, read_instances_csv
+
+    rng = random.Random(44)
+    db = random_db(rng, max_baskets=150, max_items=10, min_items=8, density=0.4)
+    constraints = MiningConstraints(0.02, 0.05, 3)
+    rules = read_rules_csv(str(worked_example_dir / "rules.csv"))
+    spec = load_signal_spec(str(worked_example_dir / "signal.json"))
+    instances = read_instances_csv(str(worked_example_dir / "instances.csv"))
+
+    def refuse(self):
+        raise AssertionError(f"thread started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    all_rules = mine_all_rules(db, constraints, workers=4)
+    # Several size-3 antecedent prefixes mean several prefix Grams.
+    heads = {min(map(db.item_ids.get, r.antecedent)) for r in all_rules if len(r.antecedent) == 3}
+    assert len(heads) > 1
+    assert mine_rules(db, db.items[0], constraints, workers=4) == [
+        r for r in all_rules if r.consequent == db.items[0]
+    ]
+    assert len(instances) >= 2
+    report = refine(spec, rules, worked_store, instances=instances, exposures=25, workers=4)
+    assert report.instance_count == len(instances)
+
+
 class TestRuleSerialization:
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(41)
@@ -494,6 +524,19 @@ class TestRuleSerialization:
         with pytest.raises(ParseError, match="antecedent must not be empty") as info:
             read_rules_json(str(path))
         assert info.value.source == str(path)
+
+    @pytest.mark.parametrize("top", ["5", "null", "{}", '{"rules": []}', '"rules"', "true"])
+    def test_json_top_level_other_than_list_is_parse_error(self, tmp_path, top):
+        path = tmp_path / "rules.json"
+        path.write_text(top)
+        with pytest.raises(ParseError, match="top level must be a list") as info:
+            read_rules_json(str(path))
+        assert info.value.source == str(path)
+
+    def test_json_empty_list_is_no_rules(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text("[]")
+        assert read_rules_json(str(path)) == []
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_rules_of_one_file_share_items(self, tmp_path, suffix):
