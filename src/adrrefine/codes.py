@@ -102,14 +102,20 @@ class Item:
         return self.token
 
 
+def _text(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string: {value!r}")
+    return value
+
+
 def parse_read(text: str) -> ReadCode:
     """Parse a diagnosis code string, e.g. "A11zz" or "A11.."."""
-    return ReadCode(text)
+    return ReadCode(_text(text, "read code"))
 
 
 def parse_bnf(text: str) -> BnfCode:
     """Parse a dotted drug code string, e.g. "5.1.12.3"."""
-    pieces = text.split(".")
+    pieces = _text(text, "bnf code").split(".")
     if len(pieces) != BNF_PARTS:
         raise ParseError(f"bnf code must have {BNF_PARTS} dot-separated parts: {text!r}")
     try:
@@ -198,7 +204,7 @@ def normalize_item(code_type: str, code: str) -> Item:
 
 def parse_item(token: str) -> Item:
     """Inverse of Item.token; round-trips any canonical item string."""
-    if token.startswith("GENDER:"):
+    if _text(token, "item").startswith("GENDER:"):
         return gender_item(token[len("GENDER:"):])
     code = parse_bnf(token) if "." in token and len(token) != READ_LENGTH else parse_read(token)
     item = code_item(code)

@@ -16,25 +16,20 @@ cannot have complete follow-up. Diagnosis records are never excluded.
 
 from __future__ import annotations
 
-import calendar
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .codes import BnfCode, Item, ReadCode, code_item, parse_code
-from .errors import DomainError, ParseError, open_input
+from .errors import DomainError, ParseError, block_rows, csv_blocks, csv_rows
 
 DEFAULT_EXCLUSION_MONTHS = 12
 DEFAULT_END_BUFFER_DAYS = 30
 DEFAULT_MIN_ACTIVE_MONTHS = 24
 
-# events.csv rows turned into columns at a time.
-_ROW_BLOCK = 4096
 # Day number of 1970-01-01, numpy's datetime64 origin.
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
 
@@ -266,28 +261,10 @@ class EventStore:
         return f"EventStore({self.patient_count} patients, db_end_date={self.db_end_date})"
 
 
-def add_months(date: dt.date, months: int) -> dt.date:
-    """Calendar-month shift; the day clamps to the target month's length."""
-    total = date.year * 12 + (date.month - 1) + months
-    year, month = divmod(total, 12)
-    month += 1
-    day = min(date.day, calendar.monthrange(year, month)[1])
-    return dt.date(year, month, day)
-
-
-def months_between(start: dt.date, end: dt.date) -> int:
-    """Whole calendar months from start to end (floor); 0 if end < start."""
-    if end < start:
-        return 0
-    n = (end.year - start.year) * 12 + (end.month - start.month)
-    while n > 0 and add_months(start, n) > end:
-        n -= 1
-    return n
-
-
-# Array forms of `add_months` and `months_between` over day numbers. numpy's
-# datetime64 does only the calendar arithmetic here, on valid days; dates
-# are parsed by `dt.date.fromisoformat` alone.
+# The calendar arithmetic, over arrays of day numbers; `add_months` and
+# `months_between` are its one-date forms. numpy's datetime64 does only
+# the calendar arithmetic here, on valid days; dates are parsed by
+# `dt.date.fromisoformat` alone.
 
 
 def _calendar(day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,36 +294,40 @@ def _months_between_days(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return n - (_add_months_days(first, n) > last)
 
 
-def _read_patients(fh: TextIO, source: str) -> dict[str, PatientInfo]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    expected = ["patient_id", "gender", "year_of_birth", "registration_date"]
-    if header != expected:
-        raise ParseError(f"expected header {','.join(expected)}", source=source, line=1)
-    patients: dict[str, PatientInfo] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", source=source, line=lineno)
-        pid, gender, yob, reg = row
-        if pid in patients:
-            raise ParseError(f"duplicate patient_id {pid!r}", source=source, line=lineno)
-        if gender not in ("M", "F"):
-            raise ParseError(f"gender must be M or F: {gender!r}", source=source, line=lineno)
-        try:
-            patients[pid] = PatientInfo(pid, gender, int(yob), dt.date.fromisoformat(reg))
-        except (ValueError, ParseError) as exc:
-            raise ParseError(str(exc), source=source, line=lineno) from None
-    return patients
+def add_months(date: dt.date, months: int) -> dt.date:
+    """Calendar-month shift; the day clamps to the target month's length."""
+    return dt.date.fromordinal(int(_add_months_days(np.array([date.toordinal()]), months)[0]))
 
 
+def months_between(start: dt.date, end: dt.date) -> int:
+    """Whole calendar months from start to end (floor); 0 if end < start."""
+    if end < start:
+        return 0
+    first, last = np.array([start.toordinal()]), np.array([end.toordinal()])
+    return int(_months_between_days(first, last)[0])
+
+
+_PATIENTS_HEADER = ["patient_id", "gender", "year_of_birth", "registration_date"]
 _EVENTS_HEADER = ["patient_id", "date", "code_type", "code"]
 
 
+def _read_patients(path: str) -> dict[str, PatientInfo]:
+    patients: dict[str, PatientInfo] = {}
+    for lineno, (pid, gender, yob, reg) in csv_rows(path, _PATIENTS_HEADER):
+        if pid in patients:
+            raise ParseError(f"duplicate patient_id {pid!r}", source=path, line=lineno)
+        if gender not in ("M", "F"):
+            raise ParseError(f"gender must be M or F: {gender!r}", source=path, line=lineno)
+        try:
+            patients[pid] = PatientInfo(pid, gender, int(yob), dt.date.fromisoformat(reg))
+        except (ValueError, ParseError) as exc:
+            raise ParseError(str(exc), source=path, line=lineno) from None
+    return patients
+
+
 class _Fault(Exception):
-    """Some row of events.csv is malformed; which one is found by reading
-    the rows again one at a time."""
+    """Some row of a block of events.csv is malformed; which one is found
+    by checking the block's rows one at a time."""
 
 
 def _ids(known: dict, values: Sequence, add: Callable) -> np.ndarray:
@@ -362,8 +343,7 @@ def _ids(known: dict, values: Sequence, add: Callable) -> np.ndarray:
 
 
 def _read_events(
-    fh: TextIO,
-    source: str,
+    path: str,
     patients: dict[str, PatientInfo],
     ordinal: dict[str, int],
     registered: np.ndarray,
@@ -371,9 +351,6 @@ def _read_events(
     """Per row, in file order: patient ordinal, day number and code id,
     plus the code table. Each distinct patient id, date string and code
     is checked once; a malformed row raises its ParseError."""
-    reader = csv.reader(fh)
-    if next(reader, None) != _EVENTS_HEADER:
-        raise ParseError(f"expected header {','.join(_EVENTS_HEADER)}", source=source, line=1)
     day_of: dict[str, int] = {}
     code_of: dict[tuple[str, str], int] = {}
     entries: dict = {}
@@ -395,25 +372,23 @@ def _read_events(
         return len(entries) - 1
 
     blocks = []
-    try:
-        while block := list(islice(reader, _ROW_BLOCK)):
+    for first, block in csv_blocks(path, _EVENTS_HEADER):
+        try:
             lengths = set(map(len, block))
             if lengths - {0, 4}:
                 raise _Fault
-            if 0 in lengths:  # blank lines
-                block = [row for row in block if row]
-                if not block:
-                    continue
-            pids, dates, types, codes = zip(*block)
+            rows = [row for row in block if row] if 0 in lengths else block  # blank lines
+            if not rows:
+                continue
+            pids, dates, types, codes = zip(*rows)
             patient = _ids(ordinal, pids, unknown_patient)
             day = _ids(day_of, dates, add_day)
             code = _ids(code_of, list(zip(types, codes)), add_code)
             if (day < registered[patient]).any():
                 raise _Fault
-            blocks.append((patient, day, code))
-    except (_Fault, csv.Error):
-        fh.seek(0)
-        _raise_first_fault(fh, source, patients)
+        except _Fault:
+            _raise_first_fault(path, first, block, patients)
+        blocks.append((patient, day, code))
     if not blocks:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, CodeTable(entries)
@@ -421,28 +396,23 @@ def _read_events(
     return patient, day, code, CodeTable(entries)
 
 
-def _raise_first_fault(fh: TextIO, source: str, patients: dict[str, PatientInfo]) -> None:
-    """Check the rows one at a time and raise the first one's ParseError."""
-    reader = csv.reader(fh)
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", source=source, line=lineno)
-        pid, date_text, code_type, code = row
+def _raise_first_fault(
+    path: str, first: int, block: list[list[str]], patients: dict[str, PatientInfo]
+) -> None:
+    """Check a block's rows one at a time and raise the first one's ParseError."""
+    for lineno, (pid, date_text, code_type, code) in block_rows(path, first, block, 4):
         patient = patients.get(pid)
         if patient is None:
-            raise ParseError(f"unknown patient_id {pid!r}", source=source, line=lineno)
+            raise ParseError(f"unknown patient_id {pid!r}", source=path, line=lineno)
         try:
             date = dt.date.fromisoformat(date_text)
             parse_code(code_type, code)
         except (ValueError, ParseError) as exc:
-            raise ParseError(str(exc), source=source, line=lineno) from None
+            raise ParseError(str(exc), source=path, line=lineno) from None
         if date < patient.registration_date:
             raise ParseError(
                 f"event dated {date} before registration {patient.registration_date}",
-                source=source,
+                source=path,
                 line=lineno,
             )
     raise AssertionError("a row failed in its block but not on its own")
@@ -459,11 +429,9 @@ def load(
     patient by date, ties keeping file order. The end of the database
     defaults to the latest event date unless overridden.
     """
-    with open_input(patients_file, newline="") as fh:
-        patients = _read_patients(fh, patients_file)
+    patients = _read_patients(patients_file)
     ordinal, registered = _patient_index(patients)
-    with open_input(events_file, newline="") as fh:
-        patient, day, code, codes = _read_events(fh, events_file, patients, ordinal, registered)
+    patient, day, code, codes = _read_events(events_file, patients, ordinal, registered)
     end = db_end_date
     if end is None and len(day):
         end = dt.date.fromordinal(int(day.max()))
@@ -507,8 +475,8 @@ def active_months(store: EventStore, patient_id: str) -> int:
     rows = store.rows(patient_id)
     if rows.start == rows.stop:
         return 0
-    first, last = store.columns.day[[rows.start, rows.stop - 1]].tolist()
-    return months_between(dt.date.fromordinal(first), dt.date.fromordinal(last))
+    day = store.columns.day
+    return int(_months_between_days(day[[rows.start]], day[[rows.stop - 1]])[0])
 
 
 def eligible_patients(

@@ -39,14 +39,16 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
-from .errors import ConfigError, DomainError, ParseError, check_workers, open_input
+from .errors import (
+    ConfigError, DomainError, ParseError, check_workers, csv_blocks, csv_rows, read_json
+)
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
 DEFAULT_MIN_CONFIDENCE = 0.01
@@ -54,8 +56,8 @@ DEFAULT_MAX_ANTECEDENT = 3
 
 # The measure columns in rules-file order.
 _MEASURES = ["left_support", "support", "confidence", "lift", "chi_squared"]
-# Rows turned into Python objects at a time, when iterating a `RuleTable`
-# or reading rules.csv, so one block's objects die before the next block.
+# Rows turned into Python objects at a time, when iterating a `RuleTable`,
+# so one block's objects die before the next block.
 _ROW_BLOCK = 4096
 
 
@@ -673,21 +675,16 @@ def _table_from_fields(antecedents: list, consequents: list, numbers: list, spli
 
 
 def read_rules_csv(path: str) -> RuleTable:
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ParseError(f"expected header {','.join(_CSV_HEADER)}", source=path, line=1)
-        # Rows go into columns a block at a time: the row lists die young,
-        # so the garbage collector never walks all of them (it did, and
-        # took about a third of the read).
-        columns: list[list[str]] = [[] for _ in _CSV_HEADER]
-        lengths: set[int] = set()
-        while block := list(islice(reader, _ROW_BLOCK)):
-            rows = [row for row in block if row]
-            lengths.update(map(len, rows))
-            for column, values in zip(columns, zip(*rows)):
-                column.extend(values)
+    # Rows go into columns a block at a time: the row lists die young, so
+    # the garbage collector never walks all of them (it did, and took
+    # about a third of the read).
+    columns: list[list[str]] = [[] for _ in _CSV_HEADER]
+    lengths: set[int] = set()
+    for _, block in csv_blocks(path, _CSV_HEADER):
+        rows = [row for row in block if row]
+        lengths.update(map(len, rows))
+        for column, values in zip(columns, zip(*rows)):
+            column.extend(values)
     try:
         if lengths - {len(_CSV_HEADER)}:
             raise ValueError("wrong field count")
@@ -698,31 +695,16 @@ def read_rules_csv(path: str) -> RuleTable:
         pass
     # Read the rows again one by one to report the first error with its line.
     items: dict[str, Item] = {}
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_CSV_HEADER):
-                raise ParseError(
-                    f"expected {len(_CSV_HEADER)} fields, got {len(row)}",
-                    source=path,
-                    line=lineno,
-                )
-            try:
-                _check_fields(row[0].split("|"), row[1], row[2:], items)
-            except (ValueError, ParseError, DomainError) as exc:
-                raise ParseError(str(exc), source=path, line=lineno) from None
+    for lineno, row in csv_rows(path, _CSV_HEADER):
+        try:
+            _check_fields(row[0].split("|"), row[1], row[2:], items)
+        except (ValueError, ParseError, DomainError) as exc:
+            raise ParseError(str(exc), source=path, line=lineno) from None
     raise AssertionError("a row failed as a column but not on its own")
 
 
 def read_rules_json(path: str) -> RuleTable:
-    with open_input(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), source=path) from None
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise ParseError(
             f"top level must be a list of rule objects, not {type(payload).__name__}",

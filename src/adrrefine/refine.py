@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .baskets import pre_outcome_basket
 from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
-from .errors import DomainError, check_workers
+from .errors import ConfigError, DomainError, check_workers
 from .events import EventStore
 from .mining import AssociationRule, RuleTable
 from .signals import (
@@ -163,9 +164,12 @@ def refine(
     unless supplied, so externally listed instances (or given counts)
     can be pushed through the same arithmetic. `workers` is checked
     (below 1 is a ConfigError) and has no other effect: instances are
-    assessed on the caller's thread.
+    assessed on the caller's thread. A NaN `lift_threshold` is a
+    ConfigError, since no lift exceeds it.
     """
     check_workers(workers)
+    if math.isnan(lift_threshold):
+        raise ConfigError("lift_threshold must be a number, not NaN")
     hoi_rules = extract_hoi_rules(rules, spec.hoi)
     if exposures is None:
         exposures = exposure_count(spec.doi, store)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,7 +26,7 @@ from .codes import (
     read_level,
     read_truncate,
 )
-from .errors import ConfigError, ParseError, open_input
+from .errors import ConfigError, ParseError, csv_rows, read_json
 from .events import EventRecord, EventStore
 
 DEFAULT_WINDOW = (1, 60)
@@ -72,19 +71,15 @@ class SignalInstance:
 
 def load_signal_spec(path: str) -> SignalSpec:
     """Read a signal spec JSON file: doi_items, hoi_code, window, name."""
-    with open_input(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), source=path) from None
+    payload = read_json(path)
     try:
         doi = frozenset(parse_bnf(code) for code in payload["doi_items"])
         hoi = parse_read(payload["hoi_code"])
         window = tuple(payload.get("window", DEFAULT_WINDOW))
         name = payload.get("name", "")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"bad signal spec: {exc}", source=path) from None
-    if len(window) != 2 or not all(isinstance(v, int) for v in window):
+    if len(window) != 2 or not all(type(v) is int for v in window):
         raise ParseError(f"window must be two integer days: {window}", source=path)
     return SignalSpec(doi=doi, hoi=hoi, window=window, name=name)  # type: ignore[arg-type]
 
@@ -214,32 +209,24 @@ def exposure_count(doi: frozenset[BnfCode], store: EventStore) -> int:
     return len(_group_starts(exposed))
 
 
+_INSTANCES_HEADER = ["patient_id", "doi_date", "hoi_date"]
+
+
 def write_instances_csv(instances: Iterable[SignalInstance], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient_id", "doi_date", "hoi_date"])
+        writer.writerow(_INSTANCES_HEADER)
         for inst in instances:
             writer.writerow([inst.patient_id, inst.doi_date.isoformat(), inst.hoi_date.isoformat()])
 
 
 def read_instances_csv(path: str) -> list[SignalInstance]:
     instances = []
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["patient_id", "doi_date", "hoi_date"]:
-            raise ParseError("expected header patient_id,doi_date,hoi_date", source=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", source=path, line=lineno)
-            try:
-                instances.append(
-                    SignalInstance(
-                        row[0], dt.date.fromisoformat(row[1]), dt.date.fromisoformat(row[2])
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), source=path, line=lineno) from None
+    for lineno, (pid, doi_date, hoi_date) in csv_rows(path, _INSTANCES_HEADER):
+        try:
+            instances.append(
+                SignalInstance(pid, dt.date.fromisoformat(doi_date), dt.date.fromisoformat(hoi_date))
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), source=path, line=lineno) from None
     return instances

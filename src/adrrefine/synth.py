@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .codes import parse_bnf, parse_code, parse_read
-from .errors import ConfigError, ParseError, open_input
+from .errors import ConfigError, ParseError, csv_rows, read_json
 from .events import EventRecord, EventStore, PatientInfo
 from .signals import doi_matches
 
@@ -136,9 +136,9 @@ def validate_config(config: ScenarioConfig) -> None:
             parse_bnf(code)
         parse_read(adr.outcome_code)
         _check_probability("reaction_probability", adr.reaction_probability)
-        lo, hi = adr.latency_days
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"latency_days must satisfy 1 <= lo <= hi: {adr.latency_days}")
+        days = adr.latency_days
+        if len(days) != 2 or not all(type(v) is int for v in days) or not 1 <= days[0] <= days[1]:
+            raise ConfigError(f"latency_days must be two integer days, 1 <= lo <= hi: {days}")
 
 
 def expected_filter_rate(config: ScenarioConfig) -> float:
@@ -306,11 +306,7 @@ def _config_to_dict(config: ScenarioConfig) -> dict:
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario.json config file."""
-    with open_input(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), source=path) from None
+    payload = read_json(path)
     try:
         catalog = tuple(
             CatalogItem(c["code_type"], c["code"], float(c["daily_rate"]))
@@ -392,19 +388,9 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
 
 def read_ground_truth(path: str) -> list[TruthRow]:
     rows = []
-    with open_input(path) as fh:
-        header = fh.readline().strip()
-        if header != "patient_id,hoi_date,cause":
-            raise ParseError("expected header patient_id,hoi_date,cause", source=path, line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 fields, got {len(parts)}", source=path, line=lineno)
-            try:
-                rows.append(TruthRow(parts[0], dt.date.fromisoformat(parts[1]), parts[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), source=path, line=lineno) from None
+    for lineno, (pid, hoi_date, cause) in csv_rows(path, ["patient_id", "hoi_date", "cause"]):
+        try:
+            rows.append(TruthRow(pid, dt.date.fromisoformat(hoi_date), cause))
+        except ValueError as exc:
+            raise ParseError(str(exc), source=path, line=lineno) from None
     return rows

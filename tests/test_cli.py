@@ -536,6 +536,100 @@ class TestInputEncoding:
         self.check(capsys, bad, "synth", "--spec", bad, "--out", str(tmp_path / "c"))
 
 
+class TestOversizedField:
+    """A record the csv module cannot read exits 2 naming the file and line."""
+
+    @pytest.mark.parametrize("name", ["patients.csv", "events.csv", "rules.csv", "instances.csv"])
+    def test_refine_inputs(self, capsys, worked_example_dir, tmp_path, name):
+        files = {
+            n: str(worked_example_dir / n)
+            for n in ("patients.csv", "events.csv", "rules.csv", "instances.csv")
+        }
+        lines = (worked_example_dir / name).read_text().splitlines(keepends=True)
+        lines.insert(2, "x" * 200_000 + "\n")
+        bad = tmp_path / name
+        bad.write_text("".join(lines))
+        files[name] = str(bad)
+        code, _, err = run_cli(
+            capsys, "refine",
+            "--patients", files["patients.csv"], "--events", files["events.csv"],
+            "--rules", files["rules.csv"], "--spec", str(worked_example_dir / "signal.json"),
+            "--instances", files["instances.csv"], "--out", str(tmp_path / "report"),
+        )
+        assert code == 2
+        assert f"error: {bad}:3: field larger than field limit (131072)" in err
+        assert not (tmp_path / "report").exists()
+
+
+class TestWrongValueTypes:
+    """JSON values of the wrong type exit 2 (or 1 for a bad setting), never
+    as a traceback."""
+
+    def refine_argv(self, worked_example_dir, tmp_path, **files):
+        paths = {n: str(worked_example_dir / n) for n in ("rules.csv", "signal.json")}
+        paths.update(files)
+        return [
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", paths["rules.csv"], "--spec", paths["signal.json"],
+            "--out", str(tmp_path / "report"),
+        ]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"doi_items": [5], "hoi_code": "H05.."}, "bnf code must be a string: 5"),
+            ({"doi_items": ["1.1.0.0"], "hoi_code": 5}, "read code must be a string: 5"),
+            (
+                {"doi_items": ["1.1.0.0"], "hoi_code": "H05..", "window": [True, 60]},
+                "window must be two integer days: (True, 60)",
+            ),
+        ],
+    )
+    def test_signal_spec(self, capsys, worked_example_dir, tmp_path, payload, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        argv = self.refine_argv(worked_example_dir, tmp_path, **{"signal.json": str(spec)})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {spec}: " in err
+        assert message in err
+
+    def test_rules_json_antecedent(self, capsys, worked_example_dir, tmp_path):
+        rule = {"antecedent": [5], "consequent": "H05..", "left_support": 0.1, "support": 0.05,
+                "confidence": 0.5, "lift": 1.5, "chi_squared": 2.0}
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([rule]))
+        argv = self.refine_argv(worked_example_dir, tmp_path, **{"rules.csv": str(rules)})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {rules}: bad rule object: item must be a string: 5" in err
+
+    def test_scenario_catalog_code(self, capsys, tmp_path):
+        catalog = [{"code_type": "READ", "code": 5, "daily_rate": 0.001}]
+        spec = scenario_file(tmp_path, catalog=catalog)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert "read code must be a string: 5" in err
+
+    @pytest.mark.parametrize("latency", [[1], [1, 30, 60], [1.5, 30]])
+    def test_scenario_latency_days(self, capsys, tmp_path, latency):
+        adr = {"doi_items": ["5.1.0.0"], "outcome_code": "N772.", "reaction_probability": 0.01,
+               "latency_days": latency}
+        spec = scenario_file(tmp_path, adr=adr)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert "error: latency_days must be two integer days" in err
+
+    def test_nan_lift_threshold(self, capsys, worked_example_dir, tmp_path):
+        argv = self.refine_argv(worked_example_dir, tmp_path) + ["--lift-threshold", "nan"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error: lift_threshold must be a number, not NaN" in err
+        assert not (tmp_path / "report").exists()
+
+
 class TestHelp:
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

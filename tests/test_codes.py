@@ -117,6 +117,12 @@ class TestNormalizeItem:
         with pytest.raises(ParseError):
             gender_item("X")
 
+    @pytest.mark.parametrize("parse", [parse_read, parse_bnf, parse_item])
+    @pytest.mark.parametrize("value", [5, None, ["A11.."]])
+    def test_value_that_is_not_a_string(self, parse, value):
+        with pytest.raises(ParseError, match="must be a string"):
+            parse(value)
+
     def test_gender_token_cannot_collide_with_codes(self):
         # Tokens are self-identifying: 5 chars = diagnosis, dotted = drug.
         assert len(gender_item("F").token) not in (5,)

@@ -225,3 +225,12 @@ def test_same_day_rows_keep_file_order(tmp_path):
         want = sorted((r for r in rows if r[0] == pid), key=lambda r: r[1])  # stable
         got = [(e.patient_id, e.date, e.code_type, e.code) for e in store.patient_events(pid)]
         assert got == want
+
+
+def test_oversized_field_far_into_events(tmp_path):
+    """A record the csv module cannot read, past the first block of rows,
+    is a ParseError with its line."""
+    patients, events = write_files(tmp_path, OK_P, lines(EH, *[GOOD] * 5000, "x" * 200_000))
+    with pytest.raises(ParseError) as excinfo:
+        load(patients, events)
+    assert str(excinfo.value) == f"{events}:5002: field larger than field limit (131072)"

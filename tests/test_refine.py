@@ -173,6 +173,10 @@ class TestRefine:
         with pytest.raises(ConfigError):
             refine(worked_spec, worked_rules, worked_store, workers=workers)
 
+    def test_nan_lift_threshold_rejected(self, worked_store, worked_rules, worked_spec):
+        with pytest.raises(ConfigError, match="NaN"):
+            refine(worked_spec, worked_rules, worked_store, lift_threshold=float("nan"))
+
     def test_lift_threshold_monotone(self, worked_store, worked_rules, worked_instances, worked_spec):
         counts = []
         for threshold in (0.5, 1.0, 1.3, 1.45, 2.0):

@@ -1,4 +1,5 @@
 import dataclasses
+import datetime as dt
 import json
 import math
 from collections import Counter
@@ -111,6 +112,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(make_config(adr=bad))
 
+    @pytest.mark.parametrize("latency", [(1,), (1, 30, 60), (True, 60)])
+    def test_latency_not_two_integer_days_rejected(self, latency):
+        bad = PlantedAdr(("5.1.0.0",), "N772.", 0.01, latency_days=latency)
+        with pytest.raises(ConfigError, match="latency_days must be two integer days"):
+            validate_config(make_config(adr=bad))
+
     @pytest.mark.parametrize(
         "code_type, code", [("ICD", "C10.."), ("READ", "C1"), ("BNF", "5.1.0")]
     )
@@ -202,6 +209,25 @@ class TestGeneratedCohort:
             count = sum(1 for row in truth if row.cause == "confounder")
             mean = n * rate
             assert abs(count - mean) <= 3 * math.sqrt(mean * (1 - rate)) + 1
+
+
+class TestReadGroundTruth:
+    HEADER = "patient_id,hoi_date,cause\n"
+
+    def test_quoted_fields_read_as_csv(self, tmp_path):
+        path = tmp_path / "ground_truth.csv"
+        path.write_text(self.HEADER + '"p,1",2001-01-01,adr\r\n\n"p2",2001-01-02,"background"\n')
+        assert [dataclasses.astuple(row) for row in read_ground_truth(str(path))] == [
+            ("p,1", dt.date(2001, 1, 1), "adr"),
+            ("p2", dt.date(2001, 1, 2), "background"),
+        ]
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        path = tmp_path / "ground_truth.csv"
+        path.write_text(self.HEADER + "p1,2001-01-01,adr\n" + "x" * 200_000 + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_ground_truth(str(path))
+        assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
 
 
 class TestExpectedFilterRate:
