@@ -2,10 +2,11 @@
 
 Each eligible patient contributes one deduplicated basket: their gender
 item plus the normalized item of every retained event. The database
-keeps one vertical index: per item, its sorted basket ordinals and a
-0/1 byte row over all baskets. An itemset's baskets are the rarest
-item's ordinals narrowed through the other items' rows, so counting
-costs one byte lookup per candidate basket rather than a scan of all m.
+keeps one index: per item, its sorted basket ordinals, and one
+baskets x items 0/1 byte matrix, a row per basket. An itemset's baskets
+are the rarest item's ordinals narrowed through the other items'
+columns, so counting costs one byte lookup per candidate basket rather
+than a scan of all m.
 
 Whole-history baskets feed mining; time-restricted pre-outcome baskets
 feed signal refinement. The asymmetry is deliberate: rules describe
@@ -93,11 +94,12 @@ class BasketDatabase:
 
     Built from (patient id, frozenset of items) pairs or from
     `BasketPairs`. `tid_lists[i]` holds the sorted int64 ordinals of the
-    baskets that contain item i; `bits` is the items x baskets membership
-    matrix, one 0/1 byte per cell. Both are read-only. Basket ordinals
-    follow the input order (store patient order for `build_database`), so
-    rebuilding from the same store yields identical ordinals. Items are
-    indexed in token order for deterministic ids.
+    baskets that contain item i; `bits` is the baskets x items membership
+    matrix, one 0/1 byte per cell and a row per basket, so the rows of a
+    set of baskets gather as contiguous runs. Both are read-only. Basket
+    ordinals follow the input order (store patient order for
+    `build_database`), so rebuilding from the same store yields identical
+    ordinals. Items are indexed in token order for deterministic ids.
     """
 
     def __init__(self, baskets: Sequence[tuple[str, frozenset[Item]]] | BasketPairs):
@@ -119,8 +121,8 @@ class BasketDatabase:
         key = item.astype(np.uint16) if len(self.items) <= 1 << 16 else item
         tids = pairs.basket.astype(np.int64)[np.argsort(key, kind="stable")]
         tids.flags.writeable = False
-        bits = np.zeros((len(self.items), self.m), dtype=np.uint8)
-        bits[item, pairs.basket] = 1
+        bits = np.zeros((self.m, len(self.items)), dtype=np.uint8)
+        bits[pairs.basket, item] = 1
         bits.flags.writeable = False
         self.tid_lists: tuple[np.ndarray, ...] = tuple(np.split(tids, np.cumsum(counts)[:-1]))
         self.bits: np.ndarray = bits
@@ -146,13 +148,13 @@ class BasketDatabase:
     def cover(self, ids: Sequence[int]) -> np.ndarray:
         """Sorted ordinals of the baskets holding every item id in `ids`;
         all baskets for no ids. Starts from the rarest item's ordinals and
-        keeps those whose byte is set in each other item's row."""
+        keeps those whose byte is set in each other item's column."""
         if not ids:
             return np.arange(self.m, dtype=np.int64)
         ordered = sorted(ids, key=lambda i: self.counts[i])
         tids = self.tid_lists[ordered[0]]
         for i in ordered[1:]:
-            tids = tids[self.bits[i, tids] != 0]
+            tids = tids[self.bits[tids, i] != 0]
         return tids
 
     def count(self, itemset: Iterable[Item]) -> int:

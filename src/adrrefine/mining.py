@@ -39,7 +39,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -374,9 +374,10 @@ def min_count_for(threshold: float, m: int) -> int:
     return c
 
 
-# Bytes of one rows x baskets float32 input block of `_gram`. It bounds
-# only that block: the Gram itself and each chunk's product are rows x
-# rows, so they grow with the square of the row count.
+# Bytes of one baskets x rows float32 input block of `_gram`, and of the
+# chunk's basket rows gathered from `bits` to make it. It bounds only
+# those blocks: the Gram itself is rows x rows, so it grows with the
+# square of the row count.
 _GRAM_BYTES = 1 << 25
 
 
@@ -384,23 +385,28 @@ def _gram(
     db: BasketDatabase, prefix: tuple[int, ...], rows: np.ndarray, extra: tuple[int, ...] = ()
 ) -> np.ndarray:
     """Co-occurrence counts of the items `rows` inside the baskets holding
-    every item of `prefix` and `extra`, as an int64 rows x rows matrix.
+    every item of `prefix` and `extra`, as a rows x rows matrix of exact
+    integers: float32 when the cover is one chunk, else int64.
 
     Off-diagonal cell (r, s) is count(prefix | extra | {rows[r], rows[s]});
-    diagonal cell r is count(prefix | extra | {rows[r]}). The 0/1 block of
-    `rows` over the cover is multiplied by its own transpose, chunked over
-    baskets so one float32 block stays within `_GRAM_BYTES`, and each
-    chunk's product is summed in int64. The product is exact at any m: a
-    chunk's partial sums are integers of at most its basket count, which
-    `_GRAM_BYTES` keeps at or below 2**23, and float32 holds every
-    integer up to 2**24 exactly.
+    diagonal cell r is count(prefix | extra | {rows[r]}). The cover's
+    basket rows are gathered from `bits` a chunk at a time, narrowed to
+    the `rows` columns, and the 0/1 block times its own transpose is the
+    chunk's Gram. Chunks keep each block within `_GRAM_BYTES`; with more
+    than one, their products are summed in int64. Every product is exact
+    at any m: a chunk's partial sums are integers of at most its basket
+    count, which `_GRAM_BYTES` keeps at or below 2**23, and float32 holds
+    every integer up to 2**24 exactly.
     """
     tids = db.cover(prefix + extra)
-    step = max(1, _GRAM_BYTES // (4 * max(1, len(rows))))
+    step = max(1, _GRAM_BYTES // max(4 * len(rows), db.bits.shape[1]))
+    if len(tids) <= step:
+        block = db.bits[tids][:, rows].astype(np.float32)
+        return block.T @ block
     gram = np.zeros((len(rows), len(rows)), dtype=np.int64)
     for lo in range(0, len(tids), step):
-        block = db.bits[np.ix_(rows, tids[lo : lo + step])].astype(np.float32)
-        gram += (block @ block.T).astype(np.int64)
+        block = db.bits[tids[lo : lo + step]][:, rows].astype(np.float32)
+        gram += (block.T @ block).astype(np.int64)
     return gram
 
 
@@ -411,51 +417,85 @@ def _union(*ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(np.concatenate(ids)))
 
 
+def _group_starts(heads: np.ndarray) -> list[int]:
+    """Row numbers where a run of equal rows of `heads` begins, plus its
+    row count at the end; one run when `heads` has no columns."""
+    if not len(heads):
+        return [0]
+    changed = (heads[1:] != heads[:-1]).any(axis=1)
+    return [0, *(np.flatnonzero(changed) + 1).tolist(), len(heads)]
+
+
+class FrequentItemsets:
+    """Frequent itemsets level by level. `levels[k - 1]` is the pair
+    (ids, counts) of the k-item sets: an (n, k) int32 matrix of item ids,
+    each row ascending and the rows in lexicographic order, and their
+    int64 basket counts. Only non-empty levels are kept. Iterating gives
+    each itemset's ids, a row of its level's matrix, level by level (rows
+    rather than `tolist()` lists: a third of a million short-lived lists
+    keep the garbage collector busy for several times as long)."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: list[tuple[np.ndarray, np.ndarray]]):
+        self.levels = levels
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for ids, _ in self.levels:
+            yield from ids
+
+
 def frequent_antecedents(
     db: BasketDatabase,
     min_count: int,
     max_size: int,
     exclude: Item | None = None,
-) -> dict[tuple[int, ...], int]:
-    """Frequent itemsets of at most `max_size` items, as sorted item-id
-    tuples -> basket count, level by level in sorted order.
+) -> FrequentItemsets:
+    """Frequent itemsets of at most `max_size` items, with their basket
+    counts.
 
-    Level k+2 comes from one `_gram` per frequent k-set Q, over Q's tails
+    Level k+1 comes from one `_gram` per run of level-k rows sharing
+    their first k-1 ids, the prefix Q, over the run's last ids, Q's tails
     (the items t > max(Q) with Q | {t} frequent): off-diagonal cell
     (r, s) is count(Q | {r, s}), kept when it reaches `min_count`. Every
-    frequent (k+2)-set is found this way, because Q | {r} and Q | {s}
+    frequent (k+1)-set is found this way, because Q | {r} and Q | {s}
     are frequent subsets of it, and its count is exact, so no candidate
-    needs a subset prune. Level 2 takes Q = (), level 3 Q = (a,).
+    needs a subset prune. Runs, tails and kept cells are in ascending
+    order, so each level's rows come out lexicographic.
     """
     exclude_id = db.item_ids.get(exclude) if exclude is not None else None
-    level = [
-        (i,)
-        for i in range(len(db.items))
-        if i != exclude_id and db.counts[i] >= min_count
-    ]
-    freq = {ids: int(db.counts[ids[0]]) for ids in level}
+    keep = db.counts >= min_count
+    if exclude_id is not None:
+        keep[exclude_id] = False
+    first = np.flatnonzero(keep).astype(np.int32)
+    levels = [(first[:, None], db.counts[first])] if len(first) else []
 
-    size = 1
-    while size < max_size and level:
-        next_level = []
-        for prefix, group in groupby(level, key=lambda t: t[:-1]):
-            tails = np.array([t[-1] for t in group])
-            if len(tails) < 2:
+    while levels and len(levels) < max_size:
+        ids, _ = levels[-1]
+        starts = _group_starts(ids[:, :-1])
+        heads, pairs, counts = [], [], []
+        for lo, hi in zip(starts, starts[1:]):
+            if hi - lo < 2:
                 continue
-            gram = _gram(db, prefix, tails)
+            tails = ids[lo:hi, -1]
+            gram = _gram(db, tuple(ids[lo, :-1].tolist()), tails)
             r, s = np.nonzero(np.triu(gram >= min_count, 1))
-            for pair, count in zip(zip(tails[r].tolist(), tails[s].tolist()), gram[r, s].tolist()):
-                ids = prefix + pair
-                freq[ids] = count
-                next_level.append(ids)
-        level = next_level
-        size += 1
-    return freq
+            heads.append(np.full(len(r), lo))
+            pairs.append(np.stack([tails[r], tails[s]], axis=1))
+            counts.append(gram[r, s].astype(np.int64))
+        n = sum(map(len, counts))
+        if not n:
+            break
+        grown = np.empty((n, ids.shape[1] + 1), dtype=np.int32)
+        grown[:, :-2] = ids[np.concatenate(heads), :-1]
+        grown[:, -2:] = np.concatenate(pairs)
+        levels.append((grown, np.concatenate(counts)))
+    return FrequentItemsets(levels)
 
 
 def _emit_rules(
     db: BasketDatabase,
-    freq: dict[tuple[int, ...], int],
+    freq: FrequentItemsets,
     target_ids: Sequence[int],
     min_confidence: float,
 ) -> RuleTable:
@@ -469,41 +509,46 @@ def _emit_rules(
     holding y, has count(X | {y}) in each antecedent's cell. One Gram is
     held at a time, and only the cells passing confidence are kept.
     """
-    antecedents = sorted(freq)
-    count_x = np.array([freq[ids] for ids in antecedents], dtype=np.int64)
-    # Row k holds the ids of antecedents[k], padded with -1.
-    matrix = np.full((len(antecedents), max(map(len, antecedents), default=1)), -1, np.int32)
+    # Row k of `matrix` is antecedent k: the levels' rows in turn, padded
+    # with -1, which sorts before every id, so `rank` orders the rows as
+    # sorted id tuples.
+    starts = np.cumsum([0, *(len(ids) for ids, _ in freq.levels)]).tolist()
+    matrix = np.full((starts[-1], len(freq.levels) or 1), -1, np.int32)
+    for (ids, _), lo in zip(freq.levels, starts):
+        matrix[lo : lo + len(ids), : ids.shape[1]] = ids
+    count_x = np.concatenate([np.empty(0, np.int64), *(c for _, c in freq.levels)])
+    rank = np.empty(len(matrix), dtype=np.int64)
+    rank[np.lexsort(matrix.T[::-1])] = np.arange(len(matrix))
+
     # Per prefix Q: the item pair (r, s) of each antecedent it serves and
-    # the antecedent's index in `antecedents`. The antecedents of one size
-    # are sorted, so those sharing Q are contiguous.
-    served: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    sizes = np.array([len(ids) for ids in antecedents])
-    for size in sorted(set(sizes.tolist())):
-        ks = np.flatnonzero(sizes == size)
-        ids = np.array([antecedents[k] for k in ks]).reshape(len(ks), size)
-        matrix[ks, :size] = ids
-        pairs, heads = ids[:, [-2, -1] if size > 1 else [0, 0]], ids[:, :-2]
-        starts = np.flatnonzero(np.r_[True, (heads[1:] != heads[:-1]).any(axis=1)]).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(ks)]):
-            q = tuple(heads[lo].tolist())
-            cells = (pairs[lo:hi, 0], pairs[lo:hi, 1], ks[lo:hi])
-            if q in served:  # () serves the single items and the pairs
-                cells = tuple(map(np.concatenate, zip(served[q], cells)))
-            served[q] = cells
+    # the antecedent's row in `matrix`. () serves the single items and
+    # the pairs, the first rows; the rows of one larger level are sorted,
+    # so those sharing Q are contiguous.
+    served: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = []
+    if freq.levels:
+        pairs = np.concatenate(
+            [np.repeat(freq.levels[0][0], 2, axis=1), *(ids for ids, _ in freq.levels[1:2])]
+        )
+        served.append(((), pairs[:, 0], pairs[:, 1], np.arange(len(pairs))))
+    for (ids, _), offset in zip(freq.levels[2:], starts[2:]):
+        runs = _group_starts(ids[:, :-2])
+        for lo, hi in zip(runs, runs[1:]):
+            q = tuple(ids[lo, :-2].tolist())
+            served.append((q, ids[lo:hi, -2], ids[lo:hi, -1], np.arange(offset + lo, offset + hi)))
 
     # With no prefix-target pair there are no rules: three empty columns.
     results = [(np.empty(0, np.int64),) * 3]
-    for q, (r, s, ks) in served.items():
+    for q, r, s, ks in served:
         rows = _union(r, s)
         at = np.searchsorted(rows, r), np.searchsorted(rows, s)
         for y in target_ids:
             if y in q:
                 continue
-            xy = _gram(db, q, rows, (y,))[at]
+            xy = _gram(db, q, rows, (y,))[at].astype(np.int64)
             keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
             results.append((np.full(keep.sum(), y), ks[keep], xy[keep]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
-    order = np.lexsort((ks, ys))
+    order = np.lexsort((rank[ks], ys))
     ys, ks, xy = ys[order], ks[order], xy[order]
     measures = _measure_columns(xy, count_x[ks], db.counts[ys], db.m)
     return RuleTable(db.items, matrix[ks], ys.astype(np.int32), **measures._asdict())
@@ -703,6 +748,14 @@ def read_rules_csv(path: str) -> RuleTable:
     raise AssertionError("a row failed as a column but not on its own")
 
 
+def _check_json_measures(numbers: Sequence) -> None:
+    """Raise a TypeError for a rules.json measure, given in `_MEASURES`
+    order, that is not a JSON number: a bool or a string, say."""
+    for name, value in zip(_MEASURES, numbers):
+        if type(value) not in (int, float):
+            raise TypeError(f"{name} must be a number, not {json.dumps(value)}")
+
+
 def read_rules_json(path: str) -> RuleTable:
     payload = read_json(path)
     if not isinstance(payload, list):
@@ -712,6 +765,8 @@ def read_rules_json(path: str) -> RuleTable:
         )
     try:
         numbers = [[obj[name] for obj in payload] for name in _MEASURES]
+        if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
+            raise TypeError("a measure is not a number")
         return _table_from_fields(
             [tuple(obj["antecedent"]) for obj in payload],
             [obj["consequent"] for obj in payload],
@@ -726,6 +781,7 @@ def read_rules_json(path: str) -> RuleTable:
         try:
             numbers = [obj[name] for name in _MEASURES]
             _check_fields(obj["antecedent"], obj["consequent"], numbers, items)
+            _check_json_measures(numbers)
         except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
             raise ParseError(f"bad rule object: {exc}", source=path) from None
     raise AssertionError("an object failed as a column but not on its own")

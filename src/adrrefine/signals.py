@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -79,6 +80,8 @@ def load_signal_spec(path: str) -> SignalSpec:
         name = payload.get("name", "")
     except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"bad signal spec: {exc}", source=path) from None
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string: {json.dumps(name)}", source=path)
     if len(window) != 2 or not all(type(v) is int for v in window):
         raise ParseError(f"window must be two integer days: {window}", source=path)
     return SignalSpec(doi=doi, hoi=hoi, window=window, name=name)  # type: ignore[arg-type]

@@ -304,12 +304,31 @@ def _config_to_dict(config: ScenarioConfig) -> dict:
     return payload
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """`obj[key]` when it is a JSON integer; a bool, string or fraction is
+    a TypeError."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_real(obj: dict, key: str) -> float:
+    """`obj[key]` as a float when it is a JSON number; a bool or string is
+    a TypeError."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, not {json.dumps(value)}")
+    return float(value)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
-    """Read a scenario.json config file."""
+    """Read a scenario.json config file. Counts and the seed must be JSON
+    integers and rates and probabilities JSON numbers."""
     payload = read_json(path)
     try:
         catalog = tuple(
-            CatalogItem(c["code_type"], c["code"], float(c["daily_rate"]))
+            CatalogItem(c["code_type"], c["code"], _json_real(c, "daily_rate"))
             for c in payload["catalog"]
         )
         confounder = None
@@ -319,10 +338,10 @@ def load_scenario(path: str) -> ScenarioConfig:
                 antecedent=tuple((p[0], p[1]) for p in c["antecedent"]),
                 outcome_code=c["outcome_code"],
                 doi_code=c["doi_code"],
-                prevalence=float(c["prevalence"]),
-                recording_probability=float(c["recording_probability"]),
-                activation_probability=float(c["activation_probability"]),
-                doi_coprescription_probability=float(c["doi_coprescription_probability"]),
+                prevalence=_json_real(c, "prevalence"),
+                recording_probability=_json_real(c, "recording_probability"),
+                activation_probability=_json_real(c, "activation_probability"),
+                doi_coprescription_probability=_json_real(c, "doi_coprescription_probability"),
             )
         adr = None
         if "adr" in payload:
@@ -330,13 +349,13 @@ def load_scenario(path: str) -> ScenarioConfig:
             adr = PlantedAdr(
                 doi_items=tuple(a["doi_items"]),
                 outcome_code=a["outcome_code"],
-                reaction_probability=float(a["reaction_probability"]),
+                reaction_probability=_json_real(a, "reaction_probability"),
                 latency_days=tuple(a.get("latency_days", _OUTCOME_LATENCY)),  # type: ignore[arg-type]
             )
         config = ScenarioConfig(
-            seed=int(payload["seed"]),
-            patient_count=int(payload["patient_count"]),
-            observation_days=int(payload["observation_days"]),
+            seed=_json_int(payload, "seed"),
+            patient_count=_json_int(payload, "patient_count"),
+            observation_days=_json_int(payload, "observation_days"),
             catalog=catalog,
             start_date=dt.date.fromisoformat(payload.get("start_date", "2000-01-01")),
             confounder=confounder,

@@ -606,6 +606,49 @@ class TestWrongValueTypes:
         assert code == 2
         assert f"error: {rules}: bad rule object: item must be a string: 5" in err
 
+    def test_rules_json_measure(self, capsys, worked_example_dir, tmp_path):
+        rule = {"antecedent": ["2.2.0.0"], "consequent": "H05..", "left_support": 0.1,
+                "support": 0.05, "confidence": 0.5, "lift": "1.5", "chi_squared": 2.0}
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([rule]))
+        argv = self.refine_argv(worked_example_dir, tmp_path, **{"rules.csv": str(rules)})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f'error: {rules}: bad rule object: lift must be a number, not "1.5"' in err
+
+    def test_signal_spec_name(self, capsys, worked_example_dir, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"doi_items": ["1.1.0.0"], "hoi_code": "H05..", "name": 5}))
+        argv = self.refine_argv(worked_example_dir, tmp_path, **{"signal.json": str(spec)})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {spec}: name must be a string: 5" in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": 1.9}, "seed must be an integer, not 1.9"),
+            ({"patient_count": True}, "patient_count must be an integer, not true"),
+            ({"observation_days": "1460"}, 'observation_days must be an integer, not "1460"'),
+            (
+                {"catalog": [{"code_type": "READ", "code": "C10..", "daily_rate": "0.001"}]},
+                'daily_rate must be a number, not "0.001"',
+            ),
+            (
+                {"adr": {"doi_items": ["5.1.0.0"], "outcome_code": "N772.",
+                         "reaction_probability": False}},
+                "reaction_probability must be a number, not false",
+            ),
+        ],
+    )
+    def test_scenario_number_types(self, capsys, tmp_path, overrides, message):
+        spec = scenario_file(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert f"error: {spec}: bad scenario config: {message}" in err
+        assert not (tmp_path / "c").exists()
+
     def test_scenario_catalog_code(self, capsys, tmp_path):
         catalog = [{"code_type": "READ", "code": 5, "daily_rate": 0.001}]
         spec = scenario_file(tmp_path, catalog=catalog)

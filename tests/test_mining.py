@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +262,88 @@ class TestGram:
                 for j, s in enumerate(rows.tolist()):
                     want = len(db.cover(prefix + extra + (r, s)))
                     assert gram[i, j] == want, (prefix, extra, r, s)
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_one_and_two_chunks(self, monkeypatch, chunks):
+        # One chunk (the default budget here) returns the float32 product
+        # itself; two chunks add their products in int64.
+        rng = random.Random(60 + chunks)
+        db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=0.3)
+        n = len(db.items)
+        for _ in range(15):
+            ids = rng.sample(range(n), rng.randint(3, 8))
+            prefix = tuple(sorted(ids[:rng.randint(0, 1)]))
+            rows = np.array(sorted(set(ids) - set(prefix)))
+            tids = db.cover(prefix)
+            if chunks == 2:
+                # A budget whose step is the cover's size rounded up to even, halved.
+                per_basket = max(4 * len(rows), n)
+                monkeypatch.setattr(mining, "_GRAM_BYTES", per_basket * -(-len(tids) // 2))
+            gram = mining._gram(db, prefix, rows)
+            assert gram.dtype == (np.float32 if chunks == 1 or len(tids) < 2 else np.int64)
+            for i, r in enumerate(rows.tolist()):
+                for j, s in enumerate(rows.tolist()):
+                    assert gram[i, j] == len(db.cover(prefix + (r, s))), (prefix, r, s)
+
+
+def brute_force_itemsets(db, min_count, max_size, exclude_id):
+    """Every itemset of at most `max_size` ids, other than `exclude_id`,
+    held by at least `min_count` baskets, as sorted id tuple -> count."""
+    baskets = [{db.item_ids[it] for it in basket} for _, basket in db.baskets]
+    universe = [i for i in range(len(db.items)) if i != exclude_id]
+    found = {}
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(universe, size):
+            count = sum(1 for basket in baskets if basket.issuperset(combo))
+            if count >= min_count:
+                found[combo] = count
+    return found
+
+
+class TestFrequentAntecedents:
+    @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+    def test_levels_match_brute_force(self, max_size):
+        rng = random.Random(80 + max_size)
+        for _ in range(6):
+            db = random_db(rng, max_baskets=80, max_items=9, density=rng.uniform(0.2, 0.6))
+            min_count = rng.randint(1, 12)
+            exclude = rng.choice([None, *db.items])
+            exclude_id = None if exclude is None else db.item_ids[exclude]
+            freq = mining.frequent_antecedents(db, min_count, max_size, exclude)
+            want = brute_force_itemsets(db, min_count, max_size, exclude_id)
+            # The tracer's read of the result: one id sequence per itemset.
+            assert Counter(len(ids) for ids in freq) == Counter(map(len, want))
+            assert {tuple(ids) for ids in freq} == set(want)
+            for size, (ids, counts) in enumerate(freq.levels, 1):
+                assert ids.shape == (len(counts), size)
+                assert [tuple(row) for row in ids.tolist()] == sorted(map(tuple, ids.tolist()))
+                assert counts.tolist() == [want[tuple(row)] for row in ids.tolist()]
+
+
+class TestEmittedRules:
+    def test_measures_equal_recounted_rule_measures(self):
+        rng = random.Random(90)
+        for _ in range(8):
+            db = random_db(rng, max_baskets=150, max_items=10)
+            constraints = MiningConstraints(
+                rng.choice([0.01, 0.05, 0.1]), rng.choice([0.01, 0.2]), rng.randint(1, 4)
+            )
+            for table in (
+                mine_all_rules(db, constraints),
+                mine_rules(db, rng.choice(db.items), constraints),
+            ):
+                assert table.items == db.items
+                rows = list(zip(table.consequent.tolist(), table.antecedent.tolist()))
+                # Rows in (consequent id, antecedent ids padded with -1) order.
+                keys = [(y, *row) for y, row in rows]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+                for k, (y, row) in enumerate(rows):
+                    x = tuple(i for i in row if i >= 0)
+                    want = rule_measures(
+                        len(db.cover(x + (y,))), len(db.cover(x)), len(db.cover((y,))), db.m
+                    )
+                    got = tuple(float(getattr(table, name)[k]) for name in RuleMeasures._fields)
+                    assert got == tuple(want), (x, y)
 
 
 def assert_rules_match_oracle(db, consequent, constraints):

@@ -299,6 +299,11 @@ class TestReaderErrors:
             ({"antecedent": []}, "rule antecedent must not be empty"),
             ({"antecedent": "B11.."}, "read code must have exactly 5 characters: 'B'"),
             ({"consequent": "Q9x!."}, "read code contains invalid character '!': 'Q9x!.'"),
+            ({"left_support": True}, "left_support must be a number, not true"),
+            ({"support": "0.05"}, 'support must be a number, not "0.05"'),
+            ({"lift": "1_5"}, 'lift must be a number, not "1_5"'),
+            # Two faults in one object: the token comes first.
+            ({"consequent": "Q9x!.", "lift": "1.5"}, "read code contains invalid character '!': 'Q9x!.'"),
         ],
     )
     def test_json_messages(self, tmp_path, changes, message):
@@ -315,15 +320,6 @@ class TestReaderErrors:
         path.write_text('[{"antecedent": ["B11.."], "consequent": "A11..", "support": 0.1}]')
         with pytest.raises(ParseError, match=r"bad rule object: 'left_support'$"):
             read_rules_json(str(path))
-
-    def test_json_measures_may_be_strings(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(
-            '[{"antecedent": ["B11.."], "consequent": "A11..", "left_support": "0.2",'
-            ' "support": 0.1, "confidence": 0.5, "lift": "1_5", "chi_squared": 2}]'
-        )
-        (rule,) = read_rules_json(str(path))
-        assert (rule.left_support, rule.lift, rule.chi_squared) == (0.2, 15.0, 2.0)
 
 
 class TestTableSequence:
