@@ -46,7 +46,7 @@ for j in range(2000):
 
 db = BasketDatabase(baskets)
 print(f"corpus: {db.m} baskets, {len(db.items)} distinct items")
-print(f"rash support: {db.supp([RASH]):.4f}  (too rare for a plain support floor)")
+print(f"rash support: {db.count([RASH]) / db.m:.4f}  (too rare for a plain support floor)")
 
 # A support floor of 1% would hide every rash rule; the left-support floor
 # constrains the antecedent only, so rare consequents stay reachable.

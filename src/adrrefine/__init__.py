@@ -7,7 +7,7 @@ the instances whose outcome is explainable from the patient's prior
 history, yielding a confounding-adjusted risk.
 """
 
-from .baskets import BasketDatabase, build_basket, build_database, pre_outcome_basket
+from .baskets import BasketDatabase, build_database, pre_outcome_basket, pre_outcome_items
 from .codes import (
     BnfCode,
     Item,
@@ -56,7 +56,7 @@ from .refine import (
     absolute_risk,
     adjusted_risk,
     assess_instance,
-    classify_expected,
+    assess_instances,
     extract_hoi_rules,
     refine,
     rule_consequent,
@@ -70,8 +70,6 @@ from .signals import (
     ab_ratio,
     exposure_count,
     find_instances,
-    first_doi_date,
-    hoi_matches,
     load_signal_spec,
     read_instances_csv,
     write_instances_csv,

@@ -8,7 +8,7 @@ are the rarest item's ordinals narrowed through the other items'
 columns, so counting costs one byte lookup per candidate basket rather
 than a scan of all m.
 
-Whole-history baskets feed mining; time-restricted pre-outcome baskets
+Whole-history baskets feed mining; time-restricted pre-outcome histories
 feed signal refinement. The asymmetry is deliberate: rules describe
 lifetime co-occurrence, refinement asks what was known before an outcome.
 """
@@ -28,9 +28,34 @@ from .errors import DomainError
 from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, eligible_patients
 
 
-def build_basket(store: EventStore, patient_id: str) -> frozenset[Item]:
-    """Whole-history basket: gender plus every normalized retained event."""
-    return pre_outcome_basket(store, patient_id, dt.date.max, include_same_day=True)
+def pre_outcome_items(
+    store: EventStore,
+    patient_ids: Sequence[str],
+    cutoffs: Sequence[dt.date],
+    include_same_day: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(history k, mining item id) of each row of patient `patient_ids[k]`
+    dated before `cutoffs[k]`, repeats kept and gender left out; ids index
+    the store's `codes.mining_items`. An unknown patient is a DomainError.
+
+    Events dated exactly on the cutoff are excluded by default: same-day
+    entry order is not recorded, so a same-day item may be a consequence
+    of the outcome rather than prior history. `include_same_day` keeps
+    them instead.
+    """
+    columns = store.columns
+    ordinal = np.array([columns.ordinal.get(pid, -1) for pid in patient_ids], dtype=np.int64)
+    unknown = np.flatnonzero(ordinal < 0)
+    if len(unknown):
+        raise DomainError(f"unknown patient: {patient_ids[int(unknown[0])]}")
+    days = np.array([d.toordinal() for d in cutoffs], dtype=np.int64)
+    side = "right" if include_same_day else "left"
+    start = columns.offsets[ordinal]
+    sizes = np.searchsorted(columns.key, (ordinal << 32) | days, side) - start
+    history = np.repeat(np.arange(len(ordinal)), sizes)
+    # Row r of history k sits at start[k] + (r minus the history's first r).
+    rows = np.arange(len(history)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+    return history, columns.codes.item_id[columns.code[rows]]
 
 
 def pre_outcome_basket(
@@ -39,21 +64,12 @@ def pre_outcome_basket(
     cutoff_date: dt.date,
     include_same_day: bool = False,
 ) -> frozenset[Item]:
-    """Basket of items recorded before `cutoff_date`.
-
-    Events dated exactly on the cutoff are excluded by default: same-day
-    entry order is not recorded, so a same-day item may be a consequence
-    of the outcome rather than prior history. `include_same_day` keeps
-    them instead.
-    """
-    rows = store.rows(patient_id)
-    columns = store.columns
-    side = "right" if include_same_day else "left"
-    stop = rows.start + int(np.searchsorted(columns.day[rows], cutoff_date.toordinal(), side))
-    codes = columns.codes
-    ids = set(codes.item_id[columns.code[rows.start : stop]].tolist())
-    gender = gender_item(store.patients[patient_id].gender)
-    return frozenset([gender, *(codes.mining_items[i] for i in ids)])
+    """One patient's basket of items recorded before `cutoff_date`, plus
+    their gender item: `pre_outcome_items` for one history. A cutoff of
+    `dt.date.max` with `include_same_day` gives the whole-history basket."""
+    _, ids = pre_outcome_items(store, [patient_id], [cutoff_date], include_same_day)
+    items = [store.columns.codes.mining_items[i] for i in set(ids.tolist())]
+    return frozenset([gender_item(store.patients[patient_id].gender), *items])
 
 
 @dataclass(frozen=True)
@@ -167,17 +183,6 @@ class BasketDatabase:
             ids.append(idx)
         return len(self.cover(ids))
 
-    def supp(self, itemset: Iterable[Item]) -> float:
-        """Fraction of baskets containing `itemset` (1.0 for the empty set)."""
-        return self.count(itemset) / self.m
-
-    def ordinals(self, item: Item) -> np.ndarray:
-        """Sorted basket ordinals containing `item` (read-only)."""
-        idx = self.item_ids.get(item)
-        if idx is None:
-            return np.empty(0, dtype=np.int64)
-        return self.tid_lists[idx]
-
 
 def build_database(
     store: EventStore, min_active_months: int = DEFAULT_MIN_ACTIVE_MONTHS
@@ -209,12 +214,3 @@ def build_database(
     key = np.unique(basket * len(items) + item)  # distinct pairs, basket-major
     pairs = BasketPairs(pids, tuple(items), key // len(items), key % len(items))
     return BasketDatabase(pairs)
-
-
-def write_baskets(db: BasketDatabase, path: str) -> None:
-    """Debug dump: one `patient_id,item1|item2|...` row per basket."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("patient_id,items\n")
-        for pid, basket in db.baskets:
-            tokens = "|".join(sorted(it.token for it in basket))
-            fh.write(f"{pid},{tokens}\n")

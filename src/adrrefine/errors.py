@@ -76,6 +76,15 @@ def read_json(path: str) -> Any:
             raise ParseError(str(exc), source=path) from None
 
 
+def json_list(value: Any, field: str) -> list:
+    """`value` if it is a JSON list, else a TypeError naming `field` and the
+    JSON type it holds."""
+    if not isinstance(value, list):
+        kind = {dict: "an object", str: "a string", bool: "a boolean", type(None): "null"}
+        raise TypeError(f"{field} must be a list, not {kind.get(type(value), 'a number')}")
+    return value
+
+
 def csv_blocks(path: str, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
     """The records after a CSV file's header, a block at a time, each block
     with the line number of its first record. Records are numbered from

@@ -96,6 +96,11 @@ class EventColumns:
         sizes = np.diff(self.offsets)
         return _frozen(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
 
+    @cached_property
+    def key(self) -> np.ndarray:
+        """`(patient ordinal << 32) | day` per row, ascending as the rows are."""
+        return _frozen((self.patient.astype(np.int64) << 32) | self.day)
+
     def select(self, keep: np.ndarray) -> EventColumns:
         """The rows where `keep` is True, with the same patients and codes."""
         counts = np.bincount(self.patient[keep], minlength=len(self.offsets) - 1)
@@ -219,14 +224,6 @@ class EventStore:
     @property
     def code_table(self) -> CodeTable:
         return self.columns.codes
-
-    def rows(self, patient_id: str) -> slice:
-        """The slice of the event columns holding one patient's rows."""
-        if patient_id not in self.patients:
-            raise DomainError(f"unknown patient: {patient_id}")
-        k = self.columns.ordinal[patient_id]
-        offsets = self.columns.offsets
-        return slice(int(offsets[k]), int(offsets[k + 1]))
 
     @property
     def patient_count(self) -> int:
@@ -472,11 +469,9 @@ def _active_months(store: EventStore) -> np.ndarray:
 
 def active_months(store: EventStore, patient_id: str) -> int:
     """Whole months between a patient's first and last retained events."""
-    rows = store.rows(patient_id)
-    if rows.start == rows.stop:
-        return 0
-    day = store.columns.day
-    return int(_months_between_days(day[[rows.start]], day[[rows.stop - 1]])[0])
+    if patient_id not in store.patients:
+        raise DomainError(f"unknown patient: {patient_id}")
+    return int(_active_months(store)[store.columns.ordinal[patient_id]])
 
 
 def eligible_patients(

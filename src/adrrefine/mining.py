@@ -47,7 +47,8 @@ import numpy as np
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
-    ConfigError, DomainError, ParseError, check_workers, csv_blocks, csv_rows, read_json
+    ConfigError, DomainError, ParseError, check_workers, csv_blocks, csv_rows, json_list,
+    read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -689,18 +690,20 @@ def _check_fields(
     for token in (*antecedent_tokens, consequent_token):
         if token not in items:
             items[token] = parse_item(token)
+    measures = {name: float(v) for name, v in zip(_MEASURES, numbers)}
     AssociationRule(
-        antecedent=frozenset(items[t] for t in antecedent_tokens),
-        consequent=items[consequent_token],
-        **{name: float(v) for name, v in zip(_MEASURES, numbers)},
+        frozenset(items[t] for t in antecedent_tokens), items[consequent_token], **measures
     )
+    for name, value in measures.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
 
 
 def _table_from_fields(antecedents: list, consequents: list, numbers: list, split) -> RuleTable:
     """A table of rows given as antecedent keys (`split` gives a key's
     tokens), consequent tokens, and the five raw measure columns in
-    `_MEASURES` order, each converted by `float`. Each distinct token and
-    antecedent key is parsed once."""
+    `_MEASURES` order, each converted by `float` and required finite.
+    Each distinct token and antecedent key is parsed once."""
     keys: dict = {}
     key_of_row = [keys.setdefault(a, len(keys)) for a in antecedents]
     key_tokens = [split(a) for a in keys]
@@ -711,11 +714,14 @@ def _table_from_fields(antecedents: list, consequents: list, numbers: list, spli
     item_id = {it: k for k, it in enumerate(items)}
     token_id = {t: item_id[it] for t, it in parsed.items()}
     distinct = _id_matrix([sorted({token_id[t] for t in tokens}) for tokens in key_tokens])
+    measures = [np.array(list(map(float, column)), dtype=np.float64) for column in numbers]
+    if not np.isfinite(measures).all():
+        raise ValueError("a measure is not finite")
     return RuleTable(
         items,
         distinct[np.array(key_of_row, dtype=np.intp)],
         np.array([token_id[t] for t in consequents], dtype=np.int32),
-        *(np.array(list(map(float, column)), dtype=np.float64) for column in numbers),
+        *measures,
     )
 
 
@@ -768,7 +774,7 @@ def read_rules_json(path: str) -> RuleTable:
         if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
             raise TypeError("a measure is not a number")
         return _table_from_fields(
-            [tuple(obj["antecedent"]) for obj in payload],
+            [tuple(json_list(obj["antecedent"], "antecedent")) for obj in payload],
             [obj["consequent"] for obj in payload],
             numbers,
             lambda a: a,
@@ -780,7 +786,8 @@ def read_rules_json(path: str) -> RuleTable:
     for obj in payload:
         try:
             numbers = [obj[name] for name in _MEASURES]
-            _check_fields(obj["antecedent"], obj["consequent"], numbers, items)
+            antecedent = json_list(obj["antecedent"], "antecedent")
+            _check_fields(antecedent, obj["consequent"], numbers, items)
             _check_json_measures(numbers)
         except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
             raise ParseError(f"bad rule object: {exc}", source=path) from None

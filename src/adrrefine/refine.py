@@ -2,10 +2,11 @@
 
 Each signal instance is matched against the outcome's association rules:
 a rule matches when its whole antecedent appears in the patient's
-pre-outcome basket. An instance with a matched rule of lift above the
-threshold has a plausible alternative cause, is classed "expected", and
-is excluded from the adjusted risk numerator. Confidence and chi-squared
-maxima are carried through as diagnostics only; they never filter.
+pre-outcome history (all instances of a signal are matched at once). An
+instance with a matched rule of lift above the threshold has a plausible
+alternative cause, is classed "expected", and is excluded from the
+adjusted risk numerator. Confidence and chi-squared maxima are carried
+through as diagnostics only; they never filter.
 """
 
 from __future__ import annotations
@@ -13,18 +14,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baskets import pre_outcome_basket
-from .codes import Item, ItemKind, ReadCode, read_level, read_truncate
+# `pre_outcome_basket` is not called here; bench/spans.py wraps it by this module's name.
+from .baskets import pre_outcome_basket, pre_outcome_items
+from .codes import Item, ItemKind, ReadCode, gender_item, read_level, read_truncate
 from .errors import ConfigError, DomainError, check_workers
 from .events import EventStore
 from .mining import AssociationRule, RuleTable
 from .signals import (
-    AbResult,
     SignalInstance,
     SignalSpec,
     ab_ratio,
@@ -90,6 +91,49 @@ def extract_hoi_rules(
     return table[np.isin(table.consequent, ids)]
 
 
+# Bytes per block of instances in `assess_instances`: 1 per antecedent cell, 8 per measure cell.
+_MATCH_BYTES = 1 << 24
+
+
+def assess_instances(
+    store: EventStore,
+    instances: Sequence[SignalInstance],
+    hoi_rules: Iterable[AssociationRule],
+    include_same_day: bool = False,
+    lift_threshold: float = DEFAULT_LIFT_THRESHOLD,
+) -> tuple[InstanceAssessment, ...]:
+    """Match each instance's gender item and pre-outcome history against
+    the outcome rules. Maxima over the matched rules' confidence, lift,
+    and chi-squared are reported, all zero when nothing matches; only a
+    matched instance whose max lift exceeds the threshold is expected."""
+    rules = RuleTable.from_rules(hoi_rules)
+    pids = [inst.patient_id for inst in instances]
+    hist, item = pre_outcome_items(store, pids, [i.hoi_date for i in instances], include_same_day)
+    # Member columns: the rule vocabulary, one for the items no rule
+    # holds, and a last one, always set, that the -1 pad reads.
+    column = {it.token: k for k, it in enumerate(rules.items)}
+    other = len(rules.items)
+    item_column = [column.get(it.token, other) for it in store.columns.codes.mining_items]
+    gender_column = [column.get(gender_item(store.patients[p].gender).token, other) for p in pids]
+    member = np.zeros((len(pids), other + 2), dtype=bool)
+    member[hist, np.array(item_column, np.intp)[item]] = True
+    member[np.arange(len(pids)), np.array(gender_column, np.intp)] = True
+    member[:, -1] = True
+
+    measures = np.stack([rules.confidence, rules.lift, rules.chi_squared])
+    count = np.zeros(len(pids), dtype=np.int64)
+    best = np.zeros((len(measures), len(pids)))
+    step = max(1, _MATCH_BYTES // max(1, rules.antecedent.size + 8 * measures.size))
+    for block in (slice(lo, lo + step) for lo in range(0, len(pids), step)):
+        matched = member[block][:, rules.antecedent].all(axis=2)
+        count[block] = matched.sum(axis=1)
+        best[:, block] = np.where(matched, measures[:, None], -np.inf).max(axis=2, initial=-np.inf)
+    best[:, count == 0] = 0.0
+    expected = (count > 0) & (best[1] > lift_threshold)
+    fields = zip(count.tolist(), *best.tolist(), expected.tolist())
+    return tuple(InstanceAssessment(inst, *f) for inst, f in zip(instances, fields))
+
+
 def assess_instance(
     store: EventStore,
     instance: SignalInstance,
@@ -97,38 +141,8 @@ def assess_instance(
     include_same_day: bool = False,
     lift_threshold: float = DEFAULT_LIFT_THRESHOLD,
 ) -> InstanceAssessment:
-    """Match one instance's pre-outcome history against the outcome rules.
-
-    Maxima over the matched rules' confidence, lift, and chi-squared are
-    reported; all zero when nothing matches.
-    """
-    rules = RuleTable.from_rules(hoi_rules)
-    basket = pre_outcome_basket(
-        store, instance.patient_id, instance.hoi_date, include_same_day
-    )
-    # Basket membership per vocabulary id; the last entry, read through
-    # the -1 pad, counts as present.
-    member = np.array([it in basket for it in rules.items] + [True])
-    matched = member[rules.antecedent].all(axis=1)
-    if matched.any():
-        max_lift = max(rules.lift[matched].tolist())
-        return InstanceAssessment(
-            instance=instance,
-            matched_rule_count=int(matched.sum()),
-            max_confidence=max(rules.confidence[matched].tolist()),
-            max_lift=max_lift,
-            max_chi_squared=max(rules.chi_squared[matched].tolist()),
-            expected=max_lift > lift_threshold,
-        )
-    return InstanceAssessment(instance, 0, 0.0, 0.0, 0.0, False)
-
-
-def classify_expected(
-    assessment: InstanceAssessment, lift_threshold: float = DEFAULT_LIFT_THRESHOLD
-) -> bool:
-    """An instance is expected when some matched rule's lift strictly
-    exceeds the threshold; unmatched instances never are."""
-    return assessment.matched_rule_count >= 1 and assessment.max_lift > lift_threshold
+    """`assess_instances` for one instance."""
+    return assess_instances(store, [instance], hoi_rules, include_same_day, lift_threshold)[0]
 
 
 def absolute_risk(instance_count: int, exposures: int) -> float:
@@ -177,10 +191,7 @@ def refine(
         raise DomainError("no patients exposed to the drug family; risk undefined")
     if instances is None:
         instances = find_instances(spec, store)
-    assessments = tuple(
-        assess_instance(store, inst, hoi_rules, include_same_day, lift_threshold)
-        for inst in instances
-    )
+    assessments = assess_instances(store, instances, hoi_rules, include_same_day, lift_threshold)
 
     n = len(assessments)
     matched = [a for a in assessments if a.matched_rule_count > 0]

@@ -27,8 +27,8 @@ from .codes import (
     read_level,
     read_truncate,
 )
-from .errors import ConfigError, ParseError, csv_rows, read_json
-from .events import EventRecord, EventStore
+from .errors import ConfigError, ParseError, csv_rows, json_list, read_json
+from .events import EventStore
 
 DEFAULT_WINDOW = (1, 60)
 
@@ -74,9 +74,9 @@ def load_signal_spec(path: str) -> SignalSpec:
     """Read a signal spec JSON file: doi_items, hoi_code, window, name."""
     payload = read_json(path)
     try:
-        doi = frozenset(parse_bnf(code) for code in payload["doi_items"])
+        doi = frozenset(parse_bnf(code) for code in json_list(payload["doi_items"], "doi_items"))
         hoi = parse_read(payload["hoi_code"])
-        window = tuple(payload.get("window", DEFAULT_WINDOW))
+        window = tuple(json_list(payload.get("window", [*DEFAULT_WINDOW]), "window"))
         name = payload.get("name", "")
     except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"bad signal spec: {exc}", source=path) from None
@@ -85,15 +85,6 @@ def load_signal_spec(path: str) -> SignalSpec:
     if len(window) != 2 or not all(type(v) is int for v in window):
         raise ParseError(f"window must be two integer days: {window}", source=path)
     return SignalSpec(doi=doi, hoi=hoi, window=window, name=name)  # type: ignore[arg-type]
-
-
-def hoi_matches(record: EventRecord, hoi_query: ReadCode) -> bool:
-    """True when a diagnosis record equals the query or descends from it."""
-    return record.code_type == "READ" and _descends(parse_read(record.code), hoi_query)
-
-
-def _descends(code: ReadCode, hoi_query: ReadCode) -> bool:
-    return read_truncate(code, read_level(hoi_query)) == hoi_query
 
 
 def doi_matches(code: BnfCode, doi: frozenset[BnfCode]) -> bool:
@@ -112,9 +103,10 @@ def _family_mask(store: EventStore, doi: frozenset[BnfCode]) -> np.ndarray:
     return _code_mask(store, lambda c: isinstance(c, BnfCode) and doi_matches(c, doi))
 
 
-def _outcome_mask(store: EventStore, hoi_query: ReadCode) -> np.ndarray:
+def _outcome_mask(store: EventStore, hoi: ReadCode) -> np.ndarray:
     """Per code id: a diagnosis code that equals the query or descends from it."""
-    return _code_mask(store, lambda c: isinstance(c, ReadCode) and _descends(c, hoi_query))
+    level = read_level(hoi)
+    return _code_mask(store, lambda c: isinstance(c, ReadCode) and read_truncate(c, level) == hoi)
 
 
 # No two day numbers are further apart than this, so a window is cut to it.
@@ -124,14 +116,6 @@ _MAX_GAP = dt.date.max.toordinal()
 def _window(spec: SignalSpec) -> tuple[int, int]:
     start, end = spec.window
     return min(start, _MAX_GAP + 1), min(end, _MAX_GAP)
-
-
-def first_doi_date(store: EventStore, patient_id: str, doi: frozenset[BnfCode]) -> dt.date | None:
-    """Earliest retained prescription of the drug family, if any."""
-    rows = store.rows(patient_id)
-    columns = store.columns
-    hits = np.flatnonzero(_family_mask(store, doi)[columns.code[rows]])
-    return dt.date.fromordinal(int(columns.day[rows.start + hits[0]])) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -151,11 +135,9 @@ def ab_ratio(spec: SignalSpec, store: EventStore) -> AbResult:
     """
     start, end = _window(spec)
     columns = store.columns
-    # Rows are ordered by (patient, day), and so are these keys.
-    key = (columns.patient.astype(np.int64) << 32) | columns.day
-    outcome = key[_outcome_mask(store, spec.hoi)[columns.code]]
+    outcome = columns.key[_outcome_mask(store, spec.hoi)[columns.code]]
     family = _family_mask(store, spec.doi)[columns.code]
-    drug, item = key[family], columns.codes.item_id[columns.code[family]]
+    drug, item = columns.key[family], columns.codes.item_id[columns.code[family]]
     order = np.lexsort((item, drug))
     drug, item = drug[order], item[order]
     distinct = np.ones(len(drug), dtype=bool)

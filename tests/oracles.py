@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: supports come from
 scanning tid-sets per candidate, and the chi-squared statistic is the
 textbook count-based 2x2 form. Rule matching is a frozenset subset
-test per rule, and the rules-file writers go a rule at a time through
-`csv.writer` and `json.dump`. The library must agree with them.
+test per rule, an outcome record is a string-prefix test, and the
+rules-file writers go a rule at a time through `csv.writer` and
+`json.dump`. The library must agree with them.
 """
 
 import csv
@@ -100,6 +101,12 @@ def brute_force_rules(baskets, consequent, min_left_support, min_confidence, max
                 chi2_counts_oracle(count_xy, count_x, count_y, m),
             )
     return found
+
+
+def outcome_oracle(code_type, code, hoi_query):
+    """Whether a record is an outcome of a diagnosis query, on the strings:
+    a READ code that starts with the query's characters before its dots."""
+    return code_type == "READ" and code.startswith(str(hoi_query).rstrip("."))
 
 
 def assess_oracle(basket, rules, lift_threshold):

@@ -4,14 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from adrrefine.baskets import (
-    BasketDatabase,
-    build_basket,
-    build_database,
-    pre_outcome_basket,
-    write_baskets,
-)
-from adrrefine.codes import Item, ItemKind, parse_item
+from adrrefine.baskets import BasketDatabase, build_database, pre_outcome_basket
+from adrrefine.codes import Item, ItemKind
 from adrrefine.errors import DomainError
 from adrrefine.events import load
 
@@ -23,6 +17,11 @@ DOI1 = Item(ItemKind.BNF, "1.1.0.0")
 DOI2 = Item(ItemKind.BNF, "2.2.0.0")
 HOI3 = Item(ItemKind.READ, "H03..")
 HOI5 = Item(ItemKind.READ, "H05..")
+
+
+def build_basket(store, patient_id):
+    """The whole-history basket: every retained row, same day included."""
+    return pre_outcome_basket(store, patient_id, dt.date.max, include_same_day=True)
 
 
 class TestBuildBasket:
@@ -105,14 +104,14 @@ class TestIndex:
     def test_index_counts_match_supports(self, worked_store):
         db = build_database(worked_store, min_active_months=0)
         for item in db.items:
-            ordinals = db.ordinals(item)
-            assert len(ordinals) / db.m == db.supp([item])
+            ordinals = db.tid_lists[db.item_ids[item]]
+            assert len(ordinals) == db.count([item]) == db.item_count(item)
             for o in ordinals:
                 assert item in db.baskets[o][1]
 
     def test_empty_itemset_support_is_one(self, worked_store):
         db = build_database(worked_store, min_active_months=0)
-        assert db.supp([]) == 1.0
+        assert db.count([]) == db.m
 
     def test_pair_counts_match_scan(self):
         # Itemsets of size 0-3 over items whose densities sit on both sides
@@ -131,7 +130,6 @@ class TestIndex:
             itemset = rng.sample(pool, rng.randint(0, 3))
             want = [o for o, (_, b) in enumerate(baskets) if set(itemset) <= b]
             assert db.count(itemset) == len(want)
-            assert db.supp(itemset) == len(want) / db.m
             if all(it in db for it in itemset):
                 assert db.cover([db.item_ids[it] for it in itemset]).tolist() == want
 
@@ -140,20 +138,8 @@ class TestIndex:
         with pytest.raises(ValueError):
             db.bits[0, 0] = 1
         with pytest.raises(ValueError):
-            db.ordinals(GENDER_M)[0] = 3
+            db.tid_lists[db.item_ids[GENDER_M]][0] = 3
 
     def test_unknown_item_count_is_zero(self, worked_store):
         db = build_database(worked_store, min_active_months=0)
         assert db.count([Item(ItemKind.READ, "Zzz..")]) == 0
-
-    def test_basket_dump_round_trips(self, worked_store, tmp_path):
-        db = build_database(worked_store, min_active_months=0)
-        path = tmp_path / "baskets.csv"
-        write_baskets(db, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "patient_id,items"
-        assert len(lines) == db.m + 1
-        for (pid, basket), line in zip(db.baskets, lines[1:]):
-            got_pid, tokens = line.split(",", 1)
-            assert got_pid == pid
-            assert frozenset(parse_item(t) for t in tokens.split("|")) == basket

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import tempfile
 from pathlib import Path
@@ -201,11 +202,12 @@ class TestMineAgainstOracle:
         mined = read_rules_csv(str(out_file))
 
         from adrrefine.events import load as load_store
-        from adrrefine.baskets import build_basket
+        from adrrefine.baskets import pre_outcome_basket
 
         store = load_store(patients, events)
         for pid in store.patients:
-            baskets.append({it.token for it in build_basket(store, pid)})
+            whole = pre_outcome_basket(store, pid, dt.date.max, include_same_day=True)
+            baskets.append({it.token for it in whole})
         consequents = {r.consequent for r in mined}
         for consequent in consequents:
             oracle = brute_force_rules(baskets, consequent.token, 0.1, 0.2, 3)
@@ -325,6 +327,55 @@ class TestRefine:
         )
         assert code == 2
         assert f"{rules}:2:" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_unknown_patient_in_instances_exits_one(self, capsys, worked_example_dir, tmp_path):
+        instances = tmp_path / "instances.csv"
+        instances.write_text("patient_id,doi_date,hoi_date\nnope,2005-01-01,2005-01-09\n")
+        code, _, err = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(worked_example_dir / "rules.csv"),
+            "--spec", str(worked_example_dir / "signal.json"),
+            "--instances", str(instances),
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 1
+        assert "error: unknown patient: nope" in err
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_non_finite_measure_exits_two(self, capsys, worked_example_dir, tmp_path, suffix):
+        # Read back, a NaN lift flagged nothing and report.json held NaN,
+        # which is not JSON.
+        rules = tmp_path / f"rules.{suffix}"
+        if suffix == "csv":
+            text = (worked_example_dir / "rules.csv").read_text().splitlines(keepends=True)
+            fields = text[2].split(",")
+            fields[5] = "nan"
+            text[2] = ",".join(fields)
+            rules.write_text("".join(text))
+            where = f"{rules}:3: "
+        else:
+            from adrrefine.mining import read_rules_csv, write_rules_json
+
+            write_rules_json(read_rules_csv(str(worked_example_dir / "rules.csv")), str(rules))
+            payload = json.loads(rules.read_text())
+            payload[1]["lift"] = float("nan")
+            rules.write_text(json.dumps(payload))
+            where = f"{rules}: bad rule object: "
+        code, _, err = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(rules),
+            "--spec", str(worked_example_dir / "signal.json"),
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 2
+        assert f"error: {where}lift must be finite, not nan" in err
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("top", ["5", "null", "{}"])
@@ -585,6 +636,21 @@ class TestWrongValueTypes:
                 {"doi_items": ["1.1.0.0"], "hoi_code": "H05..", "window": [True, 60]},
                 "window must be two integer days: (True, 60)",
             ),
+            # A string or object where a list belongs was read as its
+            # characters or keys.
+            ({"doi_items": "1.1.0.0", "hoi_code": "H05.."}, "doi_items must be a list, not a string"),
+            (
+                {"doi_items": {"1.1.0.0": 1}, "hoi_code": "H05.."},
+                "doi_items must be a list, not an object",
+            ),
+            (
+                {"doi_items": ["1.1.0.0"], "hoi_code": "H05..", "window": {"1": 0, "60": 0}},
+                "window must be a list, not an object",
+            ),
+            (
+                {"doi_items": ["1.1.0.0"], "hoi_code": "H05..", "window": "16"},
+                "window must be a list, not a string",
+            ),
         ],
     )
     def test_signal_spec(self, capsys, worked_example_dir, tmp_path, payload, message):
@@ -605,6 +671,21 @@ class TestWrongValueTypes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {rules}: bad rule object: item must be a string: 5" in err
+
+    @pytest.mark.parametrize(
+        "antecedent, got", [("2.2.0.0", "a string"), ({"2.2.0.0": 1}, "an object")]
+    )
+    def test_rules_json_antecedent_not_a_list(
+        self, capsys, worked_example_dir, tmp_path, antecedent, got
+    ):
+        rule = {"antecedent": antecedent, "consequent": "H05..", "left_support": 0.1,
+                "support": 0.05, "confidence": 0.5, "lift": 1.5, "chi_squared": 2.0}
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([rule]))
+        argv = self.refine_argv(worked_example_dir, tmp_path, **{"rules.csv": str(rules)})
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {rules}: bad rule object: antecedent must be a list, not {got}" in err
 
     def test_rules_json_measure(self, capsys, worked_example_dir, tmp_path):
         rule = {"antecedent": ["2.2.0.0"], "consequent": "H05..", "left_support": 0.1,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adrrefine.baskets import build_basket, build_database, pre_outcome_basket
+from adrrefine.baskets import build_database, pre_outcome_basket
 from adrrefine.codes import BnfCode, ReadCode, normalize_item, parse_bnf, parse_code, parse_read
 from adrrefine.errors import ParseError
 from adrrefine.events import (
@@ -88,7 +88,7 @@ class TestCodeTable:
     @pytest.mark.parametrize(
         "use",
         [
-            lambda store: build_basket(store, "p1"),
+            lambda store: pre_outcome_basket(store, "p1", dt.date.max, include_same_day=True),
             lambda store: exposure_count(SPEC.doi, store),
             lambda store: find_instances(SPEC, store),
             lambda store: ab_ratio(SPEC, store),

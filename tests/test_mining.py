@@ -455,7 +455,7 @@ class TestMineRules:
             for item in r.antecedent:
                 smaller = r.antecedent - {item}
                 if smaller:
-                    assert db.supp(smaller) >= constraints.min_left_support
+                    assert db.count(smaller) / db.m >= constraints.min_left_support
 
 
 class TestMineAllRules:

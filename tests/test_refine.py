@@ -1,26 +1,32 @@
 import csv
 import datetime as dt
+import importlib
 import json
 import random
 
 import pytest
 
-from adrrefine.codes import Item, ItemKind, parse_bnf, parse_read
+from adrrefine.codes import Item, ItemKind, normalize_item, parse_bnf, parse_read
 from adrrefine.errors import ConfigError, DomainError
 from adrrefine.events import apply_prescription_exclusions
 from adrrefine.mining import AssociationRule, read_rules_csv
 from adrrefine.refine import (
-    InstanceAssessment,
     absolute_risk,
     adjusted_risk,
     assess_instance,
-    classify_expected,
+    assess_instances,
     extract_hoi_rules,
     refine,
     write_report_csv,
     write_report_json,
 )
 from adrrefine.signals import SignalInstance, SignalSpec, load_signal_spec, read_instances_csv
+
+from oracles import assess_oracle
+from test_signals import DIAGNOSIS_POOL, DRUG_POOL, calendar_store, record_scan_basket
+
+# The module; `adrrefine.refine` as a package attribute is the function.
+refine_module = importlib.import_module("adrrefine.refine")
 
 
 @pytest.fixture()
@@ -84,25 +90,143 @@ class TestAssessInstance:
         assert not a.expected
 
 
+def assessment_tuple(a):
+    return (a.matched_rule_count, a.max_confidence, a.max_lift, a.max_chi_squared, a.expected)
+
+
+OUTCOME = Item(ItemKind.READ, "N77..")
+GENDER_F = Item(ItemKind.GENDER, "F")
+# The calendar stores' items, both genders, and two items no store holds.
+RULE_POOL = sorted(
+    {normalize_item("BNF", c) for c in DRUG_POOL}
+    | {normalize_item("READ", c) for c in DIAGNOSIS_POOL}
+    | {Item(ItemKind.GENDER, "M"), GENDER_F}
+    | {Item(ItemKind.READ, "Z99.."), Item(ItemKind.BNF, "9.9.0.0")},
+    key=lambda it: it.token,
+)
+
+
+def random_rules(rng: random.Random, count: int) -> list[AssociationRule]:
+    """Rules over `RULE_POOL` with antecedents of 1-3 items, plus one rule
+    whose antecedent is the gender item F alone."""
+    rules = [AssociationRule(frozenset([GENDER_F]), OUTCOME, 0.1, 0.5, 0.2, 1.1, 3.0)]
+    for _ in range(count):
+        rules.append(AssociationRule(
+            frozenset(rng.sample(RULE_POOL, rng.randint(1, 3))), OUTCOME,
+            rng.random(), rng.random(), rng.random(),
+            rng.choice([0.5, 1.0, 1.2, 3.0]), rng.uniform(0, 300),
+        ))
+    return rules
+
+
+def outcome_day_instances(rng: random.Random, store) -> list[SignalInstance]:
+    """Per patient, instances whose outcome day is one of its event days,
+    and one dated before every event (no history rows); patients without
+    events get only that one. Shuffled, so patients repeat out of order."""
+    instances = []
+    for pid in store.patients:
+        days = sorted({e.date for e in store.patient_events(pid)})
+        for day in [*rng.sample(days, min(2, len(days))), dt.date(1990, 1, 1)]:
+            instances.append(SignalInstance(pid, day - dt.timedelta(days=1), day))
+    rng.shuffle(instances)
+    return instances
+
+
+class TestAssessInstances:
+    """All of a signal's instances in one match, against the frozenset
+    subset oracle over record-scan baskets."""
+
+    @pytest.mark.parametrize("seed", [81, 82])
+    def test_equals_frozenset_subset_oracle(self, seed):
+        rng = random.Random(seed)
+        store = calendar_store(rng)
+        for source in (store, apply_prescription_exclusions(store)):
+            instances = outcome_day_instances(rng, source)
+            baskets = {
+                same_day: [
+                    record_scan_basket(source, i.patient_id, i.hoi_date, same_day)
+                    for i in instances
+                ]
+                for same_day in (False, True)
+            }
+            for _ in range(4):
+                rules = random_rules(rng, rng.randint(0, 30))
+                for same_day in (False, True):
+                    for threshold in (1.0, 1.2):
+                        got = assess_instances(source, instances, rules, same_day, threshold)
+                        assert [a.instance for a in got] == instances
+                        assert [assessment_tuple(a) for a in got] == [
+                            assess_oracle(basket, rules, threshold) for basket in baskets[same_day]
+                        ]
+
+    def test_oracle_inputs_cover_the_edge_cases(self):
+        rng = random.Random(81)
+        store = calendar_store(rng)
+        instances = outcome_day_instances(rng, store)
+        rules = random_rules(rng, 5)
+        strict = [record_scan_basket(store, i.patient_id, i.hoi_date, False) for i in instances]
+        loose = [record_scan_basket(store, i.patient_id, i.hoi_date, True) for i in instances]
+        assert sum(a != b for a, b in zip(strict, loose)) > 10  # same-day rows decide
+        assert sum(len(b) == 1 for b in strict) > 10  # gender only: no history rows
+        got = [assess_oracle(b, rules, 1.0) for b in strict]
+        assert 0 < sum(g[0] > 0 for g in got) < len(got)
+        assert sum(g[0] > 1 for g in got) > 0
+        assert 0 < sum(g[4] for g in got) < len(got)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        rng = random.Random(83)
+        store = calendar_store(rng)
+        instances = outcome_day_instances(rng, store)
+        rules = random_rules(rng, 20)
+        whole = assess_instances(store, instances, rules)
+        # A byte per instance and rule slot plus 24 per instance and rule
+        # make 20 instances or fewer per block at 20,000 bytes.
+        for budget in (1, 20_000):
+            monkeypatch.setattr(refine_module, "_MATCH_BYTES", budget)
+            assert assess_instances(store, instances, rules) == whole
+
+    def test_no_instances_and_no_rules(self, worked_store, worked_rules, worked_instances):
+        hoi_rules = extract_hoi_rules(worked_rules, parse_read("H05.."))
+        assert assess_instances(worked_store, [], hoi_rules) == ()
+        assert assess_instances(worked_store, [], []) == ()
+        for empty in ([], hoi_rules[:0]):
+            got = assess_instances(worked_store, worked_instances, empty, lift_threshold=-1.0)
+            assert [assessment_tuple(a) for a in got] == [(0, 0.0, 0.0, 0.0, False)] * 4
+
+    def test_unknown_patient(self, worked_store, worked_rules, worked_instances):
+        unknown = SignalInstance("nope", dt.date(2005, 1, 1), dt.date(2005, 1, 9))
+        instances = [*worked_instances, unknown]
+        with pytest.raises(DomainError, match="^unknown patient: nope$"):
+            assess_instances(worked_store, instances, worked_rules)
+
+
 class TestClassifyExpected:
-    def _assessment(self, matched, lift):
-        inst = SignalInstance("p", dt.date(2020, 1, 1), dt.date(2020, 1, 10))
-        return InstanceAssessment(inst, matched, 0.1, lift, 5.0, False)
+    """The lift rule, through `assess_instance` with one rule over patient
+    2's history before 2001-08-14 (gender M, H03.., 1.1.0.0, 2.2.0.0)."""
 
-    def test_lift_above_threshold(self):
-        assert classify_expected(self._assessment(1, 1.4))
+    def _assess(self, worked_store, antecedent, lift, **kwargs):
+        rule = AssociationRule(
+            antecedent=frozenset([Item(ItemKind.READ, antecedent)]),
+            consequent=Item(ItemKind.READ, "H05.."),
+            support=0.01, left_support=0.1, confidence=0.1, lift=lift, chi_squared=5.0,
+        )
+        inst = SignalInstance("2", dt.date(2001, 1, 1), dt.date(2001, 8, 14))
+        return assess_instance(worked_store, inst, [rule], **kwargs)
 
-    def test_lift_exactly_one_is_not_expected(self):
-        assert not classify_expected(self._assessment(1, 1.0))
+    def test_lift_above_threshold(self, worked_store):
+        assert self._assess(worked_store, "H03..", 1.4).expected
 
-    def test_unmatched_is_not_expected(self):
-        assert not classify_expected(self._assessment(0, 0.0))
+    def test_lift_exactly_one_is_not_expected(self, worked_store):
+        assert not self._assess(worked_store, "H03..", 1.0).expected
 
-    def test_threshold_parameter(self):
-        a = self._assessment(2, 1.4)
-        assert classify_expected(a, lift_threshold=1.0)
-        assert not classify_expected(a, lift_threshold=1.4)
-        assert not classify_expected(a, lift_threshold=2.0)
+    def test_unmatched_is_not_expected(self, worked_store):
+        a = self._assess(worked_store, "Z99..", 1.4, lift_threshold=-1.0)
+        assert a.matched_rule_count == 0
+        assert not a.expected
+
+    def test_threshold_parameter(self, worked_store):
+        for threshold, want in ((1.0, True), (1.4, False), (2.0, False)):
+            assert self._assess(worked_store, "H03..", 1.4, lift_threshold=threshold).expected is want
 
 
 class TestRiskArithmetic:
@@ -153,6 +277,11 @@ class TestRefine:
         assert report.exposure_count == 4
         assert report.instance_count == 3  # patients 2, 3, 4 are in-window
         assert report.ab_ratio == 3.0
+
+    def test_unknown_patient_in_supplied_instances(self, worked_store, worked_rules, worked_spec):
+        instances = [SignalInstance("nope", dt.date(2005, 1, 1), dt.date(2005, 1, 9))]
+        with pytest.raises(DomainError, match="^unknown patient: nope$"):
+            refine(worked_spec, worked_rules, worked_store, instances=instances, exposures=25)
 
     def test_zero_exposure_rejected(self, worked_store, worked_rules):
         spec = SignalSpec(

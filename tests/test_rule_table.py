@@ -288,8 +288,11 @@ class TestReaderErrors:
                 read_rules_csv(path)
             assert str(info.value).endswith(str(exc))
             return
-        got = read_rules_csv(path)[1].support
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        if not math.isfinite(want):  # a NaN or infinite measure has no defined rule
+            with pytest.raises(ParseError, match=f"^{path}:3: support must be finite, not {want}$"):
+                read_rules_csv(path)
+            return
+        assert read_rules_csv(path)[1].support == want
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -297,13 +300,16 @@ class TestReaderErrors:
             ({"left_support": None}, "float() argument must be a string or a real number, not 'NoneType'"),
             ({"antecedent": ["A11..", "B11.."]}, "consequent A11.. also in antecedent"),
             ({"antecedent": []}, "rule antecedent must not be empty"),
-            ({"antecedent": "B11.."}, "read code must have exactly 5 characters: 'B'"),
+            ({"antecedent": "B11.."}, "antecedent must be a list, not a string"),
             ({"consequent": "Q9x!."}, "read code contains invalid character '!': 'Q9x!.'"),
             ({"left_support": True}, "left_support must be a number, not true"),
             ({"support": "0.05"}, 'support must be a number, not "0.05"'),
             ({"lift": "1_5"}, 'lift must be a number, not "1_5"'),
             # Two faults in one object: the token comes first.
             ({"consequent": "Q9x!.", "lift": "1.5"}, "read code contains invalid character '!': 'Q9x!.'"),
+            ({"antecedent": {"B11..": 1}}, "antecedent must be a list, not an object"),
+            ({"lift": math.nan}, "lift must be finite, not nan"),
+            ({"chi_squared": -math.inf}, "chi_squared must be finite, not -inf"),
         ],
     )
     def test_json_messages(self, tmp_path, changes, message):

@@ -23,14 +23,13 @@ from adrrefine.signals import (
     doi_matches,
     exposure_count,
     find_instances,
-    first_doi_date,
-    hoi_matches,
     load_signal_spec,
     read_instances_csv,
     write_instances_csv,
 )
 
 from conftest import write_cohort
+from oracles import outcome_oracle
 
 DOI = frozenset([parse_bnf("1.1.0.0")])
 
@@ -89,7 +88,7 @@ def day_scan_ab(spec: SignalSpec, store) -> tuple[int, int]:
     after = before = 0
     for pid in store.patients:
         events = store.patient_events(pid)
-        hoi_days = {e.date for e in events if hoi_matches(e, spec.hoi)}
+        hoi_days = {e.date for e in events if outcome_oracle(e.code_type, e.code, spec.hoi)}
         seen = set()
         for e in events:
             if e.code_type != "BNF" or not doi_matches(parse_bnf(e.code), spec.doi):
@@ -127,7 +126,8 @@ def record_scan_instances(spec: SignalSpec, store) -> list[SignalInstance]:
         hits = [
             e.date
             for e in store.patient_events(pid)
-            if hoi_matches(e, spec.hoi) and start <= (e.date - doi_date).days <= end
+            if outcome_oracle(e.code_type, e.code, spec.hoi)
+            and start <= (e.date - doi_date).days <= end
         ]
         if hits:
             instances.append(SignalInstance(pid, doi_date, min(hits)))
@@ -161,27 +161,35 @@ class TestSpecValidation:
             load_signal_spec(str(path))
 
 
+def outcome_matches(code_type: str, code: str, query: str) -> bool:
+    """Whether one record, nine days after a family prescription, makes
+    an instance of the outcome query."""
+    patients = {"p": PatientInfo("p", "M", 1950, dt.date(2000, 1, 1))}
+    events = {"p": (
+        EventRecord("p", dt.date(2020, 1, 1), "BNF", "1.1.0.0"),
+        EventRecord("p", dt.date(2020, 1, 10), code_type, code),
+    )}
+    found = bool(find_instances(make_spec(hoi=parse_read(query)), EventStore(patients, events)))
+    assert found == outcome_oracle(code_type, code, parse_read(query))
+    return found
+
+
 class TestHoiMatching:
     def test_exact_match(self):
-        rec = EventRecord("p", dt.date(2020, 1, 1), "READ", "B572.")
-        assert hoi_matches(rec, parse_read("B572."))
+        assert outcome_matches("READ", "B572.", "B572.")
 
     def test_descendant_matches(self):
-        rec = EventRecord("p", dt.date(2020, 1, 1), "READ", "B572z")
-        assert hoi_matches(rec, parse_read("B572."))
+        assert outcome_matches("READ", "B572z", "B572.")
 
     def test_ancestor_does_not_match(self):
-        rec = EventRecord("p", dt.date(2020, 1, 1), "READ", "B57..")
-        assert not hoi_matches(rec, parse_read("B572."))
+        assert not outcome_matches("READ", "B57..", "B572.")
 
     def test_prescriptions_never_match(self):
-        rec = EventRecord("p", dt.date(2020, 1, 1), "BNF", "1.1.0.0")
-        assert not hoi_matches(rec, parse_read("B572."))
+        assert not outcome_matches("BNF", "1.1.0.0", "B572.")
 
     def test_level_three_query_catches_family(self):
         for code in ("AB2..", "AB21.", "AB2zz"):
-            rec = EventRecord("p", dt.date(2020, 1, 1), "READ", code)
-            assert hoi_matches(rec, parse_read("AB2.."))
+            assert outcome_matches("READ", code, "AB2..")
 
 
 class TestDoiMatching:
@@ -199,22 +207,29 @@ class TestDoiMatching:
 
 
 class TestFirstDoiDate:
+    """An instance's drug date is the patient's first family prescription."""
+
     def test_worked_example_patient_one(self, worked_store):
-        assert first_doi_date(worked_store, "1", DOI) == dt.date(2003, 6, 5)
+        instances = find_instances(make_spec(window=(1, 3650)), worked_store)
+        (inst,) = [i for i in instances if i.patient_id == "1"]
+        assert inst.doi_date == dt.date(2003, 6, 5)
 
     def test_never_prescribed(self, tmp_path):
         patients, events = write_cohort(
-            tmp_path, ["p1,M,1950,2000-01-01"], ["p1,2001-01-01,READ,A11.."]
+            tmp_path, ["p1,M,1950,2000-01-01"], ["p1,2001-01-01,READ,A11..", "p1,2001-02-01,READ,H05.."]
         )
-        assert first_doi_date(load(patients, events), "p1", DOI) is None
+        store = load(patients, events)
+        assert exposure_count(DOI, store) == 0
+        assert find_instances(make_spec(window=(1, 3650)), store) == []
 
     def test_earliest_of_two(self, tmp_path):
         patients, events = write_cohort(
             tmp_path,
             ["p1,M,1950,2000-01-01"],
-            ["p1,2003-01-01,BNF,1.1.2.0", "p1,2001-06-01,BNF,1.1.0.0"],
+            ["p1,2003-01-01,BNF,1.1.2.0", "p1,2001-06-01,BNF,1.1.0.0", "p1,2003-06-01,READ,H05.."],
         )
-        assert first_doi_date(load(patients, events), "p1", DOI) == dt.date(2001, 6, 1)
+        (inst,) = find_instances(make_spec(window=(1, 3650)), load(patients, events))
+        assert inst.doi_date == dt.date(2001, 6, 1)
 
 
 class TestAbRatio:
@@ -342,8 +357,9 @@ class TestFindInstances:
 
 
 class TestRecordScanOracle:
-    """Exposures, first dates and instances against per-record scans over
-    `doi_matches`/`hoi_matches`, at family levels 1-4 and outcome levels 3-5."""
+    """Exposures and instances (whose drug date is the first prescription)
+    against per-record scans over `doi_matches` and `outcome_oracle`, at
+    family levels 1-4 and outcome levels 3-5."""
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_matches_record_scan(self, seed):
@@ -351,9 +367,6 @@ class TestRecordScanOracle:
         for spec in oracle_specs():
             first = record_scan_first_dates(store, spec.doi)
             assert exposure_count(spec.doi, store) == len(first)
-            assert {pid: first_doi_date(store, pid, spec.doi) for pid in store.patients} == {
-                pid: first.get(pid) for pid in store.patients
-            }
             assert find_instances(spec, store) == record_scan_instances(spec, store), spec
 
     def test_oracle_inputs_cover_the_edge_cases(self):
