@@ -6,14 +6,16 @@ ParseError and I/O failures -> 2.
 """
 
 import csv
+import io
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Any, TextIO
 
-# CSV records read at a time by `csv_blocks`.
-_CSV_BLOCK = 4096
+# Characters of CSV text read at a time by `csv_columns`, then extended to
+# the end of the line.
+_CSV_BLOCK_CHARS = 1 << 16
 
 
 class AdrRefineError(Exception):
@@ -85,45 +87,153 @@ def json_list(value: Any, field: str) -> list:
     return value
 
 
-def csv_blocks(path: str, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
-    """The records after a CSV file's header, a block at a time, each block
-    with the line number of its first record. Records are numbered from
-    the header's 1, blank ones (empty lists) included. A header other than
-    `header`, or a record the csv module cannot read, is a ParseError with
-    the file and line."""
-    line, block = 0, []
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != header:
+def column_values(known: dict, values: Sequence, add: Callable) -> list:
+    """`known[value]` for each value. A value not yet known is added first
+    as `add(value)`, once per distinct value, in first-seen order."""
+    try:
+        return list(map(known.__getitem__, values))
+    except KeyError:
+        for value in dict.fromkeys(values):
+            if value not in known:
+                known[value] = add(value)
+        return list(map(known.__getitem__, values))
+
+
+class CsvBlock:
+    """Consecutive records of a CSV file, after its header.
+
+    `first` is the line number of the first record. `columns` holds the
+    fields of the non-blank records, one list per header column, or is
+    None when some record does not have one field per column. `rows()`
+    checks and gives those records one at a time.
+    """
+
+    __slots__ = ("path", "first", "width", "columns", "_records")
+
+    def __init__(self, path: str, first: int, width: int, records: list, columns: list | None):
+        self.path = path
+        self.first = first
+        self.width = width
+        self.columns = columns
+        self._records = records  # lines of the split path, or csv.reader records
+
+    def rows(self) -> Iterator[tuple[int, list[str]]]:
+        """The non-blank records, each with its line number; a record
+        without one field per column is a ParseError."""
+        for line, record in enumerate(self._records, self.first):
+            if record:
+                row = _fields(record)
+                if len(row) != self.width:
+                    message = f"expected {self.width} fields, got {len(row)}"
+                    raise ParseError(message, source=self.path, line=line)
+                yield line, row
+
+
+def _split_lines(text: str, width: int) -> list[str] | None:
+    """The lines of whole-line text, blank ones included, when splitting
+    each on commas reads it as `csv.reader` does: the text has no `"` and
+    no `\r` outside `\r\n`, each non-blank line has `width - 1` commas,
+    and no line is longer than the csv module's field limit. Else None."""
+    if '"' in text:
+        return None
+    newline = "\n"
+    if "\r" in text:
+        crlf = text.count("\r\n")
+        if text.count("\r") != crlf:
+            return None
+        if text.count("\n") == crlf:
+            newline = "\r\n"
+        else:
+            text = text.replace("\r\n", "\n")
+    lines = text.split(newline)  # not `splitlines`, which also splits on \x0b, \x1c, ...
+    if not lines[-1]:
+        lines.pop()  # the text's last newline ends a line and starts none
+    rows = [line for line in lines if line] if "" in lines else lines
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, rows), default=0) > limit:
+        return None
+    return lines
+
+
+def _fields(record: str | list[str]) -> list[str]:
+    """The fields of a split-path line or a csv.reader record."""
+    return record.split(",") if isinstance(record, str) else record
+
+
+def _columns(rows: list, width: int) -> list | None:
+    """The columns of non-blank records, all split-path lines or all
+    csv.reader records, or None if some record is not `width` long."""
+    if isinstance(rows[0], str):
+        fields = ",".join(rows).split(",")
+        return [fields[j::width] for j in range(width)]
+    if set(map(len, rows)) != {width}:
+        return None
+    return [list(column) for column in zip(*rows)]
+
+
+def csv_columns(path: str, header: list[str]) -> Iterator[CsvBlock]:
+    """The records after a CSV file's header, as blocks of columns.
+
+    The file is opened once and read a block of whole lines at a time. A
+    block that `_split_lines` accepts becomes columns by splitting its
+    lines on commas, which reads it exactly as `csv.reader` would. The
+    first block it does not accept, and the rest of the file after it,
+    go through `csv.reader`, so quoted fields may hold commas and span
+    lines. Records are numbered from the header's 1, blank ones
+    included; a block of blank records only is skipped. A header other
+    than `header` is a ParseError at line 1. A record the csv module
+    cannot read is a ParseError with the file and line, raised after the
+    block of the records before it.
+    """
+    width = len(header)
+    read = 0  # records read so far, the header's included
+
+    def block(records: list) -> CsvBlock | None:
+        nonlocal read
+        if not read:
+            if not records or _fields(records[0]) != header:
                 raise ParseError(f"expected header {','.join(header)}", source=path, line=1)
-            line = 1
-            while True:
-                block = []
-                block.extend(islice(reader, _CSV_BLOCK))  # keeps the records before a csv.Error
-                if not block:
-                    return
-                yield line + 1, block
-                line += len(block)
-        except csv.Error as exc:
-            raise ParseError(str(exc), source=path, line=line + len(block) + 1) from None
+            records = records[1:]
+            read = 1
+        first, read = read + 1, read + len(records)
+        rows = list(filter(None, records))
+        if not rows:
+            return None
+        return CsvBlock(path, first, width, records, _columns(rows, width))
 
-
-def block_rows(
-    path: str, first: int, block: list[list[str]], width: int
-) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank records of a block from `csv_blocks`, each with its
-    line number; a record without `width` fields is a ParseError."""
-    for line, row in enumerate(block, first):
-        if row:
-            if len(row) != width:
-                message = f"expected {width} fields, got {len(row)}"
-                raise ParseError(message, source=path, line=line)
-            yield line, row
+    with open_input(path, newline="") as fh:
+        while True:
+            text = fh.read(_CSV_BLOCK_CHARS)
+            if not text.endswith("\n"):
+                text += fh.readline()  # to the end of the line; "\n" after a "\r"
+            lines = _split_lines(text, width)
+            if lines is None:
+                break
+            if not lines and read:
+                return
+            if (found := block(lines)) is not None:
+                yield found
+        reader = csv.reader(chain(io.StringIO(text, newline=""), fh))
+        size = text.count("\n") + 1  # records per block
+        while True:
+            records, error = [], None
+            try:
+                records.extend(islice(reader, size))  # keeps the records before a csv.Error
+            except csv.Error as exc:
+                error = ParseError(str(exc), source=path, line=read + len(records) + 1)
+            if records or (error is None and not read):
+                if (found := block(records)) is not None:
+                    yield found
+            if error is not None:
+                raise error
+            if not records:
+                return
 
 
 def csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The non-blank records after a CSV file's header, each with its line
-    number, checked as `csv_blocks` and `block_rows` check them."""
-    for first, block in csv_blocks(path, header):
-        yield from block_rows(path, first, block, len(header))
+    number, read and checked as `csv_columns` and `CsvBlock.rows` do."""
+    for block in csv_columns(path, header):
+        yield from block.rows()

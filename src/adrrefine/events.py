@@ -19,12 +19,12 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .codes import BnfCode, Item, ReadCode, code_item, parse_code
-from .errors import DomainError, ParseError, block_rows, csv_blocks, csv_rows
+from .errors import CsvBlock, DomainError, ParseError, column_values, csv_columns
 
 DEFAULT_EXCLUSION_MONTHS = 12
 DEFAULT_END_BUFFER_DAYS = 30
@@ -308,35 +308,54 @@ _PATIENTS_HEADER = ["patient_id", "gender", "year_of_birth", "registration_date"
 _EVENTS_HEADER = ["patient_id", "date", "code_type", "code"]
 
 
+class _Fault(Exception):
+    """Some row of a block is malformed; which one is found by checking
+    the block's rows one at a time."""
+
+
 def _read_patients(path: str) -> dict[str, PatientInfo]:
+    """Patients in file order. Each distinct year and date string is
+    converted once; a malformed row raises its ParseError."""
     patients: dict[str, PatientInfo] = {}
-    for lineno, (pid, gender, yob, reg) in csv_rows(path, _PATIENTS_HEADER):
-        if pid in patients:
+    year_of: dict[str, int] = {}
+    date_of: dict[str, dt.date] = {}
+    for block in csv_columns(path, _PATIENTS_HEADER):
+        try:
+            if block.columns is None:
+                raise _Fault
+            pids, genders, years, dates = block.columns
+            if (
+                not {"M", "F"}.issuperset(genders)
+                or len(set(pids)) < len(pids)
+                or not patients.keys().isdisjoint(pids)
+            ):
+                raise _Fault
+            years = column_values(year_of, years, int)
+            dates = column_values(date_of, dates, dt.date.fromisoformat)
+        except (_Fault, ValueError):
+            _raise_first_patient_fault(path, block, patients)
+        patients.update(zip(pids, map(PatientInfo, pids, genders, years, dates)))
+    return patients
+
+
+def _raise_first_patient_fault(
+    path: str, block: CsvBlock, patients: dict[str, PatientInfo]
+) -> None:
+    """Check a block of patients.csv one row at a time, after the
+    `patients` of the blocks before it, and raise the first row's
+    ParseError."""
+    seen = set(patients)
+    for lineno, (pid, gender, yob, reg) in block.rows():
+        if pid in seen:
             raise ParseError(f"duplicate patient_id {pid!r}", source=path, line=lineno)
         if gender not in ("M", "F"):
             raise ParseError(f"gender must be M or F: {gender!r}", source=path, line=lineno)
         try:
-            patients[pid] = PatientInfo(pid, gender, int(yob), dt.date.fromisoformat(reg))
-        except (ValueError, ParseError) as exc:
+            int(yob), dt.date.fromisoformat(reg)
+        except ValueError as exc:
             raise ParseError(str(exc), source=path, line=lineno) from None
-    return patients
-
-
-class _Fault(Exception):
-    """Some row of a block of events.csv is malformed; which one is found
-    by checking the block's rows one at a time."""
-
-
-def _ids(known: dict, values: Sequence, add: Callable) -> np.ndarray:
-    """The id of each value in `known`. A value not yet known is added
-    first as `add(value)`, once per distinct value, in first-seen order."""
-    try:
-        return np.fromiter(map(known.__getitem__, values), np.int64, len(values))
-    except KeyError:
-        for value in dict.fromkeys(values):
-            if value not in known:
-                known[value] = add(value)
-        return np.fromiter(map(known.__getitem__, values), np.int64, len(values))
+        seen.add(pid)
+    raise AssertionError("a block failed but none of its rows")
 
 
 def _read_events(
@@ -346,10 +365,13 @@ def _read_events(
     registered: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable]:
     """Per row, in file order: patient ordinal, day number and code id,
-    plus the code table. Each distinct patient id, date string and code
-    is checked once; a malformed row raises its ParseError."""
+    plus the code table. Each distinct patient id, date string and
+    (code_type, code) is checked once; a malformed row raises its
+    ParseError."""
     day_of: dict[str, int] = {}
-    code_of: dict[tuple[str, str], int] = {}
+    texts: list[str] = []  # each distinct code_type and code string
+    text_of: dict[str, int] = {}  # its index in `texts`
+    code_of: dict[int, int] = {}  # code id by (code_type index << 32 | code index)
     entries: dict = {}
 
     def unknown_patient(pid: str) -> int:
@@ -361,7 +383,12 @@ def _read_events(
         except ValueError:
             raise _Fault from None
 
-    def add_code(key: tuple[str, str]) -> int:
+    def add_text(text: str) -> int:
+        texts.append(text)
+        return len(texts) - 1
+
+    def add_code(pair: int) -> int:
+        key = (texts[pair >> 32], texts[pair & 0xFFFFFFFF])
         try:
             entries[key] = _parse_entry(key)
         except ParseError:
@@ -369,35 +396,32 @@ def _read_events(
         return len(entries) - 1
 
     blocks = []
-    for first, block in csv_blocks(path, _EVENTS_HEADER):
+    for block in csv_columns(path, _EVENTS_HEADER):
         try:
-            lengths = set(map(len, block))
-            if lengths - {0, 4}:
+            if block.columns is None:
                 raise _Fault
-            rows = [row for row in block if row] if 0 in lengths else block  # blank lines
-            if not rows:
-                continue
-            pids, dates, types, codes = zip(*rows)
-            patient = _ids(ordinal, pids, unknown_patient)
-            day = _ids(day_of, dates, add_day)
-            code = _ids(code_of, list(zip(types, codes)), add_code)
+            pids, dates, types, codes = block.columns
+            patient = np.array(column_values(ordinal, pids, unknown_patient), np.int32)
+            day = np.array(column_values(day_of, dates, add_day), np.int32)
+            pair = np.array(column_values(text_of, types, add_text), np.int64) << 32
+            pair |= np.array(column_values(text_of, codes, add_text), np.int64)
+            code = np.array(column_values(code_of, pair.tolist(), add_code), np.int32)
             if (day < registered[patient]).any():
                 raise _Fault
         except _Fault:
-            _raise_first_fault(path, first, block, patients)
+            _raise_first_fault(path, block, patients)
         blocks.append((patient, day, code))
     if not blocks:
-        empty = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int32)
         return empty, empty, empty, CodeTable(entries)
     patient, day, code = (np.concatenate(column) for column in zip(*blocks))
     return patient, day, code, CodeTable(entries)
 
 
-def _raise_first_fault(
-    path: str, first: int, block: list[list[str]], patients: dict[str, PatientInfo]
-) -> None:
-    """Check a block's rows one at a time and raise the first one's ParseError."""
-    for lineno, (pid, date_text, code_type, code) in block_rows(path, first, block, 4):
+def _raise_first_fault(path: str, block: CsvBlock, patients: dict[str, PatientInfo]) -> None:
+    """Check a block of events.csv one row at a time and raise the first
+    row's ParseError."""
+    for lineno, (pid, date_text, code_type, code) in block.rows():
         patient = patients.get(pid)
         if patient is None:
             raise ParseError(f"unknown patient_id {pid!r}", source=path, line=lineno)
@@ -412,7 +436,7 @@ def _raise_first_fault(
                 source=path,
                 line=lineno,
             )
-    raise AssertionError("a row failed in its block but not on its own")
+    raise AssertionError("a block failed but none of its rows")
 
 
 def load(

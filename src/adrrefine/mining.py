@@ -26,7 +26,7 @@ Mined rules stay columns: a `RuleTable` holds item-id columns for the
 antecedents and consequents over one shared item vocabulary, plus the
 five measure columns. The miner fills it from its count columns, the
 rules-file writers format it a column at a time, the readers build it
-a column at a time, and refinement matches baskets against it with
+a block of rows at a time, and refinement matches baskets against it with
 array masks. It is a read-only sequence of `AssociationRule`s, each
 built only when it is accessed.
 """
@@ -37,7 +37,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -47,8 +47,8 @@ import numpy as np
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
-    ConfigError, DomainError, ParseError, check_workers, csv_blocks, csv_rows, json_list,
-    read_json,
+    ConfigError, CsvBlock, DomainError, ParseError, check_workers, column_values, csv_columns,
+    json_list, read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -699,59 +699,81 @@ def _check_fields(
             raise ValueError(f"{name} must be finite, not {value}")
 
 
-def _table_from_fields(antecedents: list, consequents: list, numbers: list, split) -> RuleTable:
-    """A table of rows given as antecedent keys (`split` gives a key's
-    tokens), consequent tokens, and the five raw measure columns in
-    `_MEASURES` order, each converted by `float` and required finite.
-    Each distinct token and antecedent key is parsed once."""
-    keys: dict = {}
-    key_of_row = [keys.setdefault(a, len(keys)) for a in antecedents]
-    key_tokens = [split(a) for a in keys]
-    parsed: dict[str, Item] = {}
-    for token in {t for tokens in key_tokens for t in tokens}.union(consequents):
-        parsed[token] = parse_item(token)
-    items = sorted(set(parsed.values()), key=lambda it: it.token)
-    item_id = {it: k for k, it in enumerate(items)}
-    token_id = {t: item_id[it] for t, it in parsed.items()}
-    distinct = _id_matrix([sorted({token_id[t] for t in tokens}) for tokens in key_tokens])
-    measures = [np.array(list(map(float, column)), dtype=np.float64) for column in numbers]
-    if not np.isfinite(measures).all():
-        raise ValueError("a measure is not finite")
-    return RuleTable(
-        items,
-        distinct[np.array(key_of_row, dtype=np.intp)],
-        np.array([token_id[t] for t in consequents], dtype=np.int32),
-        *measures,
-    )
+def _rule_table(blocks: Iterable, split: Callable, fault: Callable) -> RuleTable:
+    """A table of rules given a block of rows at a time, each block as
+    (source, columns). The columns are the antecedent keys (`split` gives
+    a key's tokens), the consequent tokens and the five raw measure
+    columns in `_MEASURES` order, each measure converted by `float` and
+    required finite; they are None when the block's rows are malformed.
+    A block that fails goes to `fault(source)`, which raises its first
+    bad row's error. Each distinct token and antecedent key is parsed
+    once."""
+    items: dict[Item, int] = {}  # each distinct item, by first sight
+    item_of: dict[str, int] = {}  # token -> its item's index in `items`
+    key_of: dict = {}  # antecedent key -> its index in `rows`
+    rows: list[list[int]] = []  # per antecedent key, its ascending item indexes
+    members: set[int] = set()  # (antecedent index << 32) | item index, per member
+    parts = []
+
+    def add_item(token: str) -> int:
+        return items.setdefault(parse_item(token), len(items))
+
+    def add_key(key) -> int:
+        row = sorted(set(column_values(item_of, split(key), add_item)))
+        if not row:
+            raise DomainError("rule antecedent must not be empty")
+        members.update((len(rows) << 32) | i for i in row)
+        rows.append(row)
+        return len(rows) - 1
+
+    for source, columns in blocks:
+        try:
+            if columns is None:
+                raise ValueError("malformed rows")
+            antecedents, consequents, *numbers = columns
+            key = np.array(column_values(key_of, antecedents, add_key), np.int64)
+            consequent = np.array(column_values(item_of, consequents, add_item), np.int64)
+            measures = [np.fromiter(map(float, column), np.float64, len(key)) for column in numbers]
+            if not np.isfinite(measures).all():
+                raise ValueError("a measure is not finite")
+            if not members.isdisjoint(((key << 32) | consequent).tolist()):
+                raise DomainError("a consequent is in its antecedent")
+        except (TypeError, ValueError, ParseError, DomainError):
+            fault(source)
+        parts.append((key, consequent, *measures))
+    # Item indexes in token order, the -1 pad kept last in each row.
+    order = sorted(items, key=lambda it: it.token)
+    rank = np.empty(len(items) + 1, dtype=np.int32)
+    rank[[items[it] for it in order]] = np.arange(len(items))
+    rank[-1] = len(items)
+    distinct = np.sort(rank[_id_matrix(rows)], axis=1)
+    distinct[distinct == len(items)] = -1
+    if not parts:
+        parts = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0),) * len(_MEASURES)]
+    key, consequent, *measures = (np.concatenate(column) for column in zip(*parts))
+    return RuleTable(order, distinct[key], rank[consequent], *measures)
 
 
 def read_rules_csv(path: str) -> RuleTable:
-    # Rows go into columns a block at a time: the row lists die young, so
-    # the garbage collector never walks all of them (it did, and took
-    # about a third of the read).
-    columns: list[list[str]] = [[] for _ in _CSV_HEADER]
-    lengths: set[int] = set()
-    for _, block in csv_blocks(path, _CSV_HEADER):
-        rows = [row for row in block if row]
-        lengths.update(map(len, rows))
-        for column, values in zip(columns, zip(*rows)):
-            column.extend(values)
-    try:
-        if lengths - {len(_CSV_HEADER)}:
-            raise ValueError("wrong field count")
-        return _table_from_fields(
-            columns[0], columns[1], columns[2:], lambda a: a.split("|")
-        )
-    except (ValueError, ParseError, DomainError):
-        pass
-    # Read the rows again one by one to report the first error with its line.
+    """The rules of a rules.csv file, read a block of rows at a time; a
+    malformed row raises its ParseError with its line."""
+    return _rule_table(
+        ((block, block.columns) for block in csv_columns(path, _CSV_HEADER)),
+        lambda key: key.split("|"),
+        lambda block: _raise_first_bad_rule(path, block),
+    )
+
+
+def _raise_first_bad_rule(path: str, block: CsvBlock) -> None:
+    """Build a block's rules one row at a time and raise the first bad
+    row's ParseError."""
     items: dict[str, Item] = {}
-    for lineno, row in csv_rows(path, _CSV_HEADER):
+    for lineno, row in block.rows():
         try:
             _check_fields(row[0].split("|"), row[1], row[2:], items)
         except (ValueError, ParseError, DomainError) as exc:
             raise ParseError(str(exc), source=path, line=lineno) from None
-    raise AssertionError("a row failed as a column but not on its own")
+    raise AssertionError("a block of rules failed but none of its rows")
 
 
 def _check_json_measures(numbers: Sequence) -> None:
@@ -773,15 +795,18 @@ def read_rules_json(path: str) -> RuleTable:
         numbers = [[obj[name] for obj in payload] for name in _MEASURES]
         if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
             raise TypeError("a measure is not a number")
-        return _table_from_fields(
-            [tuple(json_list(obj["antecedent"], "antecedent")) for obj in payload],
-            [obj["consequent"] for obj in payload],
-            numbers,
-            lambda a: a,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, ParseError, DomainError):
-        pass
-    # Go back over the objects to report the first error.
+        antecedents = [tuple(json_list(obj["antecedent"], "antecedent")) for obj in payload]
+        columns = [antecedents, [obj["consequent"] for obj in payload], *numbers]
+    except (AttributeError, KeyError, TypeError):
+        columns = None
+    return _rule_table(
+        [(payload, columns)], lambda key: key, lambda objs: _raise_first_bad_object(path, objs)
+    )
+
+
+def _raise_first_bad_object(path: str, payload: list) -> None:
+    """Build rules.json's rules one object at a time and raise the first
+    bad object's ParseError."""
     items: dict[str, Item] = {}
     for obj in payload:
         try:
@@ -791,4 +816,4 @@ def read_rules_json(path: str) -> RuleTable:
             _check_json_measures(numbers)
         except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
             raise ParseError(f"bad rule object: {exc}", source=path) from None
-    raise AssertionError("an object failed as a column but not on its own")
+    raise AssertionError("a block of rules failed but none of its objects")

@@ -156,3 +156,31 @@ def write_rules_json_oracle(rules, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def csv_rows_oracle(path, header):
+    """(rows, fault) of a CSV file read one record at a time through
+    `csv.reader`: each non-blank record after the header with its line
+    number (records counted from the header's 1, blank ones included), up
+    to the first fault, which is (message, line) for a header other than
+    `header`, a record the csv module cannot read or a record without one
+    field per header column, and None when there is none."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        line = 0
+        while True:
+            line += 1
+            try:
+                record = next(reader, None)
+            except csv.Error as exc:
+                return rows, (str(exc), line)
+            if line == 1:
+                if record != header:
+                    return rows, (f"expected header {','.join(header)}", 1)
+            elif record is None:
+                return rows, None
+            elif record:
+                if len(record) != len(header):
+                    return rows, (f"expected {len(header)} fields, got {len(record)}", line)
+                rows.append((line, record))
