@@ -1,17 +1,26 @@
 """Exception types shared across the package, the one way inputs are opened
-and read, and the one check of the `workers` keyword.
+and read, the one way a bad input value becomes a ParseError, and the one
+check of the `workers` keyword.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
+
+Readers convert what they read through `checked` (or, for a block whose
+whole-column check failed, `raise_first_fault`): any of `INPUT_FAULTS`
+raised while converting a CSV row or a JSON value becomes a ParseError
+with the file and, for CSV, the line. JSON values are taken through
+`json_list`, `json_int` and `json_number`, which name the field they
+reject. A ConfigError raised by validating a converted configuration is
+not a conversion fault and keeps its exit code 1.
 """
 
 import csv
 import io
 import json
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from typing import Any, TextIO
+from typing import Any, NoReturn, TextIO
 
 # Characters of CSV text read at a time by `csv_columns`, then extended to
 # the end of the line.
@@ -68,14 +77,46 @@ def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
         raise ParseError(f"not UTF-8 text: cannot decode byte(s) {bad}", source=path) from None
 
 
-def read_json(path: str) -> Any:
-    """The value of a JSON file; text that is not JSON is a ParseError
-    naming the file."""
-    with open_input(path) as fh:
+# The exceptions converting a value read from an input may raise: a
+# missing key or index, a value of the wrong type or form, a number out of
+# range, a malformed code (ParseError) or a broken invariant (DomainError).
+INPUT_FAULTS = (LookupError, TypeError, ValueError, OverflowError, ParseError, DomainError)
+
+
+def checked(
+    rows: Iterable[tuple[int | None, Any]], convert: Callable, source: str, prefix: str = ""
+) -> Iterator:
+    """`convert(row)` for each `(line, row)`, line None for a JSON value.
+    The first conversion that raises one of `INPUT_FAULTS` is a ParseError
+    of `prefix` and its message, with `source` and the line."""
+    for line, row in rows:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), source=path) from None
+            value = convert(row)
+        except INPUT_FAULTS as exc:
+            raise ParseError(prefix + str(exc), source=source, line=line) from None
+        yield value
+
+
+def raise_first_fault(
+    rows: Iterable[tuple[int | None, Any]], check: Callable, source: str, prefix: str = ""
+) -> NoReturn:
+    """Run `check` over the rows of a block whose whole-column check
+    failed, raising the first bad row's ParseError as `checked` does."""
+    for _ in checked(rows, check, source, prefix):
+        pass
+    raise AssertionError("a block failed but none of its rows")
+
+
+def read_json(path: str) -> Any:
+    """The value of a JSON file; text that is not JSON, an integer with
+    more digits than Python converts, or nesting deeper than the parser
+    recurses is a ParseError naming the file."""
+    with open_input(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc), source=path) from None
 
 
 def json_list(value: Any, field: str) -> list:
@@ -85,6 +126,29 @@ def json_list(value: Any, field: str) -> list:
         kind = {dict: "an object", str: "a string", bool: "a boolean", type(None): "null"}
         raise TypeError(f"{field} must be a list, not {kind.get(type(value), 'a number')}")
     return value
+
+
+def json_int(obj: dict, key: str) -> int:
+    """`obj[key]` when it is a JSON integer; a bool, string or fraction is
+    a TypeError naming `key`."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def json_number(obj: dict, key: str) -> float:
+    """`obj[key]` as a float when it is a JSON number; a bool or string is
+    a TypeError and an integer too large for a float a ValueError, each
+    naming `key`."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, not {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ValueError(f"{key} must fit a float, not an integer of {digits} digits") from None
 
 
 def column_values(known: dict, values: Sequence, add: Callable) -> list:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 import numpy as np
 
 from .codes import BnfCode, Item, ReadCode, code_item, parse_code
-from .errors import CsvBlock, DomainError, ParseError, column_values, csv_columns
+from .errors import INPUT_FAULTS, DomainError, column_values, csv_columns, raise_first_fault
 
 DEFAULT_EXCLUSION_MONTHS = 12
 DEFAULT_END_BUFFER_DAYS = 30
@@ -308,11 +308,6 @@ _PATIENTS_HEADER = ["patient_id", "gender", "year_of_birth", "registration_date"
 _EVENTS_HEADER = ["patient_id", "date", "code_type", "code"]
 
 
-class _Fault(Exception):
-    """Some row of a block is malformed; which one is found by checking
-    the block's rows one at a time."""
-
-
 def _read_patients(path: str) -> dict[str, PatientInfo]:
     """Patients in file order. Each distinct year and date string is
     converted once; a malformed row raises its ParseError."""
@@ -321,41 +316,31 @@ def _read_patients(path: str) -> dict[str, PatientInfo]:
     date_of: dict[str, dt.date] = {}
     for block in csv_columns(path, _PATIENTS_HEADER):
         try:
-            if block.columns is None:
-                raise _Fault
-            pids, genders, years, dates = block.columns
+            pids, genders, years, dates = block.columns  # None (a TypeError) on a bad field count
             if (
                 not {"M", "F"}.issuperset(genders)
                 or len(set(pids)) < len(pids)
                 or not patients.keys().isdisjoint(pids)
             ):
-                raise _Fault
+                raise ValueError("a malformed row")
             years = column_values(year_of, years, int)
             dates = column_values(date_of, dates, dt.date.fromisoformat)
-        except (_Fault, ValueError):
-            _raise_first_patient_fault(path, block, patients)
+        except INPUT_FAULTS:
+            raise_first_fault(block.rows(), partial(_check_patient, set(patients)), path)
         patients.update(zip(pids, map(PatientInfo, pids, genders, years, dates)))
     return patients
 
 
-def _raise_first_patient_fault(
-    path: str, block: CsvBlock, patients: dict[str, PatientInfo]
-) -> None:
-    """Check a block of patients.csv one row at a time, after the
-    `patients` of the blocks before it, and raise the first row's
-    ParseError."""
-    seen = set(patients)
-    for lineno, (pid, gender, yob, reg) in block.rows():
-        if pid in seen:
-            raise ParseError(f"duplicate patient_id {pid!r}", source=path, line=lineno)
-        if gender not in ("M", "F"):
-            raise ParseError(f"gender must be M or F: {gender!r}", source=path, line=lineno)
-        try:
-            int(yob), dt.date.fromisoformat(reg)
-        except ValueError as exc:
-            raise ParseError(str(exc), source=path, line=lineno) from None
-        seen.add(pid)
-    raise AssertionError("a block failed but none of its rows")
+def _check_patient(seen: set[str], row: list[str]) -> None:
+    """Check one patients.csv row, after the patient ids `seen` before it,
+    and add its id to them."""
+    pid, gender, yob, reg = row
+    if pid in seen:
+        raise ValueError(f"duplicate patient_id {pid!r}")
+    if gender not in ("M", "F"):
+        raise ValueError(f"gender must be M or F: {gender!r}")
+    int(yob), dt.date.fromisoformat(reg)
+    seen.add(pid)
 
 
 def _read_events(
@@ -374,14 +359,8 @@ def _read_events(
     code_of: dict[int, int] = {}  # code id by (code_type index << 32 | code index)
     entries: dict = {}
 
-    def unknown_patient(pid: str) -> int:
-        raise _Fault
-
     def add_day(text: str) -> int:
-        try:
-            return dt.date.fromisoformat(text).toordinal()
-        except ValueError:
-            raise _Fault from None
+        return dt.date.fromisoformat(text).toordinal()
 
     def add_text(text: str) -> int:
         texts.append(text)
@@ -389,27 +368,22 @@ def _read_events(
 
     def add_code(pair: int) -> int:
         key = (texts[pair >> 32], texts[pair & 0xFFFFFFFF])
-        try:
-            entries[key] = _parse_entry(key)
-        except ParseError:
-            raise _Fault from None
+        entries[key] = _parse_entry(key)
         return len(entries) - 1
 
     blocks = []
     for block in csv_columns(path, _EVENTS_HEADER):
         try:
-            if block.columns is None:
-                raise _Fault
-            pids, dates, types, codes = block.columns
-            patient = np.array(column_values(ordinal, pids, unknown_patient), np.int32)
+            pids, dates, types, codes = block.columns  # None (a TypeError) on a bad field count
+            patient = np.array(column_values(ordinal, pids, ordinal.__getitem__), np.int32)
             day = np.array(column_values(day_of, dates, add_day), np.int32)
             pair = np.array(column_values(text_of, types, add_text), np.int64) << 32
             pair |= np.array(column_values(text_of, codes, add_text), np.int64)
             code = np.array(column_values(code_of, pair.tolist(), add_code), np.int32)
             if (day < registered[patient]).any():
-                raise _Fault
-        except _Fault:
-            _raise_first_fault(path, block, patients)
+                raise ValueError("an event before registration")
+        except INPUT_FAULTS:
+            raise_first_fault(block.rows(), partial(_check_event, patients), path)
         blocks.append((patient, day, code))
     if not blocks:
         empty = np.zeros(0, dtype=np.int32)
@@ -418,25 +392,16 @@ def _read_events(
     return patient, day, code, CodeTable(entries)
 
 
-def _raise_first_fault(path: str, block: CsvBlock, patients: dict[str, PatientInfo]) -> None:
-    """Check a block of events.csv one row at a time and raise the first
-    row's ParseError."""
-    for lineno, (pid, date_text, code_type, code) in block.rows():
-        patient = patients.get(pid)
-        if patient is None:
-            raise ParseError(f"unknown patient_id {pid!r}", source=path, line=lineno)
-        try:
-            date = dt.date.fromisoformat(date_text)
-            parse_code(code_type, code)
-        except (ValueError, ParseError) as exc:
-            raise ParseError(str(exc), source=path, line=lineno) from None
-        if date < patient.registration_date:
-            raise ParseError(
-                f"event dated {date} before registration {patient.registration_date}",
-                source=path,
-                line=lineno,
-            )
-    raise AssertionError("a block failed but none of its rows")
+def _check_event(patients: dict[str, PatientInfo], row: list[str]) -> None:
+    """Check one events.csv row against the `patients`."""
+    pid, date_text, code_type, code = row
+    patient = patients.get(pid)
+    if patient is None:
+        raise ValueError(f"unknown patient_id {pid!r}")
+    date = dt.date.fromisoformat(date_text)
+    parse_code(code_type, code)
+    if date < patient.registration_date:
+        raise ValueError(f"event dated {date} before registration {patient.registration_date}")
 
 
 def load(

@@ -39,7 +39,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +47,8 @@ import numpy as np
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
-    ConfigError, CsvBlock, DomainError, ParseError, check_workers, column_values, csv_columns,
-    json_list, read_json,
+    INPUT_FAULTS, ConfigError, DomainError, ParseError, check_workers, column_values, csv_columns,
+    json_list, json_number, raise_first_fault, read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -679,17 +679,14 @@ def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
 
 
 def _check_fields(
-    antecedent_tokens: Sequence[str],
-    consequent_token: str,
-    numbers: Sequence[str | float],
-    items: dict[str, Item],
+    antecedent_tokens: Sequence[str], consequent_token: str, numbers: Sequence[str | float]
 ) -> None:
-    """Build one rule from its fields a row at a time, raising the first
-    error of the row. `numbers` come in `_MEASURES` order; `items` caches
-    parsed tokens. The readers call this only to report a malformed row."""
-    for token in (*antecedent_tokens, consequent_token):
-        if token not in items:
-            items[token] = parse_item(token)
+    """Build one rule from its fields, raising the row's first error: a
+    bad token, then a number `float` rejects, then a broken rule
+    invariant, then a measure that is not finite. `numbers` come in
+    `_MEASURES` order. The readers call this only to report a malformed
+    row."""
+    items = {token: parse_item(token) for token in (*antecedent_tokens, consequent_token)}
     measures = {name: float(v) for name, v in zip(_MEASURES, numbers)}
     AssociationRule(
         frozenset(items[t] for t in antecedent_tokens), items[consequent_token], **measures
@@ -728,9 +725,7 @@ def _rule_table(blocks: Iterable, split: Callable, fault: Callable) -> RuleTable
 
     for source, columns in blocks:
         try:
-            if columns is None:
-                raise ValueError("malformed rows")
-            antecedents, consequents, *numbers = columns
+            antecedents, consequents, *numbers = columns  # None (a TypeError) if malformed
             key = np.array(column_values(key_of, antecedents, add_key), np.int64)
             consequent = np.array(column_values(item_of, consequents, add_item), np.int64)
             measures = [np.fromiter(map(float, column), np.float64, len(key)) for column in numbers]
@@ -738,7 +733,7 @@ def _rule_table(blocks: Iterable, split: Callable, fault: Callable) -> RuleTable
                 raise ValueError("a measure is not finite")
             if not members.isdisjoint(((key << 32) | consequent).tolist()):
                 raise DomainError("a consequent is in its antecedent")
-        except (TypeError, ValueError, ParseError, DomainError):
+        except INPUT_FAULTS:
             fault(source)
         parts.append((key, consequent, *measures))
     # Item indexes in token order, the -1 pad kept last in each row.
@@ -760,28 +755,20 @@ def read_rules_csv(path: str) -> RuleTable:
     return _rule_table(
         ((block, block.columns) for block in csv_columns(path, _CSV_HEADER)),
         lambda key: key.split("|"),
-        lambda block: _raise_first_bad_rule(path, block),
+        lambda block: raise_first_fault(
+            block.rows(), lambda row: _check_fields(row[0].split("|"), row[1], row[2:]), path
+        ),
     )
 
 
-def _raise_first_bad_rule(path: str, block: CsvBlock) -> None:
-    """Build a block's rules one row at a time and raise the first bad
-    row's ParseError."""
-    items: dict[str, Item] = {}
-    for lineno, row in block.rows():
-        try:
-            _check_fields(row[0].split("|"), row[1], row[2:], items)
-        except (ValueError, ParseError, DomainError) as exc:
-            raise ParseError(str(exc), source=path, line=lineno) from None
-    raise AssertionError("a block of rules failed but none of its rows")
-
-
-def _check_json_measures(numbers: Sequence) -> None:
-    """Raise a TypeError for a rules.json measure, given in `_MEASURES`
-    order, that is not a JSON number: a bool or a string, say."""
-    for name, value in zip(_MEASURES, numbers):
-        if type(value) not in (int, float):
-            raise TypeError(f"{name} must be a number, not {json.dumps(value)}")
+def _check_object(obj: dict) -> None:
+    """Build one rules.json object's rule as `_check_fields` does, then
+    require each measure to be a JSON number. A measure that is an
+    integer too large for a float is named before any other error."""
+    numbers = [json_number(obj, n) if type(obj[n]) is int else obj[n] for n in _MEASURES]
+    _check_fields(json_list(obj["antecedent"], "antecedent"), obj["consequent"], numbers)
+    for name in _MEASURES:
+        json_number(obj, name)
 
 
 def read_rules_json(path: str) -> RuleTable:
@@ -797,23 +784,12 @@ def read_rules_json(path: str) -> RuleTable:
             raise TypeError("a measure is not a number")
         antecedents = [tuple(json_list(obj["antecedent"], "antecedent")) for obj in payload]
         columns = [antecedents, [obj["consequent"] for obj in payload], *numbers]
-    except (AttributeError, KeyError, TypeError):
+    except INPUT_FAULTS:
         columns = None
     return _rule_table(
-        [(payload, columns)], lambda key: key, lambda objs: _raise_first_bad_object(path, objs)
+        [(payload, columns)],
+        lambda key: key,
+        lambda objs: raise_first_fault(
+            zip(repeat(None), objs), _check_object, path, "bad rule object: "
+        ),
     )
-
-
-def _raise_first_bad_object(path: str, payload: list) -> None:
-    """Build rules.json's rules one object at a time and raise the first
-    bad object's ParseError."""
-    items: dict[str, Item] = {}
-    for obj in payload:
-        try:
-            numbers = [obj[name] for name in _MEASURES]
-            antecedent = json_list(obj["antecedent"], "antecedent")
-            _check_fields(antecedent, obj["consequent"], numbers, items)
-            _check_json_measures(numbers)
-        except (KeyError, TypeError, ValueError, ParseError, DomainError) as exc:
-            raise ParseError(f"bad rule object: {exc}", source=path) from None
-    raise AssertionError("a block of rules failed but none of its objects")

@@ -27,7 +27,7 @@ from .codes import (
     read_level,
     read_truncate,
 )
-from .errors import ConfigError, ParseError, csv_rows, json_list, read_json
+from .errors import ConfigError, ParseError, checked, csv_rows, json_list, read_json
 from .events import EventStore
 
 DEFAULT_WINDOW = (1, 60)
@@ -72,19 +72,24 @@ class SignalInstance:
 
 def load_signal_spec(path: str) -> SignalSpec:
     """Read a signal spec JSON file: doi_items, hoi_code, window, name."""
-    payload = read_json(path)
-    try:
-        doi = frozenset(parse_bnf(code) for code in json_list(payload["doi_items"], "doi_items"))
-        hoi = parse_read(payload["hoi_code"])
-        window = tuple(json_list(payload.get("window", [*DEFAULT_WINDOW]), "window"))
-        name = payload.get("name", "")
-    except (KeyError, TypeError, ParseError) as exc:
-        raise ParseError(f"bad signal spec: {exc}", source=path) from None
+    [(doi, hoi, window, name)] = checked(
+        [(None, read_json(path))], _spec_fields, path, "bad signal spec: "
+    )
     if not isinstance(name, str):
         raise ParseError(f"name must be a string: {json.dumps(name)}", source=path)
     if len(window) != 2 or not all(type(v) is int for v in window):
         raise ParseError(f"window must be two integer days: {window}", source=path)
     return SignalSpec(doi=doi, hoi=hoi, window=window, name=name)  # type: ignore[arg-type]
+
+
+def _spec_fields(payload: dict) -> tuple:
+    """A signal spec's drug family, outcome code, window and name."""
+    return (
+        frozenset(parse_bnf(code) for code in json_list(payload["doi_items"], "doi_items")),
+        parse_read(payload["hoi_code"]),
+        tuple(json_list(payload.get("window", [*DEFAULT_WINDOW]), "window")),
+        payload.get("name", ""),
+    )
 
 
 def doi_matches(code: BnfCode, doi: frozenset[BnfCode]) -> bool:
@@ -206,12 +211,7 @@ def write_instances_csv(instances: Iterable[SignalInstance], path: str) -> None:
 
 
 def read_instances_csv(path: str) -> list[SignalInstance]:
-    instances = []
-    for lineno, (pid, doi_date, hoi_date) in csv_rows(path, _INSTANCES_HEADER):
-        try:
-            instances.append(
-                SignalInstance(pid, dt.date.fromisoformat(doi_date), dt.date.fromisoformat(hoi_date))
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), source=path, line=lineno) from None
-    return instances
+    rows = csv_rows(path, _INSTANCES_HEADER)
+    return list(
+        checked(rows, lambda r: SignalInstance(r[0], *map(dt.date.fromisoformat, r[1:])), path)
+    )

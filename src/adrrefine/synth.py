@@ -32,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .codes import parse_bnf, parse_code, parse_read
-from .errors import ConfigError, ParseError, csv_rows, read_json
+from .errors import (
+    ConfigError, ParseError, checked, csv_rows, json_int, json_list, json_number, read_json,
+)
 from .events import EventRecord, EventStore, PatientInfo
 from .signals import doi_matches
 
@@ -104,6 +106,11 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError(f"patient_count must be >= 1: {config.patient_count}")
     if config.observation_days < 3:
         raise ConfigError(f"observation_days must be >= 3: {config.observation_days}")
+    if config.observation_days - 1 > dt.date.max.toordinal() - config.start_date.toordinal():
+        raise ConfigError(
+            f"observation_days {config.observation_days} from {config.start_date} "
+            f"runs past {dt.date.max}"
+        )
     if not config.catalog:
         raise ConfigError("catalog must not be empty")
     for item in config.catalog:
@@ -304,66 +311,56 @@ def _config_to_dict(config: ScenarioConfig) -> dict:
     return payload
 
 
-def _json_int(obj: dict, key: str) -> int:
-    """`obj[key]` when it is a JSON integer; a bool, string or fraction is
-    a TypeError."""
-    value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, not {json.dumps(value)}")
-    return value
-
-
-def _json_real(obj: dict, key: str) -> float:
-    """`obj[key]` as a float when it is a JSON number; a bool or string is
-    a TypeError."""
-    value = obj[key]
-    if type(value) not in (int, float):
-        raise TypeError(f"{key} must be a number, not {json.dumps(value)}")
-    return float(value)
+def _scenario(payload: dict) -> ScenarioConfig:
+    """The configuration a scenario.json value holds."""
+    catalog = tuple(
+        CatalogItem(c["code_type"], c["code"], json_number(c, "daily_rate"))
+        for c in json_list(payload["catalog"], "catalog")
+    )
+    confounder = None
+    if "confounder" in payload:
+        c = payload["confounder"]
+        confounder = PlantedConfounder(
+            antecedent=tuple(
+                (p[0], p[1]) for p in json_list(c["antecedent"], "confounder.antecedent")
+            ),
+            outcome_code=c["outcome_code"],
+            doi_code=c["doi_code"],
+            prevalence=json_number(c, "prevalence"),
+            recording_probability=json_number(c, "recording_probability"),
+            activation_probability=json_number(c, "activation_probability"),
+            doi_coprescription_probability=json_number(c, "doi_coprescription_probability"),
+        )
+    adr = None
+    if "adr" in payload:
+        a = payload["adr"]
+        adr = PlantedAdr(
+            doi_items=tuple(json_list(a["doi_items"], "adr.doi_items")),
+            outcome_code=a["outcome_code"],
+            reaction_probability=json_number(a, "reaction_probability"),
+            latency_days=tuple(a.get("latency_days", _OUTCOME_LATENCY)),  # type: ignore[arg-type]
+        )
+    return ScenarioConfig(
+        seed=json_int(payload, "seed"),
+        patient_count=json_int(payload, "patient_count"),
+        observation_days=json_int(payload, "observation_days"),
+        catalog=catalog,
+        start_date=dt.date.fromisoformat(payload.get("start_date", "2000-01-01")),
+        confounder=confounder,
+        adr=adr,
+    )
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Read a scenario.json config file. Counts and the seed must be JSON
-    integers and rates and probabilities JSON numbers."""
-    payload = read_json(path)
+    integers and rates and probabilities JSON numbers; a malformed code
+    is a ParseError naming the file."""
+    prefix = "bad scenario config: "
+    [config] = checked([(None, read_json(path))], _scenario, path, prefix)
     try:
-        catalog = tuple(
-            CatalogItem(c["code_type"], c["code"], _json_real(c, "daily_rate"))
-            for c in payload["catalog"]
-        )
-        confounder = None
-        if "confounder" in payload:
-            c = payload["confounder"]
-            confounder = PlantedConfounder(
-                antecedent=tuple((p[0], p[1]) for p in c["antecedent"]),
-                outcome_code=c["outcome_code"],
-                doi_code=c["doi_code"],
-                prevalence=_json_real(c, "prevalence"),
-                recording_probability=_json_real(c, "recording_probability"),
-                activation_probability=_json_real(c, "activation_probability"),
-                doi_coprescription_probability=_json_real(c, "doi_coprescription_probability"),
-            )
-        adr = None
-        if "adr" in payload:
-            a = payload["adr"]
-            adr = PlantedAdr(
-                doi_items=tuple(a["doi_items"]),
-                outcome_code=a["outcome_code"],
-                reaction_probability=_json_real(a, "reaction_probability"),
-                latency_days=tuple(a.get("latency_days", _OUTCOME_LATENCY)),  # type: ignore[arg-type]
-            )
-        config = ScenarioConfig(
-            seed=_json_int(payload, "seed"),
-            patient_count=_json_int(payload, "patient_count"),
-            observation_days=_json_int(payload, "observation_days"),
-            catalog=catalog,
-            start_date=dt.date.fromisoformat(payload.get("start_date", "2000-01-01")),
-            confounder=confounder,
-            adr=adr,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"bad scenario config: {exc}", source=path) from None
-    validate_config(config)
+        validate_config(config)
+    except ParseError as exc:
+        raise ParseError(prefix + str(exc), source=path) from None
     return config
 
 
@@ -406,10 +403,5 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
 
 
 def read_ground_truth(path: str) -> list[TruthRow]:
-    rows = []
-    for lineno, (pid, hoi_date, cause) in csv_rows(path, ["patient_id", "hoi_date", "cause"]):
-        try:
-            rows.append(TruthRow(pid, dt.date.fromisoformat(hoi_date), cause))
-        except ValueError as exc:
-            raise ParseError(str(exc), source=path, line=lineno) from None
-    return rows
+    rows = csv_rows(path, ["patient_id", "hoi_date", "cause"])
+    return list(checked(rows, lambda r: TruthRow(r[0], dt.date.fromisoformat(r[1]), r[2]), path))

@@ -453,6 +453,16 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "x"))
         assert code == 2
         assert "error:" in err
+        assert f"error: {spec}: " in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("days", [4_000_000, 10**30])
+    def test_span_past_date_max_is_config_error(self, capsys, tmp_path, days):
+        catalog = [{"code_type": "READ", "code": "C10..", "daily_rate": 5e-5}]
+        spec = scenario_file(tmp_path, observation_days=days, catalog=catalog)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert f"error: observation_days {days} from 2000-01-01 runs past 9999-12-31" in err
         assert not (tmp_path / "x").exists()
 
     def test_generated_cohort_passes_ingest(self, capsys, tmp_path):
@@ -721,9 +731,48 @@ class TestWrongValueTypes:
                          "reaction_probability": False}},
                 "reaction_probability must be a number, not false",
             ),
+            (
+                {"catalog": [{"code_type": "READ", "code": "C10..", "daily_rate": 10**400}]},
+                "daily_rate must fit a float, not an integer of 401 digits",
+            ),
+            (
+                {"adr": {"doi_items": ["5.1.0.0"], "outcome_code": "N772.",
+                         "reaction_probability": 10**400}},
+                "reaction_probability must fit a float, not an integer of 401 digits",
+            ),
         ],
     )
     def test_scenario_number_types(self, capsys, tmp_path, overrides, message):
+        spec = scenario_file(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert f"error: {spec}: bad scenario config: {message}" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # A string or object where a list belongs was read as its
+            # characters or keys.
+            (
+                {"catalog": {"code_type": "READ", "code": "C10..", "daily_rate": 0.001}},
+                "catalog must be a list, not an object",
+            ),
+            (
+                {"confounder": {"antecedent": "K55..", "outcome_code": "N771.",
+                                "doi_code": "5.1.0.0", "prevalence": 0.2,
+                                "recording_probability": 0.7, "activation_probability": 0.5,
+                                "doi_coprescription_probability": 0.6}},
+                "confounder.antecedent must be a list, not a string",
+            ),
+            (
+                {"adr": {"doi_items": "5.1.0.0", "outcome_code": "N772.",
+                         "reaction_probability": 0.01}},
+                "adr.doi_items must be a list, not a string",
+            ),
+        ],
+    )
+    def test_scenario_lists(self, capsys, tmp_path, overrides, message):
         spec = scenario_file(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
         assert code == 2

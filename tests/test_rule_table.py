@@ -310,6 +310,7 @@ class TestReaderErrors:
             ({"antecedent": {"B11..": 1}}, "antecedent must be a list, not an object"),
             ({"lift": math.nan}, "lift must be finite, not nan"),
             ({"chi_squared": -math.inf}, "chi_squared must be finite, not -inf"),
+            ({"support": 10**400}, "support must fit a float, not an integer of 401 digits"),
         ],
     )
     def test_json_messages(self, tmp_path, changes, message):

@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(make_config(observation_days=100))
 
+    @pytest.mark.parametrize("days", [4_000_000, 10**30])
+    def test_span_past_date_max_rejected(self, days):
+        config = make_config(observation_days=days, confounder=None)
+        with pytest.raises(ConfigError, match="runs past 9999-12-31"):
+            validate_config(config)
+
     def test_bad_latency_rejected(self):
         bad = PlantedAdr(("5.1.0.0",), "N772.", 0.01, latency_days=(0, 60))
         with pytest.raises(ConfigError):
