@@ -142,6 +142,20 @@ def _patient_index(patients: dict[str, PatientInfo]) -> tuple[dict[str, int], np
     return ordinal, np.fromiter(days, np.int32, len(patients))
 
 
+def _store(
+    patients: dict[str, PatientInfo], index: tuple[dict[str, int], np.ndarray],
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable], db_end_date: dt.date | None,
+) -> EventStore:
+    """The store of `rows` in input order (patient ordinal, day number and
+    code id per row, and the code table), given the patients' `index`.
+    The end of the database defaults to the latest event day."""
+    patient, day, code, codes = rows
+    if db_end_date is None and len(day):
+        db_end_date = dt.date.fromordinal(int(day.max()))
+    columns = _columns(*index, patient, day, code, codes)
+    return EventStore._from_columns(patients, columns, db_end_date)
+
+
 def _columns_from_records(
     patients: dict[str, PatientInfo], events: dict[str, tuple[EventRecord, ...]]
 ) -> EventColumns:
@@ -416,13 +430,8 @@ def load(
     defaults to the latest event date unless overridden.
     """
     patients = _read_patients(patients_file)
-    ordinal, registered = _patient_index(patients)
-    patient, day, code, codes = _read_events(events_file, patients, ordinal, registered)
-    end = db_end_date
-    if end is None and len(day):
-        end = dt.date.fromordinal(int(day.max()))
-    columns = _columns(ordinal, registered, patient, day, code, codes)
-    return EventStore._from_columns(patients, columns, end)
+    index = _patient_index(patients)
+    return _store(patients, index, _read_events(events_file, patients, *index), db_end_date)
 
 
 def apply_prescription_exclusions(

@@ -35,7 +35,7 @@ from .codes import parse_bnf, parse_code, parse_read
 from .errors import (
     ConfigError, ParseError, checked, csv_rows, json_int, json_list, json_number, read_json,
 )
-from .events import EventRecord, EventStore, PatientInfo
+from .events import CodeTable, EventStore, PatientInfo, _parse_entry, _patient_index, _store
 from .signals import doi_matches
 
 GENERATOR_ID = "pcg64-per-patient-seedseq-v1"
@@ -102,6 +102,8 @@ def _check_probability(name: str, value: float) -> None:
 
 
 def validate_config(config: ScenarioConfig) -> None:
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0: {config.seed}")
     if config.patient_count < 1:
         raise ConfigError(f"patient_count must be >= 1: {config.patient_count}")
     if config.observation_days < 3:
@@ -143,9 +145,14 @@ def validate_config(config: ScenarioConfig) -> None:
             parse_bnf(code)
         parse_read(adr.outcome_code)
         _check_probability("reaction_probability", adr.reaction_probability)
-        days = adr.latency_days
-        if len(days) != 2 or not all(type(v) is int for v in days) or not 1 <= days[0] <= days[1]:
-            raise ConfigError(f"latency_days must be two integer days, 1 <= lo <= hi: {days}")
+        # No longer latency is recorded: the first prescription falls on
+        # day 0 or later, and the outcome before day `span`.
+        days, span = adr.latency_days, config.observation_days
+        two_ints = len(days) == 2 and all(type(v) is int for v in days)
+        if not two_ints or not 1 <= days[0] <= days[1] < span:
+            raise ConfigError(
+                f"latency_days must be two integer days, 1 <= lo <= hi < {span}: {days}"
+            )
 
 
 def expected_filter_rate(config: ScenarioConfig) -> float:
@@ -172,46 +179,29 @@ def daily_rate_for_presence(presence: float, observation_days: int) -> float:
     return 1.0 - (1.0 - presence) ** (1.0 / observation_days)
 
 
-def _patient_rng(seed: int, ordinal: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ordinal,)))
-
-
-def _family_codes(config: ScenarioConfig) -> frozenset[str]:
-    """The drug codes the scenario can record that fall in the planted
-    reaction's drug family (empty without a planted reaction)."""
-    adr = config.adr
-    if adr is None:
-        return frozenset()
-    doi = frozenset(parse_bnf(code) for code in adr.doi_items)
-    drugs = {item.code for item in config.catalog if item.code_type == "BNF"}
-    conf = config.confounder
-    if conf is not None:
-        drugs.add(conf.doi_code)
-        drugs.update(code for code_type, code in conf.antecedent if code_type == "BNF")
-    return frozenset(code for code in drugs if doi_matches(parse_bnf(code), doi))
-
-
 def _generate_patient(
-    config: ScenarioConfig, ordinal: int, rates: np.ndarray, family_codes: frozenset[str]
-) -> tuple[PatientInfo, list[EventRecord], list[TruthRow]]:
-    rng = _patient_rng(config.seed, ordinal)
+    config: ScenarioConfig, ordinal: int, rates: np.ndarray, catalog: np.ndarray,
+    position: dict[tuple[str, str], int], family: list[bool],
+) -> tuple[PatientInfo, list[int], list[int], list[str]]:
+    """A patient and its rows, unsorted: per row a day offset, a code
+    position (into the scenario's sorted codes) and a cause."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(ordinal,)))
     pid = f"s{ordinal:07d}"
     gender = "M" if rng.random() < 0.5 else "F"
     year_of_birth = 1930 + int(rng.integers(0, 60))
     info = PatientInfo(pid, gender, year_of_birth, config.start_date)
     days = config.observation_days
 
-    raw: list[tuple[int, str, str, str | None]] = []  # (day, code_type, code, cause)
-
     counts = rng.binomial(days, rates)
     total = int(counts.sum())
-    if total:
-        event_days = rng.integers(0, days, size=total)
-        offset = 0
-        for item, n in zip(config.catalog, counts):
-            for k in range(n):
-                raw.append((int(event_days[offset + k]), item.code_type, item.code, CAUSE_BACKGROUND))
-            offset += n
+    day = rng.integers(0, days, size=total).tolist() if total else []
+    code = np.repeat(catalog, counts).tolist()
+    cause = [CAUSE_BACKGROUND] * total
+
+    def add(offset: int, key: tuple[str, str], why: str = CAUSE_BACKGROUND) -> None:
+        day.append(offset)
+        code.append(position[key])
+        cause.append(why)
 
     conf = config.confounder
     if conf is not None and rng.random() < conf.prevalence:
@@ -219,63 +209,81 @@ def _generate_patient(
         anchor_lo = int(days * _ANCHOR_SPAN_FRACTION)
         anchor_hi = days - (_OUTCOME_LATENCY[1] + 1)
         if rng.random() < conf.recording_probability:
-            for code_type, code in conf.antecedent:
-                raw.append((int(rng.integers(0, antecedent_hi)), code_type, code, None))
+            for key in conf.antecedent:
+                add(int(rng.integers(0, antecedent_hi)), key)
         coprescribed = rng.random() < conf.doi_coprescription_probability
         activated = rng.random() < conf.activation_probability
         anchor = int(rng.integers(anchor_lo, anchor_hi))
         if coprescribed:
-            raw.append((anchor, "BNF", conf.doi_code, None))
+            add(anchor, ("BNF", conf.doi_code))
         if activated:
             latency = int(rng.integers(_OUTCOME_LATENCY[0], _OUTCOME_LATENCY[1] + 1))
-            raw.append((anchor + latency, "READ", conf.outcome_code, CAUSE_CONFOUNDER))
+            add(anchor + latency, ("READ", conf.outcome_code), CAUSE_CONFOUNDER)
 
     adr = config.adr
     if adr is not None:
-        doi_days = [
-            day for day, code_type, code, _ in raw if code_type == "BNF" and code in family_codes
-        ]
-        if doi_days and rng.random() < adr.reaction_probability:
+        first = min((d for d, k in zip(day, code) if family[k]), default=None)
+        if first is not None and rng.random() < adr.reaction_probability:
             latency = int(rng.integers(adr.latency_days[0], adr.latency_days[1] + 1))
-            outcome_day = min(doi_days) + latency
-            if outcome_day < days:
-                raw.append((outcome_day, "READ", adr.outcome_code, CAUSE_ADR))
+            if first + latency < days:
+                add(first + latency, ("READ", adr.outcome_code), CAUSE_ADR)
+    return info, day, code, cause
 
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    tracked = set()
-    if conf is not None:
-        tracked.add(conf.outcome_code)
-    if adr is not None:
-        tracked.add(adr.outcome_code)
 
-    events = []
-    truth = []
-    for day, code_type, code, cause in raw:
-        date = config.start_date + dt.timedelta(days=day)
-        events.append(EventRecord(pid, date, code_type, code))
-        if code in tracked and code_type == "READ":
-            truth.append(TruthRow(pid, date, cause or CAUSE_BACKGROUND))
-    return info, events, truth
+def _generate(config: ScenarioConfig) -> tuple[EventStore, np.ndarray, list[str]]:
+    """The cohort's store, the rows of its outcome events and their causes.
+    A code position indexes the scenario's sorted (code_type, code) pairs,
+    so rows sorted by (day, position), ties in draw order, are in (day,
+    code_type, code) order."""
+    validate_config(config)
+    conf, adr = config.confounder, config.adr
+    outcomes = {("READ", plant.outcome_code) for plant in (conf, adr) if plant is not None}
+    planted = [*conf.antecedent, ("BNF", conf.doi_code)] if conf is not None else []
+    keys = sorted({(item.code_type, item.code) for item in config.catalog}.union(outcomes, planted))
+    position = {key: k for k, key in enumerate(keys)}
+    doi = frozenset(parse_bnf(code) for code in adr.doi_items) if adr is not None else ()
+    family = [t == "BNF" and doi_matches(parse_bnf(c), doi) for t, c in keys]
+    rates = np.array([item.daily_rate for item in config.catalog])
+    catalog = np.array([position[item.code_type, item.code] for item in config.catalog])
+
+    patients: dict[str, PatientInfo] = {}
+    sizes, day, code, cause = [], [], [], []
+    for ordinal in range(config.patient_count):
+        info, d, k, c = _generate_patient(config, ordinal, rates, catalog, position, family)
+        patients[info.patient_id] = info
+        sizes.append(len(d))
+        day += d
+        code += k
+        cause += c
+    patient = np.repeat(np.arange(config.patient_count), sizes)
+    day = np.array(day, dtype=np.int64) + config.start_date.toordinal()
+    code = np.array(code, dtype=np.int64)
+    order = np.lexsort((code, day, patient))
+    patient, day, code = patient[order], day[order], code[order]
+    used, code_id = np.unique(code, return_inverse=True)  # only the codes that occur
+    table = CodeTable({keys[k]: _parse_entry(keys[k]) for k in used.tolist()})
+    store = _store(patients, _patient_index(patients), (patient, day, code_id, table), None)
+    # The rows went in already in store order, so `truth` indexes its columns.
+    truth = np.flatnonzero(np.array([key in outcomes for key in keys])[code])
+    return store, truth, [cause[r] for r in order[truth].tolist()]
 
 
 def generate_store(config: ScenarioConfig) -> tuple[EventStore, list[TruthRow]]:
     """Generate a cohort directly as an in-memory store plus truth labels."""
-    validate_config(config)
-    rates = np.array([item.daily_rate for item in config.catalog])
-    family_codes = _family_codes(config)
-    patients: dict[str, PatientInfo] = {}
-    events: dict[str, tuple[EventRecord, ...]] = {}
-    truth: list[TruthRow] = []
-    max_date: dt.date | None = None
-    for ordinal in range(config.patient_count):
-        info, evs, rows = _generate_patient(config, ordinal, rates, family_codes)
-        patients[info.patient_id] = info
-        events[info.patient_id] = tuple(evs)
-        truth.extend(rows)
-        if evs and (max_date is None or evs[-1].date > max_date):
-            max_date = evs[-1].date
-    store = EventStore(patients=patients, events=events, db_end_date=max_date)
-    return store, truth
+    store, truth, causes = _generate(config)
+    pids, columns = list(store.patients), store.columns
+    rows = zip(columns.patient[truth].tolist(), columns.day[truth].tolist(), causes)
+    return store, [TruthRow(pids[p], dt.date.fromordinal(d), c) for p, d, c in rows]
+
+
+def _id_dates(store: EventStore, rows: np.ndarray | slice = slice(None)) -> list[str]:
+    """`patient_id,date` of each of the store's `rows`, each distinct day
+    formatted once."""
+    pids = list(store.patients)
+    days, inverse = np.unique(store.columns.day[rows], return_inverse=True)
+    dates = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
+    patient = store.columns.patient[rows].tolist()
+    return [f"{pids[p]},{dates[d]}" for p, d in zip(patient, inverse.tolist())]
 
 
 def _config_to_dict(config: ScenarioConfig) -> dict:
@@ -338,7 +346,9 @@ def _scenario(payload: dict) -> ScenarioConfig:
             doi_items=tuple(json_list(a["doi_items"], "adr.doi_items")),
             outcome_code=a["outcome_code"],
             reaction_probability=json_number(a, "reaction_probability"),
-            latency_days=tuple(a.get("latency_days", _OUTCOME_LATENCY)),  # type: ignore[arg-type]
+            latency_days=tuple(  # type: ignore[arg-type]
+                json_list(a.get("latency_days", [*_OUTCOME_LATENCY]), "adr.latency_days")
+            ),
         )
     return ScenarioConfig(
         seed=json_int(payload, "seed"),
@@ -367,32 +377,30 @@ def load_scenario(path: str) -> ScenarioConfig:
 def generate(config: ScenarioConfig, out_dir: str) -> dict:
     """Generate a cohort into `out_dir`: patients.csv, events.csv,
     ground_truth.csv, and metadata.json. Byte-identical given a seed."""
-    store, truth = generate_store(config)
+    store, truth, causes = _generate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "patients.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,gender,year_of_birth,registration_date\n")
-        for info in store.patients.values():
-            fh.write(
-                f"{info.patient_id},{info.gender},{info.year_of_birth},"
-                f"{info.registration_date.isoformat()}\n"
-            )
+        start = config.start_date.isoformat()  # every patient's registration date
+        patients = store.patients.values()
+        fh.writelines(f"{p.patient_id},{p.gender},{p.year_of_birth},{start}\n" for p in patients)
+    code_text = [f"{code_type},{code}" for code_type, code in store.code_table]
     with open(out / "events.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,date,code_type,code\n")
-        for ev in store.iter_events():
-            fh.write(f"{ev.patient_id},{ev.date.isoformat()},{ev.code_type},{ev.code}\n")
+        rows = zip(_id_dates(store), store.columns.code.tolist())
+        fh.writelines(f"{row},{code_text[k]}\n" for row, k in rows)
     with open(out / "ground_truth.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,hoi_date,cause\n")
-        for row in truth:
-            fh.write(f"{row.patient_id},{row.hoi_date.isoformat()},{row.cause}\n")
+        fh.writelines(f"{row},{cause}\n" for row, cause in zip(_id_dates(store, truth), causes))
 
     summary = {
         "generator": GENERATOR_ID,
         "seed": config.seed,
         "patients": store.patient_count,
         "events": store.event_count,
-        "outcome_events": len(truth),
+        "outcome_events": len(causes),
         "expected_filter_rate": expected_filter_rate(config),
         "config": _config_to_dict(config),
     }

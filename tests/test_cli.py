@@ -465,6 +465,15 @@ class TestSynth:
         assert f"error: observation_days {days} from 2000-01-01 runs past 9999-12-31" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spec_seed, argv", [(-1, []), (42, ["--seed", "-1"])])
+    def test_negative_seed_is_config_error(self, capsys, tmp_path, spec_seed, argv):
+        spec = scenario_file(tmp_path, seed=spec_seed)
+        out = str(tmp_path / "x")
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, *argv, "--out", out)
+        assert code == 1
+        assert "error: seed must be >= 0: -1" in err
+        assert not (tmp_path / "x").exists()
+
     def test_generated_cohort_passes_ingest(self, capsys, tmp_path):
         spec = scenario_file(tmp_path)
         code, _, _ = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
@@ -770,6 +779,16 @@ class TestWrongValueTypes:
                          "reaction_probability": 0.01}},
                 "adr.doi_items must be a list, not a string",
             ),
+            (
+                {"adr": {"doi_items": ["5.1.0.0"], "outcome_code": "N772.",
+                         "reaction_probability": 0.01, "latency_days": "19"}},
+                "adr.latency_days must be a list, not a string",
+            ),
+            (
+                {"adr": {"doi_items": ["5.1.0.0"], "outcome_code": "N772.",
+                         "reaction_probability": 0.01, "latency_days": {"1": 9}}},
+                "adr.latency_days must be a list, not an object",
+            ),
         ],
     )
     def test_scenario_lists(self, capsys, tmp_path, overrides, message):
@@ -786,7 +805,7 @@ class TestWrongValueTypes:
         assert code == 2
         assert "read code must be a string: 5" in err
 
-    @pytest.mark.parametrize("latency", [[1], [1, 30, 60], [1.5, 30]])
+    @pytest.mark.parametrize("latency", [[1], [1, 30, 60], [1.5, 30], [1, 1460], [1, 10**30]])
     def test_scenario_latency_days(self, capsys, tmp_path, latency):
         adr = {"doi_items": ["5.1.0.0"], "outcome_code": "N772.", "reaction_probability": 0.01,
                "latency_days": latency}

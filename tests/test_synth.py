@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import math
 from collections import Counter
@@ -118,11 +119,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(make_config(adr=bad))
 
-    @pytest.mark.parametrize("latency", [(1,), (1, 30, 60), (True, 60)])
+    @pytest.mark.parametrize("latency", [(1,), (1, 30, 60), (True, 60), (1, SPAN), (1, 10**30)])
     def test_latency_not_two_integer_days_rejected(self, latency):
         bad = PlantedAdr(("5.1.0.0",), "N772.", 0.01, latency_days=latency)
         with pytest.raises(ConfigError, match="latency_days must be two integer days"):
             validate_config(make_config(adr=bad))
+
+    def test_longest_recordable_latency_accepted(self):
+        # A first prescription on day 0 and an outcome on the span's last day.
+        validate_config(make_config(adr=PlantedAdr(("5.1.0.0",), "N772.", 0.01, (1, SPAN - 1))))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0: -1"):
+            validate_config(make_config(seed=-1))
 
     @pytest.mark.parametrize(
         "code_type, code", [("ICD", "C10.."), ("READ", "C1"), ("BNF", "5.1.0")]
@@ -150,6 +159,64 @@ class TestDeterminism:
         generate(make_config(seed=1, patient_count=200), str(a))
         generate(make_config(seed=2, patient_count=200), str(b))
         assert (a / "events.csv").read_bytes() != (b / "events.csv").read_bytes()
+
+
+# A small scenario with every kind of row: a confounder, a planted
+# reaction, and a catalog drug ("5.1.1.0") in the reaction's family that
+# is not its listed code.
+PINNED_CONFIG = make_config(
+    seed=2024,
+    patient_count=60,
+    catalog=catalog_with_presence(
+        [
+            ("BNF", "5.1.1.0", 0.6),
+            ("READ", "C10..", 0.4),
+            ("BNF", "2.5.0.0", 0.35),
+            ("READ", "N772.", 0.05),
+        ]
+    ),
+    confounder=dataclasses.replace(CONFOUNDER, prevalence=0.3, activation_probability=0.6),
+    adr=PlantedAdr(("5.1.0.0",), "N772.", 0.4, latency_days=(1, 90)),
+)
+
+PINNED_SHA256 = {
+    "patients.csv": "21fd8fb65c47eab76cda8a7bae215969c50975799194ee82b2055dba279cdd7c",
+    "events.csv": "5ce054fde7caa28d88c07aa362412a7116ad44290a2e48cf08fa73ea80723398",
+    "ground_truth.csv": "eca97c01fcf124728701a6ff36e28adb5a316a5516d5a2b3402c97b35d34e71a",
+    "metadata.json": "7cbc85e328abc7c548cf096f14b873feecd5e9602e5f257c2149cf51a5e615e7",
+}
+
+
+class TestGeneratedBytes:
+    def test_pinned_scenario_bytes(self, tmp_path):
+        # The files of one seed are fixed by GENERATOR_ID: a change that
+        # moves a byte needs a new generator id.
+        generate(PINNED_CONFIG, str(tmp_path))
+        causes = {row.cause for row in read_ground_truth(str(tmp_path / "ground_truth.csv"))}
+        assert causes == {"confounder", "adr", "background"}
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_SHA256
+        }
+        assert got == PINNED_SHA256
+
+    def test_store_equals_loaded_files(self, tmp_path):
+        store, truth = generate_store(PINNED_CONFIG)
+        generate(PINNED_CONFIG, str(tmp_path))
+        loaded = load(str(tmp_path / "patients.csv"), str(tmp_path / "events.csv"))
+        assert store == loaded
+        assert store.db_end_date == loaded.db_end_date
+        assert set(store.code_table) == set(loaded.code_table)
+        assert truth == read_ground_truth(str(tmp_path / "ground_truth.csv"))
+
+    def test_no_events_no_end_date(self, tmp_path):
+        config = make_config(
+            patient_count=5, catalog=(CatalogItem("READ", "C10..", 0.0),), confounder=None
+        )
+        store, truth = generate_store(config)
+        assert store.event_count == 0
+        assert store.db_end_date is None
+        assert truth == []
 
 
 class TestGeneratedCohort:
