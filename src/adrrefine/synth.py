@@ -150,8 +150,9 @@ def validate_config(config: ScenarioConfig) -> None:
         days, span = adr.latency_days, config.observation_days
         two_ints = len(days) == 2 and all(type(v) is int for v in days)
         if not two_ints or not 1 <= days[0] <= days[1] < span:
+            default = " (the default)" if tuple(days) == _OUTCOME_LATENCY else ""
             raise ConfigError(
-                f"latency_days must be two integer days, 1 <= lo <= hi < {span}: {days}"
+                f"latency_days must be two integer days, 1 <= lo <= hi < {span}: {days}{default}"
             )
 
 
@@ -383,9 +384,9 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
 
     with open(out / "patients.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,gender,year_of_birth,registration_date\n")
-        start = config.start_date.isoformat()  # every patient's registration date
-        patients = store.patients.values()
-        fh.writelines(f"{p.patient_id},{p.gender},{p.year_of_birth},{start}\n" for p in patients)
+        for p in store.patients.values():
+            date = p.registration_date.isoformat()
+            fh.write(f"{p.patient_id},{p.gender},{p.year_of_birth},{date}\n")
     code_text = [f"{code_type},{code}" for code_type, code in store.code_table]
     with open(out / "events.csv", "w", encoding="utf-8") as fh:
         fh.write("patient_id,date,code_type,code\n")

@@ -152,11 +152,22 @@ def test_json_value(name, data):
     read_with(name, hostile_json(data, name))
 
 
+def json_loads_message(text: str) -> str:
+    """This interpreter's own json.loads message for text. Its wording of
+    the integer digit limit differs between Python versions: "(4300)" on
+    3.10, "(4300 digits)" on 3.11."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("json.loads accepted the text")
+
+
 @pytest.mark.parametrize("name", list(JSON_VALID))
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("1" * 5000, json_loads_message("1" * 5000)),
         ("[" * 100_000, "maximum recursion depth exceeded"),
     ],
 )

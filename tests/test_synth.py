@@ -125,6 +125,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="latency_days must be two integer days"):
             validate_config(make_config(adr=bad))
 
+    def test_default_latency_past_a_short_span_rejected(self):
+        # The default (1, 60) is bounded like a given one.
+        adr = PlantedAdr(("5.1.0.0",), "N772.", 0.01)
+        config = make_config(observation_days=60, confounder=None, adr=adr)
+        with pytest.raises(ConfigError, match=r"< 60: \(1, 60\) \(the default\)$"):
+            validate_config(config)
+
     def test_longest_recordable_latency_accepted(self):
         # A first prescription on day 0 and an outcome on the span's last day.
         validate_config(make_config(adr=PlantedAdr(("5.1.0.0",), "N772.", 0.01, (1, SPAN - 1))))
