@@ -15,10 +15,15 @@ items larger than the prefix; the same product over the baskets that
 also hold a consequent gives the rules' joint counts. Support is
 anti-monotone under supersets, so an itemset below the left-support
 floor is never a prefix or a row, and because every count is exact no
-candidate needs a subset prune.
+candidate needs a subset prune. Items are counted in ascending support
+order (Zaki, "Scalable algorithms for association mining", IEEE TKDE
+2000): a prefix is its itemset's rarest items, so each Gram covers few
+baskets, and the common items, which have the most frequent supersets,
+are Gram rows rather than prefixes.
 
 All measures are derived from exact integer basket counts, as columns
-over all rules at once that equal the one-rule formula bit for bit.
+filled a block of rules at a time that equal the one-rule formula bit
+for bit.
 Mining runs on the caller's thread, so reports are bit-reproducible
 across runs.
 
@@ -312,10 +317,17 @@ def contingency_from_counts(
     return ContingencyTable(observed=observed, expected=expected, m=m)
 
 
+# Rules whose measures `_measure_columns` computes at a time. The
+# formulas make about twenty float64 temporaries a row, so a block keeps
+# them near 5 MB however many rules there are.
+_MEASURE_BLOCK = 1 << 15
+
+
 def _measure_columns(
     count_xy: np.ndarray, count_x: np.ndarray, count_y: np.ndarray, m: int
 ) -> RuleMeasures:
-    """The five measures of many rules at once, as float64 columns.
+    """The five measures of many rules at once, as float64 columns,
+    filled a block of `_MEASURE_BLOCK` rows at a time.
 
     Each entry equals the scalar formula on Python ints bit for bit:
     every measure and contingency cell (`_cells`) is one correctly
@@ -324,6 +336,19 @@ def _measure_columns(
     m*m) stays below 2**53; above that the counts become Python ints in
     object columns.
     """
+    columns = RuleMeasures(*(np.empty(len(count_xy)) for _ in _RULE_MEASURES))
+    for lo in range(0, len(count_xy), _MEASURE_BLOCK):
+        rows = slice(lo, lo + _MEASURE_BLOCK)
+        block = _measure_block(count_xy[rows], count_x[rows], count_y[rows], m)
+        for column, values in zip(columns, block):
+            column[rows] = values
+    return columns
+
+
+def _measure_block(
+    count_xy: np.ndarray, count_x: np.ndarray, count_y: np.ndarray, m: int
+) -> RuleMeasures:
+    """`_measure_columns` of one block of rows."""
     if m * m >= 2**53:
         count_xy, count_x, count_y = (
             np.asarray(c).astype(object) for c in (count_xy, count_x, count_y)
@@ -455,43 +480,67 @@ def frequent_antecedents(
     """Frequent itemsets of at most `max_size` items, with their basket
     counts.
 
-    Level k+1 comes from one `_gram` per run of level-k rows sharing
-    their first k-1 ids, the prefix Q, over the run's last ids, Q's tails
-    (the items t > max(Q) with Q | {t} frequent): off-diagonal cell
-    (r, s) is count(Q | {r, s}), kept when it reaches `min_count`. Every
-    frequent (k+1)-set is found this way, because Q | {r} and Q | {s}
-    are frequent subsets of it, and its count is exact, so no candidate
-    needs a subset prune. Runs, tails and kept cells are in ascending
-    order, so each level's rows come out lexicographic.
+    Counting numbers the frequent items by ascending basket count, their
+    ranks, and works on rank rows. Level k+1 comes from one `_gram` per
+    run of level-k rows sharing their first k-1 ranks, the prefix Q, over
+    the run's last ranks, Q's tails (the items t ranked above max(Q) with
+    Q | {t} frequent): off-diagonal cell (r, s) is count(Q | {r, s}),
+    kept when it reaches `min_count`. Every frequent (k+1)-set is found
+    this way, because Q | {r} and Q | {s} are frequent subsets of it, and
+    its count is exact, so no candidate needs a subset prune. A prefix
+    is its itemset's rarest items, so its cover is small, and the common
+    items, which have many frequent supersets, are tails rather than
+    prefixes (the ascending-support order of Eclat). Runs, tails and
+    kept cells are in ascending rank order, so rows sharing a prefix are
+    contiguous; each level is then mapped back to item ids, each row
+    sorted, and the rows sorted.
     """
     exclude_id = db.item_ids.get(exclude) if exclude is not None else None
     keep = db.counts >= min_count
     if exclude_id is not None:
         keep[exclude_id] = False
-    first = np.flatnonzero(keep).astype(np.int32)
-    levels = [(first[:, None], db.counts[first])] if len(first) else []
+    kept = np.flatnonzero(keep).astype(np.int32)
+    # The item id of each rank.
+    item_of = kept[np.argsort(db.counts[kept], kind="stable")]
+    first = np.arange(len(item_of), dtype=np.int32)[:, None]
+    levels = [(first, db.counts[item_of])] if len(item_of) else []
 
     while levels and len(levels) < max_size:
-        ids, _ = levels[-1]
-        starts = _group_starts(ids[:, :-1])
+        ranks, _ = levels[-1]
+        starts = _group_starts(ranks[:, :-1])
         heads, pairs, counts = [], [], []
         for lo, hi in zip(starts, starts[1:]):
             if hi - lo < 2:
                 continue
-            tails = ids[lo:hi, -1]
-            gram = _gram(db, tuple(ids[lo, :-1].tolist()), tails)
-            r, s = np.nonzero(np.triu(gram >= min_count, 1))
+            tails = ranks[lo:hi, -1]
+            gram = _gram(db, tuple(item_of[ranks[lo, :-1]].tolist()), item_of[tails]).ravel()
+            cells = np.flatnonzero(gram >= min_count)
+            r, s = np.divmod(cells, len(tails))
+            upper = r < s
+            cells, r, s = cells[upper], r[upper], s[upper]
             heads.append(np.full(len(r), lo))
             pairs.append(np.stack([tails[r], tails[s]], axis=1))
-            counts.append(gram[r, s].astype(np.int64))
+            counts.append(gram[cells].astype(np.int64))
         n = sum(map(len, counts))
         if not n:
             break
-        grown = np.empty((n, ids.shape[1] + 1), dtype=np.int32)
-        grown[:, :-2] = ids[np.concatenate(heads), :-1]
+        grown = np.empty((n, ranks.shape[1] + 1), dtype=np.int32)
+        grown[:, :-2] = ranks[np.concatenate(heads), :-1]
         grown[:, -2:] = np.concatenate(pairs)
         levels.append((grown, np.concatenate(counts)))
-    return FrequentItemsets(levels)
+    return FrequentItemsets([_item_level(item_of, *level) for level in levels])
+
+
+def _item_level(
+    item_of: np.ndarray, ranks: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A level of rank rows as (ids, counts) in `FrequentItemsets` form:
+    each row's item ids ascending and the rows lexicographic."""
+    ids = item_of[ranks]
+    # Stable sorts short rows about twice as fast as the default here.
+    ids.sort(axis=1, kind="stable")
+    order = np.lexsort(ids.T[::-1])
+    return ids[order], counts[order]
 
 
 def _emit_rules(

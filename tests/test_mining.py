@@ -243,6 +243,16 @@ class TestMeasureColumns:
             assert tuple(rule_measures(*row, m)) == want
             assert chi_squared(contingency_from_counts(*row, m)) == want[4]
 
+    def test_blocks_fill_the_same_columns(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        m = 1000
+        x, y = rng.integers(1, m // 2, (2, 50))
+        xy = np.minimum(x, y) // rng.integers(1, 4, 50)
+        whole = mining._measure_columns(xy, x, y, m)
+        monkeypatch.setattr(mining, "_MEASURE_BLOCK", 7)
+        for got, want in zip(mining._measure_columns(xy, x, y, m), whole):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
 
 class TestGram:
     @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.6, 0.95])
@@ -285,6 +295,25 @@ class TestGram:
                 for j, s in enumerate(rows.tolist()):
                     assert gram[i, j] == len(db.cover(prefix + (r, s))), (prefix, r, s)
 
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_unsorted_prefix_and_rows(self, monkeypatch, budget):
+        # Frequent-itemset counting passes items in ascending-count order,
+        # not id order; a budget of a few floats forces many chunks.
+        if budget is not None:
+            monkeypatch.setattr(mining, "_GRAM_BYTES", budget)
+        rng = random.Random(65)
+        db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=0.4)
+        for _ in range(15):
+            ids = rng.sample(range(len(db.items)), rng.randint(4, 9))
+            prefix = tuple(sorted(ids[:2], reverse=True))
+            rows = np.array(sorted(ids[2:], reverse=True))
+            tids = db.cover(prefix)
+            gram = mining._gram(db, prefix, rows)
+            assert gram.dtype == (np.float32 if budget is None or len(tids) < 2 else np.int64)
+            for i, r in enumerate(rows.tolist()):
+                for j, s in enumerate(rows.tolist()):
+                    assert gram[i, j] == len(db.cover(prefix + (r, s))), (prefix, r, s)
+
 
 def brute_force_itemsets(db, min_count, max_size, exclude_id):
     """Every itemset of at most `max_size` ids, other than `exclude_id`,
@@ -318,6 +347,72 @@ class TestFrequentAntecedents:
                 assert ids.shape == (len(counts), size)
                 assert [tuple(row) for row in ids.tolist()] == sorted(map(tuple, ids.tolist()))
                 assert counts.tolist() == [want[tuple(row)] for row in ids.tolist()]
+
+
+def skewed_db(rng: random.Random, n_items: int, n_baskets: int) -> BasketDatabase:
+    """Baskets over the first `n_items` of ITEM_POOL, each item held with
+    its own probability, from about 3% to 80%, in shuffled token order."""
+    presence = [0.8 * (k + 1) ** -1.2 + 0.02 for k in range(n_items)]
+    rng.shuffle(presence)
+    baskets = []
+    for j in range(n_baskets):
+        members = frozenset(it for it, p in zip(ITEM_POOL, presence) if rng.random() < p)
+        baskets.append((f"p{j}", members or frozenset([ITEM_POOL[0]])))
+    return BasketDatabase(baskets)
+
+
+class TestCountOrder:
+    # Counting numbers items by ascending basket count; the results are
+    # in item ids whatever that order is.
+    def test_levels_match_brute_force_on_skewed_counts(self):
+        rng = random.Random(95)
+        for _ in range(4):
+            db = skewed_db(rng, n_items=10, n_baskets=120)
+            by_count = np.argsort(db.counts, kind="stable")
+            assert not np.array_equal(by_count, np.arange(len(db.items)))
+            min_count = rng.randint(2, 6)
+            exclude = rng.choice([None, *db.items])
+            exclude_id = None if exclude is None else db.item_ids[exclude]
+            freq = mining.frequent_antecedents(db, min_count, 4, exclude)
+            want = brute_force_itemsets(db, min_count, 4, exclude_id)
+            assert {tuple(ids) for ids in freq} == set(want)
+            for size, (ids, counts) in enumerate(freq.levels, 1):
+                assert ids.shape == (len(counts), size)
+                assert [tuple(row) for row in ids.tolist()] == sorted(map(tuple, ids.tolist()))
+                assert counts.tolist() == [want[tuple(row)] for row in ids.tolist()]
+
+    def test_renaming_items_against_their_counts_gives_the_same_rules(self):
+        rng = random.Random(96)
+        db = skewed_db(rng, n_items=12, n_baskets=150)
+        # The most common item takes the first token, so in the renamed
+        # corpus token order is the reverse of count order.
+        by_count = sorted(range(len(db.items)), key=lambda k: (-db.counts[k], k))
+        rename = {db.items[k]: ITEM_POOL[j] for j, k in enumerate(by_count)}
+        back = {new: old for old, new in rename.items()}
+        renamed = BasketDatabase(
+            [(pid, frozenset(rename[it] for it in basket)) for pid, basket in db.baskets]
+        )
+        assert (np.diff(renamed.counts) <= 0).all() and not (np.diff(db.counts) <= 0).all()
+
+        def restored(rules):
+            return {
+                dataclasses.replace(
+                    r,
+                    antecedent=frozenset(back[it] for it in r.antecedent),
+                    consequent=back[r.consequent],
+                )
+                for r in rules
+            }
+
+        constraints = MiningConstraints(0.02, 0.05, 3)
+        want = mine_all_rules(db, constraints)
+        got = mine_all_rules(renamed, constraints)
+        assert any(len(r.antecedent) == 3 for r in want)
+        assert len(got) == len(want) and restored(got) == set(want)
+        for consequent in rng.sample(db.items, 3):
+            want = mine_rules(db, consequent, constraints)
+            got = mine_rules(renamed, rename[consequent], constraints)
+            assert len(got) == len(want) and restored(got) == set(want)
 
 
 class TestEmittedRules:
