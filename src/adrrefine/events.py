@@ -19,12 +19,14 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .codes import BnfCode, Item, ReadCode, code_item, parse_code
-from .errors import INPUT_FAULTS, DomainError, column_values, csv_columns, raise_first_fault
+from .errors import (
+    INPUT_FAULTS, CsvBlock, DomainError, column_values, csv_columns, raise_first_fault,
+)
 
 DEFAULT_EXCLUSION_MONTHS = 12
 DEFAULT_END_BUFFER_DAYS = 30
@@ -142,43 +144,23 @@ def _patient_index(patients: dict[str, PatientInfo]) -> tuple[dict[str, int], np
     return ordinal, np.fromiter(days, np.int32, len(patients))
 
 
+# Patient ordinal, day number and code id per row, in input order, and the code table.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable]
+
+
 def _store(
-    patients: dict[str, PatientInfo], index: tuple[dict[str, int], np.ndarray],
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable], db_end_date: dt.date | None,
+    patients: dict[str, PatientInfo], read: Callable[[dict[str, int], np.ndarray], _Rows],
+    db_end_date: dt.date | None,
 ) -> EventStore:
-    """The store of `rows` in input order (patient ordinal, day number and
-    code id per row, and the code table), given the patients' `index`.
-    The end of the database defaults to the latest event day."""
-    patient, day, code, codes = rows
+    """The store of the rows `read(ordinal, registered)` gives, from each
+    patient's ordinal and registration day number. The end of the
+    database defaults to the latest event day."""
+    ordinal, registered = _patient_index(patients)
+    patient, day, code, codes = read(ordinal, registered)
     if db_end_date is None and len(day):
         db_end_date = dt.date.fromordinal(int(day.max()))
-    columns = _columns(*index, patient, day, code, codes)
+    columns = _columns(ordinal, registered, patient, day, code, codes)
     return EventStore._from_columns(patients, columns, db_end_date)
-
-
-def _columns_from_records(
-    patients: dict[str, PatientInfo], events: dict[str, tuple[EventRecord, ...]]
-) -> EventColumns:
-    """Columns of a store built from records; raises ParseError at the
-    first malformed code."""
-    code_of: dict[tuple[str, str], int] = {}
-    entries = {}
-    sizes, days, codes = [], [], []
-    for pid in patients:
-        evs = events.get(pid, ())
-        sizes.append(len(evs))
-        for ev in evs:
-            key = (ev.code_type, ev.code)
-            cid = code_of.get(key)
-            if cid is None:
-                entries[key] = _parse_entry(key)
-                cid = code_of[key] = len(code_of)
-            codes.append(cid)
-            days.append(ev.date.toordinal())
-    patient = np.repeat(np.arange(len(patients), dtype=np.int64), sizes)
-    days = np.array(days, dtype=np.int64)
-    codes = np.array(codes, dtype=np.int32)
-    return _columns(*_patient_index(patients), patient, days, codes, CodeTable(entries))
 
 
 def _records(
@@ -200,10 +182,12 @@ class EventStore:
     """Patients (in store order) and their events.
 
     `EventStore(patients, events, db_end_date)` builds a store from
-    per-patient, date-ordered tuples of `EventRecord`s; its columns, and
-    with them its code table, are built on first use, so an invalid
-    record raises ParseError then. `load` and the exclusions build stores
-    from columns; their `events` is a view built on first use.
+    `EventRecord`s, each filed under its own `patient_id`. They are read
+    as `load` reads events.csv rows, when the store is built: a record
+    that `load` would reject raises its ParseError, numbered by its
+    1-based position in the dict's tuples (`records:2: ...`), and
+    `db_end_date` defaults to the latest event day. `events` is a
+    date-ordered view of the columns.
     """
 
     def __init__(
@@ -212,23 +196,17 @@ class EventStore:
         events: dict[str, tuple[EventRecord, ...]],
         db_end_date: dt.date | None = None,
     ):
-        self.patients = patients
-        self.events = events
-        self.db_end_date = db_end_date
+        read = partial(_read_events, _record_blocks(events), patients)
+        store = _store(patients, read, db_end_date)
+        self.patients, self.columns, self.db_end_date = patients, store.columns, store.db_end_date
 
     @classmethod
     def _from_columns(
         cls, patients: dict[str, PatientInfo], columns: EventColumns, db_end_date: dt.date | None
     ) -> EventStore:
         store = cls.__new__(cls)
-        store.patients = patients
-        store.columns = columns
-        store.db_end_date = db_end_date
+        store.patients, store.columns, store.db_end_date = patients, columns, db_end_date
         return store
-
-    @cached_property
-    def columns(self) -> EventColumns:
-        return _columns_from_records(self.patients, self.events)
 
     @cached_property
     def events(self) -> dict[str, tuple[EventRecord, ...]]:
@@ -245,19 +223,16 @@ class EventStore:
 
     @property
     def event_count(self) -> int:
-        events = vars(self).get("events")  # records, if given or already viewed
-        if events is None:
-            return len(self.columns.code)
-        return sum(len(evs) for evs in events.values())
+        return len(self.columns.code)
 
     def patient_events(self, patient_id: str) -> tuple[EventRecord, ...]:
         if patient_id not in self.patients:
             raise DomainError(f"unknown patient: {patient_id}")
-        return self.events.get(patient_id, ())
+        return self.events[patient_id]
 
     def iter_events(self) -> Iterator[EventRecord]:
-        for pid in self.patients:
-            yield from self.events.get(pid, ())
+        for evs in self.events.values():
+            yield from evs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStore):
@@ -358,15 +333,14 @@ def _check_patient(seen: set[str], row: list[str]) -> None:
 
 
 def _read_events(
-    path: str,
+    blocks: Iterable[CsvBlock],
     patients: dict[str, PatientInfo],
     ordinal: dict[str, int],
     registered: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable]:
-    """Per row, in file order: patient ordinal, day number and code id,
-    plus the code table. Each distinct patient id, date string and
-    (code_type, code) is checked once; a malformed row raises its
-    ParseError."""
+) -> _Rows:
+    """The rows of events.csv `blocks`, in order. Each distinct patient
+    id, date string and (code_type, code) is checked once; a malformed
+    row raises its ParseError."""
     day_of: dict[str, int] = {}
     texts: list[str] = []  # each distinct code_type and code string
     text_of: dict[str, int] = {}  # its index in `texts`
@@ -385,8 +359,8 @@ def _read_events(
         entries[key] = _parse_entry(key)
         return len(entries) - 1
 
-    blocks = []
-    for block in csv_columns(path, _EVENTS_HEADER):
+    parts = []
+    for block in blocks:
         try:
             pids, dates, types, codes = block.columns  # None (a TypeError) on a bad field count
             patient = np.array(column_values(ordinal, pids, ordinal.__getitem__), np.int32)
@@ -397,12 +371,12 @@ def _read_events(
             if (day < registered[patient]).any():
                 raise ValueError("an event before registration")
         except INPUT_FAULTS:
-            raise_first_fault(block.rows(), partial(_check_event, patients), path)
-        blocks.append((patient, day, code))
-    if not blocks:
+            raise_first_fault(block.rows(), partial(_check_event, patients), block.path)
+        parts.append((patient, day, code))
+    if not parts:
         empty = np.zeros(0, dtype=np.int32)
         return empty, empty, empty, CodeTable(entries)
-    patient, day, code = (np.concatenate(column) for column in zip(*blocks))
+    patient, day, code = (np.concatenate(column) for column in zip(*parts))
     return patient, day, code, CodeTable(entries)
 
 
@@ -418,6 +392,16 @@ def _check_event(patients: dict[str, PatientInfo], row: list[str]) -> None:
         raise ValueError(f"event dated {date} before registration {patient.registration_date}")
 
 
+def _record_blocks(events: dict[str, tuple[EventRecord, ...]]) -> list[CsvBlock]:
+    """The records as the events.csv rows they would be, in one block
+    whose lines are their 1-based positions under the name `records`."""
+    records = [ev for evs in events.values() for ev in evs]
+    rows = [[ev.patient_id, str(ev.date), ev.code_type, ev.code] for ev in records]
+    if not rows:
+        return []
+    return [CsvBlock("records", 1, len(_EVENTS_HEADER), rows, [list(c) for c in zip(*rows)])]
+
+
 def load(
     patients_file: str,
     events_file: str,
@@ -430,8 +414,8 @@ def load(
     defaults to the latest event date unless overridden.
     """
     patients = _read_patients(patients_file)
-    index = _patient_index(patients)
-    return _store(patients, index, _read_events(events_file, patients, *index), db_end_date)
+    read = partial(_read_events, csv_columns(events_file, _EVENTS_HEADER), patients)
+    return _store(patients, read, db_end_date)
 
 
 def apply_prescription_exclusions(

@@ -21,7 +21,7 @@ import numpy as np
 
 # `pre_outcome_basket` is not called here; bench/spans.py wraps it by this module's name.
 from .baskets import pre_outcome_basket, pre_outcome_items
-from .codes import Item, ItemKind, ReadCode, gender_item, read_level, read_truncate
+from .codes import READ_NORMALIZE_LEVEL, Item, ReadCode, code_item, gender_item, read_level
 from .errors import ConfigError, DomainError, check_workers
 from .events import EventStore
 from .mining import AssociationRule, RuleTable
@@ -34,7 +34,6 @@ from .signals import (
 )
 
 DEFAULT_LIFT_THRESHOLD = 1.0
-RULE_CONSEQUENT_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,19 @@ class SignalReport:
 
 
 def rule_consequent(hoi_query: ReadCode) -> Item:
-    """The rule consequent that stands for an outcome query: its level-3 form.
+    """The rule consequent that stands for an outcome query: its mining item.
 
-    Mining normalizes diagnosis items to level 3, so a deeper query is
-    refined through its level-3 ancestor's rules. A coarser query has no
-    rules of its own, so it is rejected rather than left unadjusted.
+    Mining normalizes diagnosis items to `READ_NORMALIZE_LEVEL`, so a
+    deeper query is refined through its ancestor's rules at that level. A
+    coarser query has no rules of its own, so it is rejected rather than
+    left unadjusted.
     """
-    if read_level(hoi_query) < RULE_CONSEQUENT_LEVEL:
+    if read_level(hoi_query) < READ_NORMALIZE_LEVEL:
         raise DomainError(
-            f"outcome query {hoi_query} is above level {RULE_CONSEQUENT_LEVEL}; "
-            f"rules exist only for level-{RULE_CONSEQUENT_LEVEL} outcomes"
+            f"outcome query {hoi_query} is above level {READ_NORMALIZE_LEVEL}; "
+            f"rules exist only for level-{READ_NORMALIZE_LEVEL} outcomes"
         )
-    return Item(ItemKind.READ, str(read_truncate(hoi_query, RULE_CONSEQUENT_LEVEL)))
+    return code_item(hoi_query)
 
 
 def extract_hoi_rules(

@@ -35,8 +35,8 @@ from .codes import parse_bnf, parse_code, parse_read
 from .errors import (
     ConfigError, ParseError, checked, csv_rows, json_int, json_list, json_number, read_json,
 )
-from .events import CodeTable, EventStore, PatientInfo, _parse_entry, _patient_index, _store
-from .signals import doi_matches
+from .events import CodeTable, EventStore, PatientInfo, _parse_entry, _store
+from .signals import DEFAULT_WINDOW, doi_matches
 
 GENERATOR_ID = "pcg64-per-patient-seedseq-v1"
 
@@ -46,10 +46,10 @@ CAUSE_BACKGROUND = "background"
 
 # Placement fractions for planted-confounder timing: antecedent items are
 # recorded in the first part of the span, prescriptions and outcomes later,
-# so "recorded before the outcome" holds by construction.
+# so "recorded before the outcome" holds by construction. Outcomes follow
+# their anchor prescription by a latency in the default signal window.
 _ANTECEDENT_SPAN_FRACTION = 0.4
 _ANCHOR_SPAN_FRACTION = 0.45
-_OUTCOME_LATENCY = (1, 60)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class PlantedAdr:
     doi_items: tuple[str, ...]
     outcome_code: str
     reaction_probability: float
-    latency_days: tuple[int, int] = _OUTCOME_LATENCY
+    latency_days: tuple[int, int] = DEFAULT_WINDOW
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def validate_config(config: ScenarioConfig) -> None:
         _check_probability("activation_probability", conf.activation_probability)
         _check_probability("doi_coprescription_probability", conf.doi_coprescription_probability)
         anchor_lo = int(config.observation_days * _ANCHOR_SPAN_FRACTION)
-        anchor_hi = config.observation_days - (_OUTCOME_LATENCY[1] + 1)
+        anchor_hi = config.observation_days - (DEFAULT_WINDOW[1] + 1)
         if anchor_hi <= anchor_lo:
             raise ConfigError(
                 f"observation_days {config.observation_days} too short to place "
@@ -150,7 +150,7 @@ def validate_config(config: ScenarioConfig) -> None:
         days, span = adr.latency_days, config.observation_days
         two_ints = len(days) == 2 and all(type(v) is int for v in days)
         if not two_ints or not 1 <= days[0] <= days[1] < span:
-            default = " (the default)" if tuple(days) == _OUTCOME_LATENCY else ""
+            default = " (the default)" if tuple(days) == DEFAULT_WINDOW else ""
             raise ConfigError(
                 f"latency_days must be two integer days, 1 <= lo <= hi < {span}: {days}{default}"
             )
@@ -175,6 +175,8 @@ def expected_filter_rate(config: ScenarioConfig) -> float:
 
 def daily_rate_for_presence(presence: float, observation_days: int) -> float:
     """Per-day rate so that P(at least one event in the span) = presence."""
+    if not observation_days >= 1:
+        raise ConfigError(f"observation_days must be >= 1: {observation_days}")
     if not 0.0 <= presence < 1.0:
         raise ConfigError(f"presence must be in [0, 1): {presence}")
     return 1.0 - (1.0 - presence) ** (1.0 / observation_days)
@@ -208,7 +210,7 @@ def _generate_patient(
     if conf is not None and rng.random() < conf.prevalence:
         antecedent_hi = max(1, int(days * _ANTECEDENT_SPAN_FRACTION))
         anchor_lo = int(days * _ANCHOR_SPAN_FRACTION)
-        anchor_hi = days - (_OUTCOME_LATENCY[1] + 1)
+        anchor_hi = days - (DEFAULT_WINDOW[1] + 1)
         if rng.random() < conf.recording_probability:
             for key in conf.antecedent:
                 add(int(rng.integers(0, antecedent_hi)), key)
@@ -218,7 +220,7 @@ def _generate_patient(
         if coprescribed:
             add(anchor, ("BNF", conf.doi_code))
         if activated:
-            latency = int(rng.integers(_OUTCOME_LATENCY[0], _OUTCOME_LATENCY[1] + 1))
+            latency = int(rng.integers(DEFAULT_WINDOW[0], DEFAULT_WINDOW[1] + 1))
             add(anchor + latency, ("READ", conf.outcome_code), CAUSE_CONFOUNDER)
 
     adr = config.adr
@@ -263,7 +265,7 @@ def _generate(config: ScenarioConfig) -> tuple[EventStore, np.ndarray, list[str]
     patient, day, code = patient[order], day[order], code[order]
     used, code_id = np.unique(code, return_inverse=True)  # only the codes that occur
     table = CodeTable({keys[k]: _parse_entry(keys[k]) for k in used.tolist()})
-    store = _store(patients, _patient_index(patients), (patient, day, code_id, table), None)
+    store = _store(patients, lambda *_: (patient, day, code_id, table), None)
     # The rows went in already in store order, so `truth` indexes its columns.
     truth = np.flatnonzero(np.array([key in outcomes for key in keys])[code])
     return store, truth, [cause[r] for r in order[truth].tolist()]
@@ -348,7 +350,7 @@ def _scenario(payload: dict) -> ScenarioConfig:
             outcome_code=a["outcome_code"],
             reaction_probability=json_number(a, "reaction_probability"),
             latency_days=tuple(  # type: ignore[arg-type]
-                json_list(a.get("latency_days", [*_OUTCOME_LATENCY]), "adr.latency_days")
+                json_list(a.get("latency_days", [*DEFAULT_WINDOW]), "adr.latency_days")
             ),
         )
     return ScenarioConfig(

@@ -152,6 +152,20 @@ class TestValidation:
         with pytest.raises(ParseError, match="code_type must be READ or BNF"):
             validate_config(make_config(confounder=bad))
 
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_presence_span_below_one_day_rejected(self, days):
+        # Checked before the presence, which is valid here.
+        with pytest.raises(ConfigError, match=f"observation_days must be >= 1: {days}$"):
+            daily_rate_for_presence(0.5, days)
+
+    @pytest.mark.parametrize("presence", [-0.1, 1.0, float("nan")])
+    def test_presence_outside_unit_interval_rejected(self, presence):
+        with pytest.raises(ConfigError, match=r"presence must be in \[0, 1\)"):
+            daily_rate_for_presence(presence, SPAN)
+
+    def test_presence_rate_over_one_day_is_the_presence(self):
+        assert daily_rate_for_presence(0.5, 1) == pytest.approx(0.5)
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
