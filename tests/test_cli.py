@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -294,6 +295,32 @@ class TestRefine:
         assert report["avg_max_confidence_all"] == 0.0225
         assert report["avg_max_chi_all"] == 150.0
         assert (out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "instances, sha256",
+        [
+            (False, "52c285a09c94dd0be3c53b7c3791741aed85e0d87eee876c249260c81f04b58a"),
+            (True, "ab2ab5d9aed7be33a9af9e4c702b7cfc33a952ba4da58323497480d742f6bf0d"),
+        ],
+    )
+    def test_worked_example_report_bytes(
+        self, capsys, worked_example_dir, tmp_path, instances, sha256
+    ):
+        """report.json's bytes, with and without supplied instances, are pinned."""
+        given = ["--instances", str(worked_example_dir / "instances.csv")] if instances else []
+        code, _, _ = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(worked_example_dir / "rules.csv"),
+            "--spec", str(worked_example_dir / "signal.json"),
+            *given,
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 0
+        report = (tmp_path / "report" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == sha256
 
     def test_zero_exposure_is_domain_error(self, capsys, worked_example_dir, tmp_path):
         spec = tmp_path / "spec.json"
