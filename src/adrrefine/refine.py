@@ -12,10 +12,11 @@ through as diagnostics only; they never filter.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class InstanceAssessment:
     expected: bool
 
 
+# report.json holds these fields in this order, after `signal` and before
+# `instances`; each instance lists its `SignalInstance` fields, then
+# `InstanceAssessment`'s own.
 @dataclass(frozen=True)
 class SignalReport:
     spec: SignalSpec
@@ -221,41 +225,19 @@ def refine(
     )
 
 
+def _fields(record, skip: tuple[str, ...] = ()) -> dict:
+    """A dataclass's fields in declared order, less `skip`, with dates in
+    ISO form; a nested dataclass is left as it is."""
+    values = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    return {k: v.isoformat() if isinstance(v, dt.date) else v for k, v in values.items()}
+
+
 def report_to_dict(report: SignalReport) -> dict:
-    return {
-        "signal": {
-            "name": report.spec.name,
-            "doi_items": sorted(str(c) for c in report.spec.doi),
-            "hoi_code": str(report.spec.hoi),
-            "window": list(report.spec.window),
-        },
-        "exposure_count": report.exposure_count,
-        "instance_count": report.instance_count,
-        "matched_count": report.matched_count,
-        "expected_count": report.expected_count,
-        "absolute_risk": report.absolute_risk,
-        "adjusted_risk": report.adjusted_risk,
-        "avg_max_confidence_all": report.avg_max_confidence_all,
-        "avg_max_chi_all": report.avg_max_chi_all,
-        "avg_max_confidence_matched": report.avg_max_confidence_matched,
-        "avg_max_chi_matched": report.avg_max_chi_matched,
-        "hoi_rule_count": report.hoi_rule_count,
-        "ab_ratio": report.ab_ratio,
-        "matched_averages_defined": report.matched_averages_defined,
-        "instances": [
-            {
-                "patient_id": a.instance.patient_id,
-                "doi_date": a.instance.doi_date.isoformat(),
-                "hoi_date": a.instance.hoi_date.isoformat(),
-                "matched_rule_count": a.matched_rule_count,
-                "max_confidence": a.max_confidence,
-                "max_lift": a.max_lift,
-                "max_chi_squared": a.max_chi_squared,
-                "expected": a.expected,
-            }
-            for a in report.assessments
-        ],
-    }
+    spec = report.spec
+    signal = {"name": spec.name, "doi_items": sorted(str(c) for c in spec.doi),
+              "hoi_code": str(spec.hoi), "window": list(spec.window)}
+    instances = [_fields(a.instance) | _fields(a, ("instance",)) for a in report.assessments]
+    return {"signal": signal, **_fields(report, ("spec", "assessments")), "instances": instances}
 
 
 def write_report_json(report: SignalReport, path: str) -> None:

@@ -24,6 +24,7 @@ stream derived from the scenario seed and the patient ordinal.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 from dataclasses import dataclass
@@ -35,7 +36,9 @@ from .codes import parse_bnf, parse_code, parse_read
 from .errors import (
     ConfigError, ParseError, checked, csv_rows, json_int, json_list, json_number, read_json,
 )
-from .events import CodeTable, EventStore, PatientInfo, _parse_entry, _store
+from .events import (
+    _EVENTS_HEADER, _PATIENTS_HEADER, CodeTable, EventStore, PatientInfo, _parse_entry, _store,
+)
 from .signals import DEFAULT_WINDOW, doi_matches
 
 GENERATOR_ID = "pcg64-per-patient-seedseq-v1"
@@ -78,6 +81,8 @@ class PlantedAdr:
     latency_days: tuple[int, int] = DEFAULT_WINDOW
 
 
+# Each scenario dataclass's field order is its key order in metadata.json's
+# `config`; only the top level is reordered, by `_SCENARIO_KEYS`.
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -87,6 +92,15 @@ class ScenarioConfig:
     start_date: dt.date = dt.date(2000, 1, 1)
     confounder: PlantedConfounder | None = None
     adr: PlantedAdr | None = None
+
+
+# scenario.json's top-level keys in file order: `start_date` has a
+# default, so `ScenarioConfig` declares it after `catalog`.
+_SCENARIO_KEYS = (
+    "seed", "patient_count", "observation_days", "start_date", "catalog", "confounder", "adr",
+)
+
+_TRUTH_HEADER = ["patient_id", "hoi_date", "cause"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,36 +304,11 @@ def _id_dates(store: EventStore, rows: np.ndarray | slice = slice(None)) -> list
 
 
 def _config_to_dict(config: ScenarioConfig) -> dict:
-    payload = {
-        "seed": config.seed,
-        "patient_count": config.patient_count,
-        "observation_days": config.observation_days,
-        "start_date": config.start_date.isoformat(),
-        "catalog": [
-            {"code_type": c.code_type, "code": c.code, "daily_rate": c.daily_rate}
-            for c in config.catalog
-        ],
-    }
-    if config.confounder is not None:
-        conf = config.confounder
-        payload["confounder"] = {
-            "antecedent": [list(pair) for pair in conf.antecedent],
-            "outcome_code": conf.outcome_code,
-            "doi_code": conf.doi_code,
-            "prevalence": conf.prevalence,
-            "recording_probability": conf.recording_probability,
-            "activation_probability": conf.activation_probability,
-            "doi_coprescription_probability": conf.doi_coprescription_probability,
-        }
-    if config.adr is not None:
-        adr = config.adr
-        payload["adr"] = {
-            "doi_items": list(adr.doi_items),
-            "outcome_code": adr.outcome_code,
-            "reaction_probability": adr.reaction_probability,
-            "latency_days": list(adr.latency_days),
-        }
-    return payload
+    """A config as scenario.json holds it, and as JSON reads it back: its
+    fields through `dataclasses.asdict`, dates in ISO form, no null
+    mechanism and tuples as lists."""
+    fields = json.loads(json.dumps(dataclasses.asdict(config), default=dt.date.isoformat))
+    return {key: fields[key] for key in _SCENARIO_KEYS if fields[key] is not None}
 
 
 def _scenario(payload: dict) -> ScenarioConfig:
@@ -385,17 +374,17 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "patients.csv", "w", encoding="utf-8") as fh:
-        fh.write("patient_id,gender,year_of_birth,registration_date\n")
+        fh.write(",".join(_PATIENTS_HEADER) + "\n")
         for p in store.patients.values():
             date = p.registration_date.isoformat()
             fh.write(f"{p.patient_id},{p.gender},{p.year_of_birth},{date}\n")
     code_text = [f"{code_type},{code}" for code_type, code in store.code_table]
     with open(out / "events.csv", "w", encoding="utf-8") as fh:
-        fh.write("patient_id,date,code_type,code\n")
+        fh.write(",".join(_EVENTS_HEADER) + "\n")
         rows = zip(_id_dates(store), store.columns.code.tolist())
         fh.writelines(f"{row},{code_text[k]}\n" for row, k in rows)
     with open(out / "ground_truth.csv", "w", encoding="utf-8") as fh:
-        fh.write("patient_id,hoi_date,cause\n")
+        fh.write(",".join(_TRUTH_HEADER) + "\n")
         fh.writelines(f"{row},{cause}\n" for row, cause in zip(_id_dates(store, truth), causes))
 
     summary = {
@@ -414,5 +403,5 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
 
 
 def read_ground_truth(path: str) -> list[TruthRow]:
-    rows = csv_rows(path, ["patient_id", "hoi_date", "cause"])
+    rows = csv_rows(path, _TRUTH_HEADER)
     return list(checked(rows, lambda r: TruthRow(r[0], dt.date.fromisoformat(r[1]), r[2]), path))
