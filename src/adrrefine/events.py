@@ -25,7 +25,8 @@ import numpy as np
 
 from .codes import BnfCode, Item, ReadCode, code_item, parse_code
 from .errors import (
-    INPUT_FAULTS, CsvBlock, DomainError, column_values, csv_columns, raise_first_fault,
+    INPUT_FAULTS, ConfigError, CsvBlock, DomainError, column_values, csv_columns,
+    raise_first_fault,
 )
 
 DEFAULT_EXCLUSION_MONTHS = 12
@@ -34,6 +35,8 @@ DEFAULT_MIN_ACTIVE_MONTHS = 24
 
 # Day number of 1970-01-01, numpy's datetime64 origin.
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
+# A shift this long takes any date past 9999-12-31, as every longer one does.
+_MAX_SHIFT_MONTHS = 12 * 9999
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,11 +431,16 @@ def apply_prescription_exclusions(
     A prescription is removed if dated within `exclusion_months` calendar
     months of the patient's registration (inclusive of the boundary) or
     within `end_buffer_days` days of the database end date. Diagnosis
-    (READ) events always pass through; the filter is idempotent.
+    (READ) events always pass through; the filter is idempotent. A
+    negative window is a ConfigError.
     """
+    windows = {"exclusion_months": exclusion_months, "end_buffer_days": end_buffer_days}
+    for name, value in windows.items():
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0: {value}")
     columns = store.columns
     end = store.db_end_date
-    cutoff = _add_months_days(columns.registered, exclusion_months)
+    cutoff = _add_months_days(columns.registered, min(exclusion_months, _MAX_SHIFT_MONTHS))
     window = columns.day <= cutoff[columns.patient]
     if end is not None:
         window |= end.toordinal() - columns.day.astype(np.int64) < end_buffer_days

@@ -320,10 +320,15 @@ def _scenario(payload: dict) -> ScenarioConfig:
     confounder = None
     if "confounder" in payload:
         c = payload["confounder"]
+        pairs = json_list(c["antecedent"], "confounder.antecedent")
+        for pair in pairs:
+            if len(json_list(pair, "each confounder.antecedent entry")) != 2:
+                raise ValueError(
+                    "confounder.antecedent entries must be [code_type, code] pairs, "
+                    f"not {json.dumps(pair)}"
+                )
         confounder = PlantedConfounder(
-            antecedent=tuple(
-                (p[0], p[1]) for p in json_list(c["antecedent"], "confounder.antecedent")
-            ),
+            antecedent=tuple(map(tuple, pairs)),
             outcome_code=c["outcome_code"],
             doi_code=c["doi_code"],
             prevalence=json_number(c, "prevalence"),

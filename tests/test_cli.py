@@ -83,6 +83,37 @@ class TestIngest:
         assert len(eligible_patients(apply_prescription_exclusions(store))) != m
         assert json.loads(out)["eligible_patients"] == m
 
+    @pytest.mark.parametrize("months", ["1000", str(10**18), str(10**19)])
+    def test_long_exclusion_window(self, capsys, worked_example_dir, months):
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--exclusion-months", months,
+        )
+        assert code == 0, err
+        assert json.loads(out)["events_after_exclusions"] == 10
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--exclusion-months", "-3", "exclusion_months"),
+         ("--end-buffer-days", "-30", "end_buffer_days")],
+    )
+    def test_negative_exclusion_window_exits_one(
+        self, capsys, worked_example_dir, flag, value, name
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "ingest",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            flag, value,
+        )
+        assert code == 1
+        assert f"error: {name} must be >= 0: {value}" in err
+        assert out == ""
+
     def test_corrupt_row_exits_two_with_line(self, capsys, tmp_path):
         patients = tmp_path / "patients.csv"
         events = tmp_path / "events.csv"
@@ -823,6 +854,18 @@ class TestWrongValueTypes:
         code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
         assert code == 2
         assert f"error: {spec}: bad scenario config: {message}" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "pair", [["READ", "H33..", "ignored"], ["BNF", "3.4.0.0", 7, 8], ["READ"], []]
+    )
+    def test_scenario_antecedent_pair_length(self, capsys, tmp_path, pair):
+        confounder = json.loads(Path(scenario_file(tmp_path)).read_text())["confounder"]
+        spec = scenario_file(tmp_path, confounder={**confounder, "antecedent": [pair]})
+        code, _, err = run_cli(capsys, "synth", "--spec", spec, "--out", str(tmp_path / "c"))
+        assert code == 2
+        message = "confounder.antecedent entries must be [code_type, code] pairs"
+        assert f"error: {spec}: bad scenario config: {message}, not {json.dumps(pair)}" in err
         assert not (tmp_path / "c").exists()
 
     def test_scenario_catalog_code(self, capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adrrefine.errors import ParseError
+from adrrefine.errors import ConfigError, ParseError
 from adrrefine.events import (
     EventStore,
     active_months,
@@ -173,6 +173,30 @@ class TestPrescriptionExclusions:
         before = _exclusion_store(tmp_path)
         after = apply_prescription_exclusions(before)
         assert set(after.patient_events("p1")) <= set(before.patient_events("p1"))
+
+    @pytest.mark.parametrize("months, days", [(-1, 30), (12, -1), (-3, -30)])
+    def test_negative_window_is_config_error(self, tmp_path, months, days):
+        store = _exclusion_store(tmp_path)
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            apply_prescription_exclusions(store, months, days)
+
+    @pytest.mark.parametrize("months", [12 * 9999, 4 * 10**17, 10**18, 10**19, 10**30])
+    def test_long_window_drops_every_prescription(self, tmp_path, months):
+        # Day arithmetic past 9999-12-31 once wrapped around int64 here and
+        # kept prescriptions; every shift this long ends past every event.
+        store = _exclusion_store(tmp_path)
+        after = apply_prescription_exclusions(store, months)
+        assert after.events == apply_prescription_exclusions(store, 1000).events
+        assert {e.code_type for e in after.patient_events("p1")} == {"READ"}
+
+    def test_window_cap_reaches_past_date_max(self, tmp_path):
+        patients, events = write_cohort(
+            tmp_path, ["p1,M,1950,0001-01-01"], ["p1,9999-12-31,BNF,1.2.0.0"]
+        )
+        store = load(patients, events)
+        assert apply_prescription_exclusions(store, 12 * 9999 - 1, 0).event_count == 1
+        for months in (12 * 9999, 10**19):
+            assert apply_prescription_exclusions(store, months, 0).event_count == 0
 
 
 class TestActivity:
