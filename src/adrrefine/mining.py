@@ -236,11 +236,18 @@ def _id_matrix(rows: list[list[int]]) -> np.ndarray:
     return matrix.reshape(len(rows), width)
 
 
+def _row_order(rows: np.ndarray, *major: np.ndarray) -> np.ndarray:
+    """The stable order that sorts an id matrix's rows lexicographically,
+    the -1 pad before every id, within the `major` keys when given (the
+    last most major)."""
+    return np.lexsort((*rows.T[::-1], *major))
+
+
 def _distinct_rows(antecedent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an id matrix, sorted, and each row's index
     among them (a lexsort: `np.unique(axis=0)` sorts rows as opaque bytes
     and takes several times as long)."""
-    order = np.lexsort(antecedent.T[::-1])
+    order = _row_order(antecedent)
     rows = antecedent[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -539,7 +546,7 @@ def _item_level(
     ids = item_of[ranks]
     # Stable sorts short rows about twice as fast as the default here.
     ids.sort(axis=1, kind="stable")
-    order = np.lexsort(ids.T[::-1])
+    order = _row_order(ids)
     return ids[order], counts[order]
 
 
@@ -560,15 +567,12 @@ def _emit_rules(
     held at a time, and only the cells passing confidence are kept.
     """
     # Row k of `matrix` is antecedent k: the levels' rows in turn, padded
-    # with -1, which sorts before every id, so `rank` orders the rows as
-    # sorted id tuples.
+    # with -1.
     starts = np.cumsum([0, *(len(ids) for ids, _ in freq.levels)]).tolist()
     matrix = np.full((starts[-1], len(freq.levels) or 1), -1, np.int32)
     for (ids, _), lo in zip(freq.levels, starts):
         matrix[lo : lo + len(ids), : ids.shape[1]] = ids
     count_x = np.concatenate([np.empty(0, np.int64), *(c for _, c in freq.levels)])
-    rank = np.empty(len(matrix), dtype=np.int64)
-    rank[np.lexsort(matrix.T[::-1])] = np.arange(len(matrix))
 
     # Per prefix Q: the item pair (r, s) of each antecedent it serves and
     # the antecedent's row in `matrix`. () serves the single items and
@@ -598,7 +602,7 @@ def _emit_rules(
             keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
             results.append((np.full(keep.sum(), y), ks[keep], xy[keep]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
-    order = np.lexsort((rank[ks], ys))
+    order = _row_order(matrix[ks], ys)
     ys, ks, xy = ys[order], ks[order], xy[order]
     measures = _measure_columns(xy, count_x[ks], db.counts[ys], db.m)
     return RuleTable(db.items, matrix[ks], ys.astype(np.int32), **measures._asdict())
@@ -668,9 +672,8 @@ def _text_columns(
     `number_text`. Each distinct antecedent row and each distinct value
     of a measure is formatted once."""
     table = RuleTable.from_rules(rules)
-    # Ids follow token order and the -1 pad sorts first, so this is the
-    # order of (consequent token, antecedent tokens), ties kept.
-    table = table[np.lexsort((*table.antecedent.T[::-1], table.consequent))]
+    # (consequent token, antecedent tokens) order, ties kept.
+    table = table[_row_order(table.antecedent, table.consequent)]
     tokens = [it.token for it in table.items]
     rows, inverse = _distinct_rows(table.antecedent)
     texts = [antecedent_text([tokens[i] for i in row if i >= 0]) for row in rows.tolist()]
