@@ -672,7 +672,8 @@ def _text_columns(
     `number_text`. Each distinct antecedent row and each distinct value
     of a measure is formatted once."""
     table = RuleTable.from_rules(rules)
-    # (consequent token, antecedent tokens) order, ties kept.
+    # Ids follow token order, so this is the order of (consequent token,
+    # antecedent tokens), ties kept.
     table = table[_row_order(table.antecedent, table.consequent)]
     tokens = [it.token for it in table.items]
     rows, inverse = _distinct_rows(table.antecedent)
