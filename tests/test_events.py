@@ -180,22 +180,15 @@ class TestPrescriptionExclusions:
         with pytest.raises(ConfigError, match="must be >= 0"):
             apply_prescription_exclusions(store, months, days)
 
-    @pytest.mark.parametrize("months", [12 * 9999, 4 * 10**17, 10**18, 10**19, 10**30])
-    def test_long_window_drops_every_prescription(self, tmp_path, months):
-        # Day arithmetic past 9999-12-31 once wrapped around int64 here and
-        # kept prescriptions; every shift this long ends past every event.
-        store = _exclusion_store(tmp_path)
-        after = apply_prescription_exclusions(store, months)
-        assert after.events == apply_prescription_exclusions(store, 1000).events
-        assert {e.code_type for e in after.patient_events("p1")} == {"READ"}
-
-    def test_window_cap_reaches_past_date_max(self, tmp_path):
+    def test_long_window_drops_every_prescription(self, tmp_path):
+        # Day arithmetic past 9999-12-31 once wrapped around int64 (from
+        # about 4 * 10**17 months) and kept prescriptions, or overflowed.
         patients, events = write_cohort(
             tmp_path, ["p1,M,1950,0001-01-01"], ["p1,9999-12-31,BNF,1.2.0.0"]
         )
         store = load(patients, events)
         assert apply_prescription_exclusions(store, 12 * 9999 - 1, 0).event_count == 1
-        for months in (12 * 9999, 10**19):
+        for months in (12 * 9999, 4 * 10**17, 10**18, 10**19, 10**30):
             assert apply_prescription_exclusions(store, months, 0).event_count == 0
 
 

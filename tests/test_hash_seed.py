@@ -15,15 +15,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Rates dense enough that patients have same-day rows of different
+# codes, whose order in events.csv a leak of set order would change.
 SCENARIO = {
     "seed": 4242,
     "patient_count": 300,
     "observation_days": 1460,
     "catalog": [
-        {"code_type": "BNF", "code": "5.1.0.0", "daily_rate": 0.0005},
-        {"code_type": "BNF", "code": "2.5.0.0", "daily_rate": 0.0003},
-        {"code_type": "READ", "code": "C10..", "daily_rate": 0.0004},
-        {"code_type": "READ", "code": "H33..", "daily_rate": 0.0003},
+        {"code_type": "BNF", "code": "5.1.0.0", "daily_rate": 0.005},
+        {"code_type": "BNF", "code": "2.5.0.0", "daily_rate": 0.003},
+        {"code_type": "READ", "code": "C10..", "daily_rate": 0.004},
+        {"code_type": "READ", "code": "H33..", "daily_rate": 0.003},
     ],
     "confounder": {
         "antecedent": [["READ", "K55.."], ["BNF", "9.9.0.0"]],
@@ -37,7 +39,10 @@ SCENARIO = {
     "adr": {"doi_items": ["5.1.0.0"], "outcome_code": "N772.", "reaction_probability": 0.1},
 }
 
-SIGNAL = {"name": "N771", "doi_items": ["5.1.0.0"], "hoi_code": "N771.", "window": [1, 60]}
+# Two drug codes, which the spec holds as a set.
+SIGNAL = {
+    "name": "N771", "doi_items": ["5.1.0.0", "2.5.0.0"], "hoi_code": "N771.", "window": [1, 60]
+}
 
 # Runs every stage through the CLI in one process, each stage's stdout
 # to its own file under the output directory given as the argument.

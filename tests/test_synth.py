@@ -295,18 +295,6 @@ class TestGeneratedCohort:
         config = load_scenario(str(scenario_path))
         assert config == make_config(patient_count=10, adr=ADR)
 
-    @pytest.mark.parametrize("pair", [["READ", "H33..", "ignored"], ["BNF", "3.4.0.0", 7, 8]])
-    def test_antecedent_pair_is_two_entries(self, tmp_path, pair):
-        # A longer pair once loaded as its first two entries, and
-        # metadata.json then recorded a config unlike the file's.
-        generate(make_config(patient_count=10), str(tmp_path))
-        scenario = json.loads((tmp_path / "metadata.json").read_text())["config"]
-        scenario["confounder"]["antecedent"].append(pair)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        with pytest.raises(ParseError, match=r"confounder\.antecedent entries must be"):
-            load_scenario(str(path))
-
     def test_scaling_patient_count_scales_outcomes(self, tmp_path):
         # Confounder outcomes per patient ~ Bernoulli(prevalence * activation).
         rate = CONFOUNDER.prevalence * CONFOUNDER.activation_probability
