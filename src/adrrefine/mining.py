@@ -11,8 +11,11 @@ of Eclat and FP-growth. For a frequent itemset Q, the 0/1 rows of Q's
 frequent one-item extensions over the baskets holding Q, multiplied by
 their own transpose, give count(Q | {r, s}) for every pair of them at
 once. One such Gram matrix per prefix finds the frequent itemsets two
-items larger than the prefix; the same product over the baskets that
-also hold a consequent gives the rules' joint counts. Support is
+items larger than the prefix. A rule's joint count count(X | {y}) is a
+popcount instead: the baskets holding the consequent y are packed as
+one bitset row per item, and the AND of X's rows marks the baskets that
+also hold X (the vertical bitmaps of MAFIA, Burdick et al., ICDE 2001),
+so a few vectorised passes count every antecedent at once. Support is
 anti-monotone under supersets, so an itemset below the left-support
 floor is never a prefix or a row, and because every count is exact no
 candidate needs a subset prune. Items are counted in ascending support
@@ -239,8 +242,27 @@ def _id_matrix(rows: list[list[int]]) -> np.ndarray:
 def _row_order(rows: np.ndarray, *major: np.ndarray) -> np.ndarray:
     """The stable order that sorts an id matrix's rows lexicographically,
     the -1 pad before every id, within the `major` keys when given (the
-    last most major)."""
-    return np.lexsort((*rows.T[::-1], *major))
+    last most major).
+
+    One `np.lexsort` of packed keys: each key is shifted by one, so the
+    pad is 0, and the keys, most major first, are folded in base
+    `max id + 2` into as few int64 keys as stay below 2**63 (usually
+    one). The fold keeps the keys' order, ties included.
+    """
+    keys = [*major[::-1], *rows.T]
+    base = int(max((k.max() for k in keys if len(k)), default=0)) + 2
+    digits = 1
+    while base ** (digits + 1) <= 2**63:
+        digits += 1
+    packed = []
+    for lo in range(0, len(keys), digits):
+        key = keys[lo].astype(np.int64) + 1
+        for k in keys[lo + 1 : lo + digits]:
+            key *= base
+            key += k
+            key += 1
+        packed.append(key)
+    return np.lexsort(packed[::-1])
 
 
 def _distinct_rows(antecedent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,30 +430,28 @@ def min_count_for(threshold: float, m: int) -> int:
 
 
 # Bytes of one baskets x rows float32 input block of `_gram`, and of the
-# chunk's basket rows gathered from `bits` to make it. It bounds only
-# those blocks: the Gram itself is rows x rows, so it grows with the
-# square of the row count.
+# chunk's basket rows gathered from `bits` to make it or to pack
+# `_target_bitsets`. It bounds only those blocks: the Gram itself is
+# rows x rows, so it grows with the square of the row count.
 _GRAM_BYTES = 1 << 25
 
 
-def _gram(
-    db: BasketDatabase, prefix: tuple[int, ...], rows: np.ndarray, extra: tuple[int, ...] = ()
-) -> np.ndarray:
+def _gram(db: BasketDatabase, prefix: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Co-occurrence counts of the items `rows` inside the baskets holding
-    every item of `prefix` and `extra`, as a rows x rows matrix of exact
-    integers: float32 when the cover is one chunk, else int64.
+    every item of `prefix`, as a rows x rows matrix of exact integers:
+    float32 when the cover is one chunk, else int64.
 
-    Off-diagonal cell (r, s) is count(prefix | extra | {rows[r], rows[s]});
-    diagonal cell r is count(prefix | extra | {rows[r]}). The cover's
-    basket rows are gathered from `bits` a chunk at a time, narrowed to
-    the `rows` columns, and the 0/1 block times its own transpose is the
-    chunk's Gram. Chunks keep each block within `_GRAM_BYTES`; with more
-    than one, their products are summed in int64. Every product is exact
-    at any m: a chunk's partial sums are integers of at most its basket
+    Off-diagonal cell (r, s) is count(prefix | {rows[r], rows[s]});
+    diagonal cell r is count(prefix | {rows[r]}). The cover's basket rows
+    are gathered from `bits` a chunk at a time, narrowed to the `rows`
+    columns, and the 0/1 block times its own transpose is the chunk's
+    Gram. Chunks keep each block within `_GRAM_BYTES`; with more than
+    one, their products are summed in int64. Every product is exact at
+    any m: a chunk's partial sums are integers of at most its basket
     count, which `_GRAM_BYTES` keeps at or below 2**23, and float32 holds
     every integer up to 2**24 exactly.
     """
-    tids = db.cover(prefix + extra)
+    tids = db.cover(prefix)
     step = max(1, _GRAM_BYTES // max(4 * len(rows), db.bits.shape[1]))
     if len(tids) <= step:
         block = db.bits[tids][:, rows].astype(np.float32)
@@ -443,11 +463,43 @@ def _gram(
     return gram
 
 
-def _union(*ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of non-negative id arrays, through a
-    bincount rather than `np.unique`: with numpy 2.4, unique's first call
-    alone adds about 1.6 MB of resident memory."""
-    return np.flatnonzero(np.bincount(np.concatenate(ids)))
+# Bytes of the bitset words `_joint_counts` gathers at a time. Of the
+# sizes tried, from 64 KB to 16 MB, 1 MB was the fastest.
+_COUNT_BYTES = 1 << 20
+
+
+def _target_bitsets(db: BasketDatabase, y: int) -> np.ndarray:
+    """The baskets holding item `y` as item-major packed bitsets: a
+    (items + 1, words) uint64 matrix whose row i has bit j set when the
+    j-th basket of `db.tid_lists[y]` holds item i. The last row is all
+    ones, so the -1 pad of an id row selects it. The baskets' rows are
+    gathered from `bits` a chunk at a time, each chunk within
+    `_GRAM_BYTES`, and packed eight baskets to a byte."""
+    tids = db.tid_lists[y]
+    n_items = db.bits.shape[1]
+    packed = np.zeros((n_items + 1, 8 * -(-len(tids) // 64)), np.uint8)
+    packed[-1] = 0xFF
+    step = max(8, _GRAM_BYTES // n_items // 8 * 8)
+    for lo in range(0, len(tids), step):
+        chunk = np.packbits(db.bits[tids[lo : lo + step]], axis=0, bitorder="little")
+        packed[:-1, lo // 8 : lo // 8 + len(chunk)] = chunk.T
+    return packed.view(np.uint64)
+
+
+def _joint_counts(bitsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """count(X | {y}) of each id row X of `rows`, as int64, given y's
+    `_target_bitsets`: the popcount of the AND of X's items' bitset rows.
+    Rows are counted a block at a time, each block's gathered words
+    within `_COUNT_BYTES`."""
+    step = max(1, _COUNT_BYTES // (bitsets.itemsize * bitsets.shape[1] * rows.shape[1]))
+    counts = np.empty(len(rows), np.int64)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        joint = bitsets[block[:, 0]]
+        for column in block.T[1:]:
+            joint &= bitsets[column]
+        counts[lo : lo + step] = np.bitwise_count(joint).sum(axis=1)
+    return counts
 
 
 def _group_starts(heads: np.ndarray) -> list[int]:
@@ -560,11 +612,9 @@ def _emit_rules(
     confidence at least `min_confidence`, as a table over `db.items`
     ordered by (y, X) ids.
 
-    count(X | {y}) comes from prefix Grams. A prefix Q serves the
-    antecedents Q | {r, s} and, for Q = (), the single items {r}, written
-    as cell (r, r); `_gram(db, Q, rows, extra=(y,))`, over the baskets
-    holding y, has count(X | {y}) in each antecedent's cell. One Gram is
-    held at a time, and only the cells passing confidence are kept.
+    count(X | {y}) of every antecedent comes from `_joint_counts` over
+    y's `_target_bitsets`, one bitset matrix held at a time; rows that
+    hold y are masked out, and only the rows passing confidence are kept.
     """
     # Row k of `matrix` is antecedent k: the levels' rows in turn, padded
     # with -1.
@@ -574,33 +624,12 @@ def _emit_rules(
         matrix[lo : lo + len(ids), : ids.shape[1]] = ids
     count_x = np.concatenate([np.empty(0, np.int64), *(c for _, c in freq.levels)])
 
-    # Per prefix Q: the item pair (r, s) of each antecedent it serves and
-    # the antecedent's row in `matrix`. () serves the single items and
-    # the pairs, the first rows; the rows of one larger level are sorted,
-    # so those sharing Q are contiguous.
-    served: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = []
-    if freq.levels:
-        pairs = np.concatenate(
-            [np.repeat(freq.levels[0][0], 2, axis=1), *(ids for ids, _ in freq.levels[1:2])]
-        )
-        served.append(((), pairs[:, 0], pairs[:, 1], np.arange(len(pairs))))
-    for (ids, _), offset in zip(freq.levels[2:], starts[2:]):
-        runs = _group_starts(ids[:, :-2])
-        for lo, hi in zip(runs, runs[1:]):
-            q = tuple(ids[lo, :-2].tolist())
-            served.append((q, ids[lo:hi, -2], ids[lo:hi, -1], np.arange(offset + lo, offset + hi)))
-
-    # With no prefix-target pair there are no rules: three empty columns.
+    # With no target there are no rules: three empty columns.
     results = [(np.empty(0, np.int64),) * 3]
-    for q, r, s, ks in served:
-        rows = _union(r, s)
-        at = np.searchsorted(rows, r), np.searchsorted(rows, s)
-        for y in target_ids:
-            if y in q:
-                continue
-            xy = _gram(db, q, rows, (y,))[at].astype(np.int64)
-            keep = (r != y) & (s != y) & ~(xy / count_x[ks] < min_confidence)
-            results.append((np.full(keep.sum(), y), ks[keep], xy[keep]))
+    for y in target_ids:
+        xy = _joint_counts(_target_bitsets(db, y), matrix)
+        ks = np.flatnonzero((matrix != y).all(axis=1) & ~(xy / count_x < min_confidence))
+        results.append((np.full(len(ks), y), ks, xy[ks]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
     order = _row_order(matrix[ks], ys)
     ys, ks, xy = ys[order], ks[order], xy[order]

@@ -136,8 +136,12 @@ def validate_config(config: ScenarioConfig) -> None:
     if conf is not None:
         if not conf.antecedent:
             raise ConfigError("confounder antecedent must not be empty")
-        for code_type, code in conf.antecedent:
-            parse_code(code_type, code)
+        for entry in conf.antecedent:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ConfigError(
+                    f"each confounder.antecedent entry must be a (code_type, code) pair: {entry!r}"
+                )
+            parse_code(*entry)
         parse_read(conf.outcome_code)
         parse_bnf(conf.doi_code)
         _check_probability("prevalence", conf.prevalence)

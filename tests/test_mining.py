@@ -267,7 +267,7 @@ class TestGram:
             prefix = tuple(sorted(ids[:rng.randint(0, 2)]))
             extra = tuple(ids[len(prefix) : len(prefix) + rng.randint(0, 1)])
             rows = np.array(sorted(set(ids) - set(prefix) - set(extra)) or [ids[-1]])
-            gram = mining._gram(db, prefix, rows, extra)
+            gram = mining._gram(db, prefix + extra, rows)
             for i, r in enumerate(rows.tolist()):
                 for j, s in enumerate(rows.tolist()):
                     want = len(db.cover(prefix + extra + (r, s)))
@@ -313,6 +313,61 @@ class TestGram:
             for i, r in enumerate(rows.tolist()):
                 for j, s in enumerate(rows.tolist()):
                     assert gram[i, j] == len(db.cover(prefix + (r, s))), (prefix, r, s)
+
+
+class TestJointCounts:
+    @pytest.mark.parametrize("budget", [None, 200])
+    @pytest.mark.parametrize("held", [1, 63, 64, 65, 129])
+    def test_counts_equal_cover_counts(self, monkeypatch, held, budget):
+        # Targets held by one basket and by baskets either side of the
+        # 64-bit word edges; a budget of a few hundred bytes packs the
+        # target's baskets eight at a time (a whole byte of bits each)
+        # and counts one antecedent row at a time.
+        if budget is not None:
+            monkeypatch.setattr(mining, "_GRAM_BYTES", budget)
+            monkeypatch.setattr(mining, "_COUNT_BYTES", budget)
+        rng = random.Random(held)
+        target = Item(ItemKind.READ, "Z99..")
+        n_baskets = rng.randint(150, 250)
+        chosen = set(rng.sample(range(n_baskets), held))
+        baskets = []
+        for j in range(n_baskets):
+            members = {it for it in ITEM_POOL[:14] if rng.random() < 0.4} or {ITEM_POOL[0]}
+            baskets.append((f"p{j}", frozenset(members | ({target} if j in chosen else set()))))
+        db = BasketDatabase(baskets)
+        y = db.item_ids[target]
+        assert db.counts[y] == held
+        # Rows of 1 to 5 ids, padded with -1; some hold the target itself.
+        ids = [sorted(rng.sample(range(len(db.items)), rng.randint(1, 5))) for _ in range(120)]
+        rows = np.array([row + [-1] * (5 - len(row)) for row in ids], dtype=np.int32)
+        counts = mining._joint_counts(mining._target_bitsets(db, y), rows)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(db.cover(tuple(row) + (y,))) for row in ids]
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize(
+        "low, high, shape, n_major",
+        [
+            (-1, 4, (300, 3), 0),  # many duplicate rows: ties keep their order
+            (-1, 4, (300, 3), 1),
+            (-1, 50, (300, 2), 2),
+            (-1, 1000, (200, 7), 1),  # eight keys of base 1002: two packed keys
+            (2**31 - 4, 2**31, (200, 3), 1),  # one packed key per id column
+        ],
+    )
+    def test_equals_lexsort(self, low, high, shape, n_major):
+        rng = np.random.default_rng(high + shape[1])
+        rows = rng.integers(low, high, shape).astype(np.int32)
+        rows[rng.random(shape) < 0.2] = -1
+        major = [rng.integers(0, 5, shape[0]) for _ in range(n_major)]
+        want = np.lexsort((*rows.T[::-1], *major))
+        assert np.array_equal(mining._row_order(rows, *major), want)
+
+    def test_empty_matrix(self):
+        rows = np.empty((0, 3), dtype=np.int32)
+        order = mining._row_order(rows, np.empty(0, np.int64))
+        assert order.shape == (0,) and order.dtype == np.intp
 
 
 def brute_force_itemsets(db, min_count, max_size, exclude_id):

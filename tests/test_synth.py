@@ -152,6 +152,14 @@ class TestValidation:
         with pytest.raises(ParseError, match="code_type must be READ or BNF"):
             validate_config(make_config(confounder=bad))
 
+    @pytest.mark.parametrize(
+        "antecedent", [(("READ", "K55..", "x"),), ("READ",), (("READ",),), ("RE",)]
+    )
+    def test_antecedent_entry_not_a_pair_rejected(self, antecedent):
+        bad = dataclasses.replace(CONFOUNDER, antecedent=antecedent)
+        with pytest.raises(ConfigError, match="confounder.antecedent entry"):
+            validate_config(make_config(confounder=bad))
+
     @pytest.mark.parametrize("days", [0, -3])
     def test_presence_span_below_one_day_rejected(self, days):
         # Checked before the presence, which is valid here.
