@@ -244,25 +244,30 @@ def _row_order(rows: np.ndarray, *major: np.ndarray) -> np.ndarray:
     the -1 pad before every id, within the `major` keys when given (the
     last most major).
 
-    One `np.lexsort` of packed keys: each key is shifted by one, so the
-    pad is 0, and the keys, most major first, are folded in base
-    `max id + 2` into as few int64 keys as stay below 2**63 (usually
-    one). The fold keeps the keys' order, ties included.
+    The keys, most major first, each shifted by one so the pad is 0, are
+    folded in base `max id + 2` into as few int64 keys as stay below
+    2**63, which keeps their order, ties included; usually that is one
+    key. When each row's index fits below that key as a last digit, the
+    keys become distinct, so one plain `np.sort` gives the stable order,
+    each row's index in its last digit (several times faster than a
+    stable sort). Otherwise one `np.lexsort` of the folded keys does.
     """
+    n = len(rows)
     keys = [*major[::-1], *rows.T]
     base = int(max((k.max() for k in keys if len(k)), default=0)) + 2
-    digits = 1
-    while base ** (digits + 1) <= 2**63:
-        digits += 1
-    packed = []
-    for lo in range(0, len(keys), digits):
-        key = keys[lo].astype(np.int64) + 1
-        for k in keys[lo + 1 : lo + digits]:
-            key *= base
-            key += k
-            key += 1
-        packed.append(key)
-    return np.lexsort(packed[::-1])
+    folded = [np.zeros(n, np.int64)]
+    room = 1  # folded[-1] is below this
+    for k in keys:
+        if room * base > 2**63:
+            folded.append(np.zeros(n, np.int64))
+            room = 1
+        folded[-1] *= base
+        folded[-1] += k
+        folded[-1] += 1
+        room *= base
+    if len(folded) == 1 and room * n <= 2**63:
+        return np.sort(folded[0] * n + np.arange(n)) % max(n, 1)
+    return np.lexsort(folded[::-1])
 
 
 def _distinct_rows(antecedent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,13 +497,17 @@ def _joint_counts(bitsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Rows are counted a block at a time, each block's gathered words
     within `_COUNT_BYTES`."""
     step = max(1, _COUNT_BYTES // (bitsets.itemsize * bitsets.shape[1] * rows.shape[1]))
+    # A row's word popcounts are summed by a float64 product with ones,
+    # exact below 2**53 baskets and several times faster than `sum(axis=1)`.
+    ones = np.ones(bitsets.shape[1])
     counts = np.empty(len(rows), np.int64)
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
-        joint = bitsets[block[:, 0]]
+        # `np.take` gathers short rows several times faster than indexing.
+        joint = np.take(bitsets, block[:, 0], axis=0)
         for column in block.T[1:]:
-            joint &= bitsets[column]
-        counts[lo : lo + step] = np.bitwise_count(joint).sum(axis=1)
+            joint &= np.take(bitsets, column, axis=0)
+        counts[lo : lo + step] = np.bitwise_count(joint) @ ones
     return counts
 
 
@@ -599,7 +608,7 @@ def _item_level(
     # Stable sorts short rows about twice as fast as the default here.
     ids.sort(axis=1, kind="stable")
     order = _row_order(ids)
-    return ids[order], counts[order]
+    return np.take(ids, order, axis=0), counts[order]
 
 
 def _emit_rules(
@@ -628,13 +637,19 @@ def _emit_rules(
     results = [(np.empty(0, np.int64),) * 3]
     for y in target_ids:
         xy = _joint_counts(_target_bitsets(db, y), matrix)
-        ks = np.flatnonzero((matrix != y).all(axis=1) & ~(xy / count_x < min_confidence))
+        keep = ~(xy / count_x < min_confidence)
+        for column in matrix.T:
+            keep &= column != y
+        ks = np.flatnonzero(keep)
         results.append((np.full(len(ks), y), ks, xy[ks]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
-    order = _row_order(matrix[ks], ys)
+    antecedent = np.take(matrix, ks, axis=0)
+    order = _row_order(antecedent, ys)
     ys, ks, xy = ys[order], ks[order], xy[order]
     measures = _measure_columns(xy, count_x[ks], db.counts[ys], db.m)
-    return RuleTable(db.items, matrix[ks], ys.astype(np.int32), **measures._asdict())
+    return RuleTable(
+        db.items, np.take(antecedent, order, axis=0), ys.astype(np.int32), **measures._asdict()
+    )
 
 
 def mine_rules(

@@ -353,6 +353,8 @@ class TestRowOrder:
             (-1, 4, (300, 3), 1),
             (-1, 50, (300, 2), 2),
             (-1, 1000, (200, 7), 1),  # eight keys of base 1002: two packed keys
+            (-1, 2**20, (200, 3), 0),  # one packed key, with no room for the row index
+            (-1, 2_500_000, (200, 3), 0),  # base**3 between 2**63 and 2**64: two keys
             (2**31 - 4, 2**31, (200, 3), 1),  # one packed key per id column
         ],
     )
