@@ -266,7 +266,12 @@ def _row_order(rows: np.ndarray, *major: np.ndarray) -> np.ndarray:
         folded[-1] += 1
         room *= base
     if len(folded) == 1 and room * n <= 2**63:
-        return np.sort(folded[0] * n + np.arange(n)) % max(n, 1)
+        key = folded[0]
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        key %= max(n, 1)
+        return key
     return np.lexsort(folded[::-1])
 
 
@@ -643,12 +648,11 @@ def _emit_rules(
         ks = np.flatnonzero(keep)
         results.append((np.full(len(ks), y), ks, xy[ks]))
     ys, ks, xy = (np.concatenate(column) for column in zip(*results))
-    antecedent = np.take(matrix, ks, axis=0)
-    order = _row_order(antecedent, ys)
+    order = _row_order(np.take(matrix, ks, axis=0), ys)
     ys, ks, xy = ys[order], ks[order], xy[order]
     measures = _measure_columns(xy, count_x[ks], db.counts[ys], db.m)
     return RuleTable(
-        db.items, np.take(antecedent, order, axis=0), ys.astype(np.int32), **measures._asdict()
+        db.items, np.take(matrix, ks, axis=0), ys.astype(np.int32), **measures._asdict()
     )
 
 
