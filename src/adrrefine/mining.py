@@ -248,9 +248,10 @@ def _row_order(rows: np.ndarray, *major: np.ndarray) -> np.ndarray:
     folded in base `max id + 2` into as few int64 keys as stay below
     2**63, which keeps their order, ties included; usually that is one
     key. When each row's index fits below that key as a last digit, the
-    keys become distinct, so one plain `np.sort` gives the stable order,
-    each row's index in its last digit (several times faster than a
-    stable sort). Otherwise one `np.lexsort` of the folded keys does.
+    keys become distinct, so one plain `np.sort`, several times faster
+    than a stable sort, gives the stable order, and each sorted key's
+    last digit is its row's index. Otherwise one `np.lexsort` of the
+    folded keys does.
     """
     n = len(rows)
     keys = [*major[::-1], *rows.T]
@@ -484,7 +485,8 @@ def _target_bitsets(db: BasketDatabase, y: int) -> np.ndarray:
     j-th basket of `db.tid_lists[y]` holds item i. The last row is all
     ones, so the -1 pad of an id row selects it. The baskets' rows are
     gathered from `bits` a chunk at a time, each chunk within
-    `_GRAM_BYTES`, and packed eight baskets to a byte."""
+    `_GRAM_BYTES`, and packed eight baskets to a byte, so the bitsets take
+    about an eighth of the bytes of y's rows of `bits`."""
     tids = db.tid_lists[y]
     n_items = db.bits.shape[1]
     packed = np.zeros((n_items + 1, 8 * -(-len(tids) // 64)), np.uint8)
