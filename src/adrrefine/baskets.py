@@ -2,11 +2,11 @@
 
 Each eligible patient contributes one deduplicated basket: their gender
 item plus the normalized item of every retained event. The database
-keeps one index: per item, its sorted basket ordinals, and one
-baskets x items 0/1 byte matrix, a row per basket. An itemset's baskets
-are the rarest item's ordinals narrowed through the other items'
-columns, so counting costs one byte lookup per candidate basket rather
-than a scan of all m.
+keeps two index structures: `tid_lists`, per item its sorted basket
+ordinals, and `bits`, a baskets x items 0/1 byte matrix with a row per
+basket. An itemset's baskets are the rarest item's ordinals narrowed
+through the other items' columns, so counting costs one byte lookup per
+candidate basket rather than a scan of all m.
 
 Whole-history baskets feed mining; time-restricted pre-outcome histories
 feed signal refinement. The asymmetry is deliberate: rules describe

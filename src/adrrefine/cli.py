@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baskets, events, mining, signals, synth
-from .errors import DomainError, ParseError, check_workers
+from .errors import DomainError, ParseError
 from .refine import DEFAULT_LIFT_THRESHOLD, rule_consequent
 from .refine import refine as refine_signal
 from .refine import report_to_dict, write_report_csv, write_report_json
@@ -118,21 +118,20 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    # Check the options and the outcome before the costly load.
-    check_workers(args.workers)
+    # Check the mining options and the outcome before the costly load.
+    constraints = mining.MiningConstraints(
+        args.min_left_support, args.min_confidence, args.max_antecedent
+    )
     consequent = rule_consequent(signals.load_signal_spec(args.spec).hoi) if args.spec else None
     store = _load_store(args)
     t0 = time.perf_counter()
     db = baskets.build_database(store, args.min_active_months)
     _log("baskets", baskets=db.m, items=len(db.items), seconds=f"{time.perf_counter() - t0:.3f}")
-    constraints = mining.MiningConstraints(
-        args.min_left_support, args.min_confidence, args.max_antecedent
-    )
     t0 = time.perf_counter()
     if consequent is not None:
-        rules = mining.mine_rules(db, consequent, constraints, workers=args.workers)
+        rules = mining.mine_rules(db, consequent, constraints)
     else:
-        rules = mining.mine_all_rules(db, constraints, workers=args.workers)
+        rules = mining.mine_all_rules(db, constraints)
     _log("mine", rules=len(rules), seconds=f"{time.perf_counter() - t0:.3f}")
     if args.out.endswith(".json"):
         mining.write_rules_json(rules, args.out)
@@ -166,7 +165,6 @@ def cmd_signal(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    check_workers(args.workers)
     store = _excluded_store(args)
     spec = _load_spec(args)
     rules = _read_rules(args.rules)
@@ -179,7 +177,6 @@ def cmd_refine(args) -> int:
         instances=instances,
         lift_threshold=args.lift_threshold,
         include_same_day=args.include_same_day,
-        workers=args.workers,
     )
     _log(
         "refine",
@@ -238,13 +235,6 @@ def _add_min_active_months(p: argparse.ArgumentParser) -> None:
                    help="activity span required for mining eligibility")
 
 
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=None,
-                   help="checked (must be >= 1) and has no effect: the pipeline runs on "
-                   "one Python thread, and numpy's BLAS threads, set by "
-                   "OPENBLAS_NUM_THREADS, are its only parallelism")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adrrefine",
@@ -277,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-antecedent", type=int, default=DEFAULTS.max_antecedent,
                    help="largest antecedent size")
     _add_min_active_months(p)
-    _add_workers(p)
 
     p = add("signal", "score a drug-outcome signal and list its instances", cmd_signal)
     _add_cohort_files(p)
@@ -300,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count items recorded on the outcome day as prior history")
     _add_window(p)
     _add_exclusions(p)
-    _add_workers(p)
 
     p = add("synth", "generate a synthetic cohort with ground-truth labels", cmd_synth)
     p.add_argument("--spec", required=True, help="scenario JSON path")

@@ -161,11 +161,13 @@ class RuleTable(Sequence):
         self.confidence = confidence
         self.lift = lift
         self.chi_squared = chi_squared
-        # The two rule invariants, on whole columns; the first bad row
-        # raises the message `AssociationRule` would.
-        bad = np.flatnonzero(
-            (antecedent[:, 0] < 0) | (antecedent == consequent[:, None]).any(axis=1)
-        )
+        # The two rule invariants, on whole columns (the antecedent a column
+        # at a time: `any` along its short rows is several times slower);
+        # the first bad row raises the message `AssociationRule` would.
+        inside = antecedent[:, 0] == consequent
+        for column in antecedent.T[1:]:
+            inside |= column == consequent
+        bad = np.flatnonzero((antecedent[:, 0] < 0) | inside)
         if len(bad):
             self[int(bad[0])]
 
@@ -281,7 +283,7 @@ def _distinct_rows(antecedent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     among them (a lexsort: `np.unique(axis=0)` sorts rows as opaque bytes
     and takes several times as long)."""
     order = _row_order(antecedent)
-    rows = antecedent[order]
+    rows = np.take(antecedent, order, axis=0)
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     inverse = np.empty(len(order), dtype=np.intp)
@@ -520,9 +522,8 @@ def _joint_counts(bitsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _group_starts(heads: np.ndarray) -> list[int]:
     """Row numbers where a run of equal rows of `heads` begins, plus its
-    row count at the end; one run when `heads` has no columns."""
-    if not len(heads):
-        return [0]
+    row count at the end. `heads` has at least one row; with no columns,
+    its rows are one run."""
     changed = (heads[1:] != heads[:-1]).any(axis=1)
     return [0, *(np.flatnonzero(changed) + 1).tolist(), len(heads)]
 
@@ -672,7 +673,8 @@ def mine_rules(
     is sorted for reproducible output; treat it as a set.
 
     `workers` is checked (below 1 is a ConfigError) and has no other
-    effect: mining runs on the caller's thread.
+    effect: mining runs on the caller's thread. The keyword stays only
+    because the benchmark passes it (ROADMAP item 13).
     """
     constraints = constraints or MiningConstraints()
     check_workers(workers)
@@ -694,7 +696,8 @@ def mine_all_rules(
     Frequent antecedents are computed once with no item excluded; every
     item is then a target of the same emitter as `mine_rules`, which
     skips the antecedents that contain it. `workers` is checked as in
-    `mine_rules` and has no other effect.
+    `mine_rules` and has no other effect; the keyword stays only because
+    the benchmark passes it (ROADMAP item 13).
     """
     constraints = constraints or MiningConstraints()
     check_workers(workers)

@@ -23,7 +23,7 @@ import numpy as np
 # `pre_outcome_basket` is not called here; bench/spans.py wraps it by this module's name.
 from .baskets import pre_outcome_basket, pre_outcome_items
 from .codes import READ_NORMALIZE_LEVEL, Item, ReadCode, code_item, gender_item, read_level
-from .errors import ConfigError, DomainError, check_workers
+from .errors import ConfigError, DomainError
 from .events import EventStore
 from .mining import AssociationRule, RuleTable
 from .signals import (
@@ -174,18 +174,14 @@ def refine(
     exposures: int | None = None,
     lift_threshold: float = DEFAULT_LIFT_THRESHOLD,
     include_same_day: bool = False,
-    workers: int | None = 1,
 ) -> SignalReport:
     """Assess every instance of a signal and aggregate the refined risk.
 
     Instances and the exposure denominator are derived from the store
     unless supplied, so externally listed instances (or given counts)
-    can be pushed through the same arithmetic. `workers` is checked
-    (below 1 is a ConfigError) and has no other effect: instances are
-    assessed on the caller's thread. A NaN `lift_threshold` is a
-    ConfigError, since no lift exceeds it.
+    can be pushed through the same arithmetic. A NaN `lift_threshold`
+    is a ConfigError, since no lift exceeds it.
     """
-    check_workers(workers)
     if math.isnan(lift_threshold):
         raise ConfigError("lift_threshold must be a number, not NaN")
     hoi_rules = extract_hoi_rules(rules, spec.hoi)

@@ -1,6 +1,8 @@
+import argparse
 import datetime as dt
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adrrefine.cli import DEFAULTS, main
+from adrrefine.cli import DEFAULTS, build_parser, main
 from adrrefine.refine import rule_consequent
 
 
@@ -479,13 +481,18 @@ class TestRejectedRequests:
         assert not (tmp_path / "rules.csv").exists()
         assert not (tmp_path / "report").exists()
 
-    @pytest.mark.parametrize("command", ["mine", "refine"])
-    def test_zero_workers(self, capsys, worked_example_dir, tmp_path, command):
-        spec = worked_example_dir / "signal.json"
-        argv = self.argv(command, worked_example_dir, tmp_path, spec) + ["--workers", "0"]
-        code, _, err = run_cli(capsys, *argv)
+    def test_mining_options_checked_before_load(self, capsys, worked_example_dir, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "mine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "rules.csv"),
+            "--min-confidence", "2",
+        )
         assert code == 1
-        assert "workers" in err
+        assert "min_confidence" in err
+        assert not (tmp_path / "rules.csv").exists()
 
 
 class TestSynth:
@@ -909,6 +916,25 @@ class TestHelp:
         assert str(DEFAULTS.lift_threshold) in out
         assert str(DEFAULTS.exclusion_months) in out
 
+    @pytest.mark.parametrize("command", ["mine", "refine"])
+    def test_workers_flag_unrecognised(self, capsys, worked_example_dir, tmp_path, command):
+        spec = worked_example_dir / "signal.json"
+        argv = TestRejectedRequests.argv(command, worked_example_dir, tmp_path, spec)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+
+    def test_readme_flags_are_accepted(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
+        assert named
+        assert named <= accepted, sorted(named - accepted)
+
 
 class TestLibraryMatchesCli:
     """The in-memory library path and the CLI's file path give equal reports."""
@@ -963,8 +989,7 @@ class TestLibraryMatchesCli:
                       "--events", str(tmp_path / "c" / "events.csv")]
             rules_path = str(tmp_path / "rules.json")
             assert main(["synth", "--spec", scenario, "--out", str(tmp_path / "c")]) == 0
-            assert main(["mine", *cohort, "--spec", str(spec_path), "--out", rules_path,
-                         "--workers", "1"]) == 0
+            assert main(["mine", *cohort, "--spec", str(spec_path), "--out", rules_path]) == 0
             assert main(["refine", *cohort, "--rules", rules_path, "--spec", str(spec_path),
-                         "--out", str(tmp_path / "report"), "--workers", "1"]) == 0
+                         "--out", str(tmp_path / "report")]) == 0
             assert json.loads((tmp_path / "report" / "report.json").read_text()) == report

@@ -97,6 +97,15 @@ class TestBnfTruncate:
         with pytest.raises(ParseError):
             parse_bnf(bad)
 
+    def test_wrong_part_count_constructed_directly(self):
+        with pytest.raises(ParseError, match="exactly 4 parts"):
+            BnfCode((1, 2, 3))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_level_out_of_range(self, k):
+        with pytest.raises(DomainError):
+            bnf_truncate(parse_bnf("3.4.5.6"), k)
+
 
 class TestNormalizeItem:
     def test_read_maps_to_level_three(self):

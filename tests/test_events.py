@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adrrefine.errors import ConfigError, ParseError
+from adrrefine.errors import ConfigError, DomainError, ParseError
 from adrrefine.events import (
     EventStore,
     active_months,
@@ -38,6 +38,7 @@ class TestCalendarArithmetic:
         assert months_between(dt.date(2003, 1, 1), dt.date(2005, 6, 30)) == 29
         assert months_between(dt.date(2010, 1, 15), dt.date(2012, 1, 14)) == 23
         assert months_between(dt.date(2010, 1, 15), dt.date(2010, 1, 15)) == 0
+        assert months_between(dt.date(2010, 1, 15), dt.date(2010, 1, 14)) == 0
 
     def test_clamped_month_end(self):
         assert add_months(dt.date(2010, 1, 31), 1) == dt.date(2010, 2, 28)
@@ -199,6 +200,11 @@ class TestActivity:
         assert active_months(worked_store, "2") == 72
         assert active_months(worked_store, "3") == 3
         assert active_months(worked_store, "4") == 0
+
+    @pytest.mark.parametrize("lookup", [EventStore.patient_events, active_months])
+    def test_unknown_patient_rejected(self, worked_store, lookup):
+        with pytest.raises(DomainError, match="unknown patient: 99"):
+            lookup(worked_store, "99")
 
     def test_single_event_is_zero(self, tmp_path):
         patients, events = write_cohort(

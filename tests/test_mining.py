@@ -81,6 +81,10 @@ class TestConstraints:
             c = min_count_for(t, m)
             assert c / m >= t
             assert c == 1 or (c - 1) / m < t
+        # The two float corrections: 0.07 * 100 is 7.000000000000001, and
+        # 3 times the float just above 1/3 rounds down to 1.0.
+        assert min_count_for(0.07, 100) == 7
+        assert min_count_for(float(np.nextafter(1 / 3, 1)), 3) == 2
 
 
 class TestContingency:
@@ -161,6 +165,8 @@ class TestRuleMeasures:
             rule_measures(6, 5, 7, 10)  # more joint than antecedent baskets
         with pytest.raises(DomainError):
             rule_measures(1, 9, 8, 10)  # union of X and Y would exceed m
+        with pytest.raises(DomainError, match="basket count must be positive"):
+            rule_measures(0, 1, 1, 0)
 
     def test_identities_on_random_counts(self):
         rng = random.Random(34)
@@ -679,8 +685,8 @@ class TestMineAllRules:
 
 
 def test_library_starts_no_thread(monkeypatch, worked_example_dir, worked_store):
-    # `workers` is checked and has no other effect: mining and refine run on
-    # the caller's thread, with numpy's BLAS threads the only parallelism.
+    # Mining's `workers` is checked and has no other effect: mining and refine
+    # run on the caller's thread, with numpy's BLAS threads the only parallelism.
     from adrrefine.refine import refine
     from adrrefine.signals import load_signal_spec, read_instances_csv
 
@@ -703,7 +709,7 @@ def test_library_starts_no_thread(monkeypatch, worked_example_dir, worked_store)
         r for r in all_rules if r.consequent == db.items[0]
     ]
     assert len(instances) >= 2
-    report = refine(spec, rules, worked_store, instances=instances, exposures=25, workers=4)
+    report = refine(spec, rules, worked_store, instances=instances, exposures=25)
     assert report.instance_count == len(instances)
 
 

@@ -290,18 +290,6 @@ class TestRefine:
         with pytest.raises(DomainError):
             refine(spec, worked_rules, worked_store)
 
-    def test_worker_invariance(self, worked_store, worked_rules, worked_instances, worked_spec):
-        a = refine(worked_spec, worked_rules, worked_store, instances=worked_instances,
-                   exposures=25, workers=1)
-        b = refine(worked_spec, worked_rules, worked_store, instances=worked_instances,
-                   exposures=25, workers=4)
-        assert a == b
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_invalid_worker_count_rejected(self, worked_store, worked_rules, worked_spec, workers):
-        with pytest.raises(ConfigError):
-            refine(worked_spec, worked_rules, worked_store, workers=workers)
-
     def test_nan_lift_threshold_rejected(self, worked_store, worked_rules, worked_spec):
         with pytest.raises(ConfigError, match="NaN"):
             refine(worked_spec, worked_rules, worked_store, lift_threshold=float("nan"))

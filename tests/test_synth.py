@@ -153,6 +153,18 @@ class TestValidation:
             validate_config(make_config(confounder=bad))
 
     @pytest.mark.parametrize(
+        "bad",
+        [
+            {"confounder": dataclasses.replace(CONFOUNDER, antecedent=())},
+            {"adr": dataclasses.replace(ADR, doi_items=())},
+        ],
+        ids=["confounder.antecedent", "adr.doi_items"],
+    )
+    def test_empty_code_list_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must not be empty"):
+            validate_config(make_config(**bad))
+
+    @pytest.mark.parametrize(
         "antecedent", [(("READ", "K55..", "x"),), ("READ",), (("READ",),), ("RE",)]
     )
     def test_antecedent_entry_not_a_pair_rejected(self, antecedent):
