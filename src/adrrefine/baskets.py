@@ -211,6 +211,8 @@ def build_database(
         code_vocab[codes.item_id[columns.code[rows]]],
         [vocab[gender_items[g]] for g in genders],
     ])
-    key = np.unique(basket * len(items) + item)  # distinct pairs, basket-major
+    key = basket * len(items) + item
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]  # distinct pairs, basket-major
     pairs = BasketPairs(pids, tuple(items), key // len(items), key % len(items))
     return BasketDatabase(pairs)

@@ -201,12 +201,11 @@ class RuleTable(Sequence):
                 items[int(self.consequent[k])],
                 *(float(getattr(self, name)[k]) for name in _RULE_MEASURES),
             )
-        return RuleTable(
-            self.items,
-            self.antecedent[key],
-            self.consequent[key],
-            *(getattr(self, name)[key] for name in _MEASURES),
-        )
+        columns = (self.antecedent, self.consequent, *(getattr(self, n) for n in _MEASURES))
+        if not isinstance(key, slice) and (ids := np.asarray(key)).dtype.kind in "iu":
+            # `take` gathers short id rows several times faster than fancy indexing.
+            return RuleTable(self.items, *(column.take(ids, axis=0) for column in columns))
+        return RuleTable(self.items, *(column[key] for column in columns))
 
     def __iter__(self) -> Iterator[AssociationRule]:
         items = self.items

@@ -18,8 +18,14 @@ Two mechanisms can be planted on top of independent background noise:
 
 Every generated outcome event carries a ground-truth cause label
 (confounder / adr / background), so end-to-end recovery is checkable.
-Generation is deterministic: each patient draws from an independent
-stream derived from the scenario seed and the patient ordinal.
+Generation is deterministic: patient k draws from its own stream,
+`PCG64(SeedSequence(seed, spawn_key=(k,)))`. The streams' starting states
+are computed for a block of patients at a time by numpy's own seeding
+steps in array arithmetic (tests check them against numpy), and one
+`Generator` is set to each patient's state in turn. Each patient's draws
+are separate numpy calls, so numpy's checks of their array arguments run
+once per patient; only drawing patients jointly, under a new
+`GENERATOR_ID`, would remove them.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +60,15 @@ CAUSE_BACKGROUND = "background"
 # their anchor prescription by a latency in the default signal window.
 _ANTECEDENT_SPAN_FRACTION = 0.4
 _ANCHOR_SPAN_FRACTION = 0.45
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_SEED_BLOCK = 8192  # patients whose stream states are computed together
 
 
 @dataclass(frozen=True)
@@ -200,13 +216,73 @@ def daily_rate_for_presence(presence: float, observation_days: int) -> float:
     return 1.0 - (1.0 - presence) ** (1.0 / observation_days)
 
 
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's `hashmix` (`mult` _MULT_A) or `generate_state` step
+    (`mult` _MULT_B) over uint32 words: the hashed words and the next hash
+    constant."""
+    after = hash_const * mult & _MASK32
+    value = (value ^ np.uint32(hash_const)) * np.uint32(after)
+    return value ^ (value >> np.uint32(16)), after
+
+
+def _pcg64_states(seed: int, ordinals: np.ndarray) -> list[tuple[int, int]]:
+    """The `(state, inc)` of `PCG64(SeedSequence(seed, spawn_key=(k,)))`
+    for each uint64 ordinal k, by numpy's own steps: the pool of the seed
+    alone is the same with or without a spawn key, so only mixing in the
+    key's 32-bit words (least significant first) and `generate_state(4,
+    np.uint64)` run per ordinal, in wrapping uint32 arithmetic."""
+    # The seed's own hashmix calls: 4 fill the pool, 12 mix it, and 4 more
+    # per seed word beyond the pool's 4.
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _MASK32
+    pool = [np.full(len(ordinals), w, dtype=np.uint32) for w in np.random.SeedSequence(seed).pool]
+    key_words = 1 + (ordinals >= 1 << 32)
+    for shift in (0, 32):
+        has_word = key_words > shift // 32
+        word = (ordinals >> np.uint64(shift) & np.uint64(_MASK32)).astype(np.uint32)
+        for dst in range(4):
+            mixed, hash_const = _hashmix(word, hash_const, _MULT_A)
+            mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * mixed
+            np.copyto(pool[dst], mixed ^ (mixed >> np.uint32(16)), where=has_word)
+    words, hash_const = [], _INIT_B
+    for k in range(8):
+        word, hash_const = _hashmix(pool[k % 4], hash_const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    # generate_state pairs words little-endian into uint64s; PCG64 seeds its
+    # 128-bit state and increment from (u0, u1) and (u2, u3), high word first.
+    u = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    states = []
+    for u0, u1, u2, u3 in zip(*u):
+        inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+        states.append(((inc + (u0 << 64 | u1)) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _patient_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Patient k's generator for k in range(count), in order: one
+    `Generator` set in turn to each `PCG64(SeedSequence(seed,
+    spawn_key=(k,)))` state, so each is valid until the next is yielded."""
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for start in range(0, count, _SEED_BLOCK):
+        ordinals = np.arange(start, min(count, start + _SEED_BLOCK), dtype=np.uint64)
+        for state, inc in _pcg64_states(seed, ordinals):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def _generate_patient(
-    config: ScenarioConfig, ordinal: int, rates: np.ndarray, catalog: np.ndarray,
-    position: dict[tuple[str, str], int], family: list[bool],
+    config: ScenarioConfig, ordinal: int, rng: np.random.Generator, rates: np.ndarray,
+    catalog: np.ndarray, position: dict[tuple[str, str], int], family: list[bool],
 ) -> tuple[PatientInfo, list[int], list[int], list[str]]:
     """A patient and its rows, unsorted: per row a day offset, a code
-    position (into the scenario's sorted codes) and a cause."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(ordinal,)))
+    position (into the scenario's sorted codes) and a cause, all drawn
+    from `rng`."""
     pid = f"s{ordinal:07d}"
     gender = "M" if rng.random() < 0.5 else "F"
     year_of_birth = 1930 + int(rng.integers(0, 60))
@@ -252,11 +328,18 @@ def _generate_patient(
 
 
 def _generate(config: ScenarioConfig) -> tuple[EventStore, np.ndarray, list[str]]:
-    """The cohort's store, the rows of its outcome events and their causes.
-    A code position indexes the scenario's sorted (code_type, code) pairs,
-    so rows sorted by (day, position), ties in draw order, are in (day,
-    code_type, code) order."""
+    """The cohort's store, the rows of its outcome events and their causes."""
     validate_config(config)
+    return _cohort(config, _patient_rngs(config.seed, config.patient_count))
+
+
+def _cohort(
+    config: ScenarioConfig, rngs: Iterable[np.random.Generator]
+) -> tuple[EventStore, np.ndarray, list[str]]:
+    """`_generate` for a valid config, patient k drawing from the k-th of
+    `rngs`. A code position indexes the scenario's sorted (code_type, code)
+    pairs, so rows sorted by (day, position), ties in draw order, are in
+    (day, code_type, code) order."""
     conf, adr = config.confounder, config.adr
     outcomes = {("READ", plant.outcome_code) for plant in (conf, adr) if plant is not None}
     planted = [*conf.antecedent, ("BNF", conf.doi_code)] if conf is not None else []
@@ -269,8 +352,8 @@ def _generate(config: ScenarioConfig) -> tuple[EventStore, np.ndarray, list[str]
 
     patients: dict[str, PatientInfo] = {}
     sizes, day, code, cause = [], [], [], []
-    for ordinal in range(config.patient_count):
-        info, d, k, c = _generate_patient(config, ordinal, rates, catalog, position, family)
+    for ordinal, rng in enumerate(rngs):
+        info, d, k, c = _generate_patient(config, ordinal, rng, rates, catalog, position, family)
         patients[info.patient_id] = info
         sizes.append(len(d))
         day += d
@@ -297,14 +380,16 @@ def generate_store(config: ScenarioConfig) -> tuple[EventStore, list[TruthRow]]:
     return store, [TruthRow(pids[p], dt.date.fromordinal(d), c) for p, d, c in rows]
 
 
-def _id_dates(store: EventStore, rows: np.ndarray | slice = slice(None)) -> list[str]:
-    """`patient_id,date` of each of the store's `rows`, each distinct day
-    formatted once."""
+def _dated_lines(
+    store: EventStore, rows: np.ndarray | slice, tails: Iterable[str]
+) -> Iterator[str]:
+    """The CSV line `patient_id,date,tail` of each of the store's `rows`,
+    each distinct day formatted once."""
     pids = list(store.patients)
     days, inverse = np.unique(store.columns.day[rows], return_inverse=True)
     dates = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
-    patient = store.columns.patient[rows].tolist()
-    return [f"{pids[p]},{dates[d]}" for p, d in zip(patient, inverse.tolist())]
+    cells = zip(store.columns.patient[rows].tolist(), inverse.tolist(), tails)
+    return (f"{pids[p]},{dates[d]},{tail}\n" for p, d, tail in cells)
 
 
 def _config_to_dict(config: ScenarioConfig) -> dict:
@@ -390,11 +475,11 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
     code_text = [f"{code_type},{code}" for code_type, code in store.code_table]
     with open(out / "events.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(_EVENTS_HEADER) + "\n")
-        rows = zip(_id_dates(store), store.columns.code.tolist())
-        fh.writelines(f"{row},{code_text[k]}\n" for row, k in rows)
+        codes = map(code_text.__getitem__, store.columns.code.tolist())
+        fh.writelines(_dated_lines(store, slice(None), codes))
     with open(out / "ground_truth.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(_TRUTH_HEADER) + "\n")
-        fh.writelines(f"{row},{cause}\n" for row, cause in zip(_id_dates(store, truth), causes))
+        fh.writelines(_dated_lines(store, truth, causes))
 
     summary = {
         "generator": GENERATOR_ID,

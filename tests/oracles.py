@@ -5,12 +5,17 @@ scanning tid-sets per candidate, and the chi-squared statistic is the
 textbook count-based 2x2 form. Rule matching is a frozenset subset
 test per rule, an outcome record is a string-prefix test, and the
 rules-file writers go a rule at a time through `csv.writer` and
-`json.dump`. The library must agree with them.
+`json.dump`, and synthetic patients draw from streams numpy seeds
+itself. The library must agree with them.
 """
 
 import csv
 import json
 from itertools import combinations
+
+import numpy as np
+
+from adrrefine import synth
 
 
 def chi2_counts_oracle(count_xy: int, count_x: int, count_y: int, m: int) -> float:
@@ -101,6 +106,19 @@ def brute_force_rules(baskets, consequent, min_left_support, min_confidence, max
                 chi2_counts_oracle(count_xy, count_x, count_y, m),
             )
     return found
+
+
+def seedseq_cohort_oracle(config):
+    """`synth._generate` with each patient's generator built by numpy,
+    `default_rng(SeedSequence(seed, spawn_key=(k,)))` for patient k, and
+    run through `_generate_patient` the same way. Only the stream seeding
+    differs from the library's path."""
+    synth.validate_config(config)
+    rngs = (
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+        for k in range(config.patient_count)
+    )
+    return synth._cohort(config, rngs)
 
 
 def outcome_oracle(code_type, code, hoi_query):

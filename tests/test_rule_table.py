@@ -369,6 +369,38 @@ class TestTableSequence:
         with pytest.raises(TypeError):
             hash(table)
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            np.array([4, 0, -1, 4, 2]),
+            np.array([3, 1], dtype=np.uint8),
+            [5, -2, 0],
+            [],
+            np.array([], dtype=np.int64),
+            "mask",
+            "mask_list",
+            slice(1, None, 3),
+            slice(None, None, -1),
+        ],
+    )
+    def test_key_kinds_equal_plain_indexing(self, key):
+        # Integer keys gather with `take`; every key must give the table
+        # that indexing each column with it gives.
+        table = self.table()
+        if isinstance(key, str):
+            mask = table.lift > 1.0
+            key = mask if key == "mask" else mask.tolist()
+        names = [
+            "antecedent", "consequent", "left_support", "support", "confidence", "lift",
+            "chi_squared",
+        ]
+        want = RuleTable(table.items, *(getattr(table, name)[key] for name in names))
+        got = table[key]
+        assert got == want and got.items is table.items
+        for name in names:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+
     def test_invariants_checked_on_columns(self):
         items = ITEMS[:3]
         columns = [np.zeros(2)] * 5

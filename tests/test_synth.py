@@ -5,8 +5,12 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adrrefine import synth
 from adrrefine.codes import parse_bnf
 from adrrefine.errors import ConfigError, ParseError
 from adrrefine.events import load
@@ -24,6 +28,8 @@ from adrrefine.synth import (
     read_ground_truth,
     validate_config,
 )
+
+from oracles import seedseq_cohort_oracle
 
 SPAN = 1460
 
@@ -227,6 +233,64 @@ PINNED_SHA256 = {
     "metadata.json": "7cbc85e328abc7c548cf096f14b873feecd5e9602e5f257c2149cf51a5e615e7",
 }
 
+# The same scenario at a seed of two 32-bit words.
+PINNED_TWO_WORD_CONFIG = dataclasses.replace(PINNED_CONFIG, seed=2**32 + 2024)
+
+PINNED_TWO_WORD_SHA256 = {
+    "patients.csv": "a239984b3e0b17f21366ae0e4f7f2c04fc5c81c158b622ecb8ee9c68ccd8bc2c",
+    "events.csv": "1c0400f92aa1fa51cbaa6078c689211de358cfb52741708d22c7bcf8aef476a8",
+    "ground_truth.csv": "e01f121cebcf084c7b38c35f51541f94d0f2b266011a5808f2716c097d694ccd",
+    "metadata.json": "ff2aa62b9533881fe7fc28cc8a29c702871aa8821683a193db4ee5023f05e73b",
+}
+
+
+def numpy_pcg64_state(seed: int, ordinal: int) -> tuple[int, int]:
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(ordinal,))).state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+STREAM_SEEDS = [0, 1, 51001, 2**32 - 1, 2**32, 2**64 + 3, 2**100, 2**127, 2**128 + 7, 2**200 + 11]
+STREAM_ORDINALS = [0, 1, 2, 12345, 2**31, 2**32 - 1, 2**32, 2**40 + 9]
+
+
+class TestStreamStates:
+    # Patient streams are seeded from states computed in array arithmetic;
+    # each must be the state numpy's own SeedSequence and PCG64 give.
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_equal_numpy_seeding(self, seed):
+        # One- and two-word ordinals in one block.
+        got = synth._pcg64_states(seed, np.array(STREAM_ORDINALS, dtype=np.uint64))
+        assert got == [numpy_pcg64_state(seed, k) for k in STREAM_ORDINALS]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**256 - 1),
+        st.lists(st.integers(0, 2**48 - 1), min_size=1, max_size=6),
+    )
+    def test_equal_numpy_seeding_drawn(self, seed, ordinals):
+        got = synth._pcg64_states(seed, np.array(ordinals, dtype=np.uint64))
+        assert got == [numpy_pcg64_state(seed, k) for k in ordinals]
+
+    def test_generators_across_a_block_boundary(self):
+        block = synth._SEED_BLOCK
+        checked = {0, block - 1, block, block + 1}
+        for k, rng in enumerate(synth._patient_rngs(2**33 + 1, block + 2)):
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 0 and state["uinteger"] == 0
+            if k in checked:
+                assert (state["state"]["state"], state["state"]["inc"]) == numpy_pcg64_state(
+                    2**33 + 1, k
+                )
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**130 + 1])
+    def test_cohort_equals_numpy_seeded_patients(self, seed):
+        config = make_config(seed=seed, patient_count=300, adr=ADR)
+        store, truth, causes = synth._generate(config)
+        want_store, want_truth, want_causes = seedseq_cohort_oracle(config)
+        assert {"confounder", "adr"} <= set(causes)  # both plants fire
+        assert store == want_store
+        assert np.array_equal(truth, want_truth) and causes == want_causes
+
 
 class TestGeneratedBytes:
     def test_pinned_scenario_bytes(self, tmp_path):
@@ -240,6 +304,14 @@ class TestGeneratedBytes:
             for name in PINNED_SHA256
         }
         assert got == PINNED_SHA256
+
+    def test_pinned_two_word_seed_bytes(self, tmp_path):
+        generate(PINNED_TWO_WORD_CONFIG, str(tmp_path))
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_TWO_WORD_SHA256
+        }
+        assert got == PINNED_TWO_WORD_SHA256
 
     def test_store_equals_loaded_files(self, tmp_path):
         store, truth = generate_store(PINNED_CONFIG)
