@@ -184,6 +184,12 @@ def cmd_refine(args) -> int:
         expected=report.expected_count,
         seconds=f"{time.perf_counter() - t0:.3f}",
     )
+    if report.hoi_rule_count == 0:
+        _log(
+            "refine",
+            warning=f"no rule has consequent {rule_consequent(spec.hoi)}, "
+            "so the adjusted risk equals the absolute risk",
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, str(out / "report.json"))

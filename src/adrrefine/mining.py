@@ -716,13 +716,14 @@ _JSON_RULE = (
 
 
 def _text_columns(
-    rules: Iterable[AssociationRule], antecedent_text, token_text, number_text
-) -> Iterator[tuple[str, ...]]:
-    """Each rule as strings, in `sort_key` order: its antecedent through
-    `antecedent_text` of its sorted tokens, its consequent through
-    `token_text`, and its measures, in `_MEASURES` order, through
-    `number_text`. Each distinct antecedent row and each distinct value
-    of a measure is formatted once."""
+    rules: Iterable[AssociationRule], antecedent_text, token_text, number_texts
+) -> list[np.ndarray]:
+    """Each rule's fields as texts, one object array per column, rows in
+    `sort_key` order: its antecedent through `antecedent_text` of its
+    sorted tokens, its consequent through `token_text`, and each measure,
+    in `_MEASURES` order, through its own callable of `number_texts`.
+    Each distinct antecedent row and each distinct value of a measure is
+    formatted once."""
     table = RuleTable.from_rules(rules)
     # Ids follow token order, so this is the order of (consequent token,
     # antecedent tokens), ties kept.
@@ -730,19 +731,18 @@ def _text_columns(
     tokens = [it.token for it in table.items]
     rows, inverse = _distinct_rows(table.antecedent)
     texts = [antecedent_text([tokens[i] for i in row if i >= 0]) for row in rows.tolist()]
-    consequents = [token_text(t) for t in tokens]
-    return zip(
-        [texts[k] for k in inverse.tolist()],
-        [consequents[y] for y in table.consequent.tolist()],
-        *(_formatted(getattr(table, name), number_text) for name in _MEASURES),
-    )
+    return [
+        np.array(texts, dtype=object)[inverse],
+        np.array([token_text(t) for t in tokens], dtype=object)[table.consequent],
+        *(_formatted(getattr(table, name), f) for name, f in zip(_MEASURES, number_texts)),
+    ]
 
 
-def _formatted(column: np.ndarray, number_text) -> list[str]:
+def _formatted(column: np.ndarray, number_text) -> np.ndarray:
     """`number_text` of each value, called once per distinct bit pattern."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     texts = [number_text(v) for v in bits.view(np.float64).tolist()]
-    return [texts[k] for k in inverse.tolist()]
+    return np.array(texts, dtype=object)[inverse]
 
 
 def _csv_field(text: str) -> str:
@@ -757,28 +757,39 @@ def _json_number(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
+# Rules per `write` in `write_rules_csv`: one block's line texts at a time.
+_WRITE_BLOCK = 1 << 14
+
+
 def write_rules_csv(rules: Iterable[AssociationRule], path: str) -> None:
     """The bytes `csv.writer` writes for the header and one row per rule,
     in `sort_key` order: antecedent tokens `|`-joined, reals at 12
     significant digits (which never need quoting)."""
-    lines = _text_columns(
-        rules, lambda tokens: _csv_field("|".join(tokens)), _csv_field, "{:.12g}".format
+    # Each text carries the separator after it, so a block of rows is its
+    # fields interleaved row by row and joined.
+    columns = _text_columns(
+        rules,
+        lambda tokens: _csv_field("|".join(tokens)) + ",",
+        lambda token: _csv_field(token) + ",",
+        [*["{:.12g},".format] * (len(_MEASURES) - 1), "{:.12g}\r\n".format],
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_CSV_HEADER) + "\r\n")
-        fh.writelines(",".join(fields) + "\r\n" for fields in lines)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+            block = np.stack([column[lo : lo + _WRITE_BLOCK] for column in columns], axis=1)
+            fh.write("".join(block.ravel().tolist()))
 
 
 def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
     """The bytes of `json.dump` with `indent=1` of one object per rule,
     in `sort_key` order; reals are exact."""
-    lines = _text_columns(
+    columns = _text_columns(
         rules,
         lambda tokens: ",\n".join("   " + json.dumps(t) for t in tokens),
         json.dumps,
-        _json_number,
+        [_json_number] * len(_MEASURES),
     )
-    body = ",\n".join(_JSON_RULE % fields for fields in lines)
+    body = ",\n".join(_JSON_RULE % fields for fields in zip(*(c.tolist() for c in columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"[\n{body}\n]\n" if body else "[]\n")
 

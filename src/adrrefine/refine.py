@@ -88,11 +88,13 @@ def rule_consequent(hoi_query: ReadCode) -> Item:
 def extract_hoi_rules(
     rules: Iterable[AssociationRule], hoi_query: ReadCode
 ) -> RuleTable:
-    """Rules whose consequent is `rule_consequent(hoi_query)`."""
+    """Rules whose consequent is `rule_consequent(hoi_query)`, as a table
+    over the same vocabulary, in the same row order."""
     target = rule_consequent(hoi_query)
     table = RuleTable.from_rules(rules)
-    ids = [k for k, it in enumerate(table.items) if it == target]
-    return table[np.isin(table.consequent, ids)]
+    # Items are distinct, so at most one id is the target's; -1 is no row's.
+    k = next((k for k, it in enumerate(table.items) if it == target), -1)
+    return table[np.flatnonzero(table.consequent == k)]
 
 
 # Bytes per block of instances in `assess_instances`: 1 per antecedent cell, 8 per measure cell.

@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: supports come from
 scanning tid-sets per candidate, and the chi-squared statistic is the
 textbook count-based 2x2 form. Rule matching is a frozenset subset
-test per rule, an outcome record is a string-prefix test, and the
+test per rule, an outcome record is a string-prefix test or the
+truncation rule, a family prescription is the truncation rule, and the
 rules-file writers go a rule at a time through `csv.writer` and
 `json.dump`, and synthetic patients draw from streams numpy seeds
 itself. The library must agree with them.
@@ -16,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from adrrefine import synth
+from adrrefine.codes import bnf_level, bnf_truncate, read_level, read_truncate
 
 
 def chi2_counts_oracle(count_xy: int, count_x: int, count_y: int, m: int) -> float:
@@ -119,6 +121,18 @@ def seedseq_cohort_oracle(config):
         for k in range(config.patient_count)
     )
     return synth._cohort(config, rngs)
+
+
+def family_oracle(code, doi):
+    """Whether a parsed drug code is in a family, by the definition: cut to
+    some entry's level, it is that entry."""
+    return any(bnf_truncate(code, bnf_level(entry)) == entry for entry in doi)
+
+
+def outcome_code_oracle(code, hoi_query):
+    """Whether a parsed diagnosis code is an outcome record of a query, by
+    the definition: cut to the query's level, it is the query."""
+    return read_truncate(code, read_level(hoi_query)) == hoi_query
 
 
 def outcome_oracle(code_type, code, hoi_query):

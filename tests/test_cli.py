@@ -355,6 +355,42 @@ class TestRefine:
         report = (tmp_path / "report" / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == sha256
 
+    @pytest.mark.parametrize("consequent, rule_count", [("H27..", 0), ("H05..", 1)])
+    def test_zero_outcome_rules_warns_once(
+        self, capsys, worked_example_dir, tmp_path, consequent, rule_count
+    ):
+        """A rules file with no rule for the outcome refines to the absolute
+        risk, and stderr says so in one line; one rule for it, no line."""
+        rules = tmp_path / "rules.csv"
+        rules.write_text(
+            "antecedent,consequent,left_support,support,confidence,lift,chi_squared\n"
+            f"2.2.0.0,{consequent},0.0012,3.6e-05,0.03,1.4,200.0\n"
+        )
+        code, out, err = run_cli(
+            capsys,
+            "refine",
+            "--patients", str(worked_example_dir / "patients.csv"),
+            "--events", str(worked_example_dir / "events.csv"),
+            "--rules", str(rules),
+            "--spec", str(worked_example_dir / "signal.json"),
+            "--out", str(tmp_path / "report"),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        summary = {k: v for k, v in report.items() if k != "instances"}
+        assert payload == {**summary, "out": str(tmp_path / "report")}
+        assert payload["hoi_rule_count"] == rule_count
+        warning = (
+            "stage=refine warning=no rule has consequent H05.., "
+            "so the adjusted risk equals the absolute risk"
+        )
+        assert [line for line in err.splitlines() if "warning=" in line] == (
+            [warning] if rule_count == 0 else []
+        )
+        if rule_count == 0:
+            assert payload["adjusted_risk"] == payload["absolute_risk"]
+
     def test_zero_exposure_is_domain_error(self, capsys, worked_example_dir, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"doi_items": ["9.9.0.0"], "hoi_code": "H05.."}))

@@ -129,9 +129,9 @@ def doubled_cohort(src: Path, dst: Path) -> tuple[str, str]:
 
 
 def code_constructions(monkeypatch, patients: str, events: str) -> Counter:
-    """ReadCode/BnfCode constructions over baskets, mining and refine on a
-    loaded cohort (the load itself is not counted)."""
-    store = load(patients, events)
+    """ReadCode/BnfCode constructions over load, baskets, mining and refine
+    of a cohort. Load parses each distinct code; refine's code masks
+    compare prefixes and construct none."""
     counts: Counter = Counter()
     for cls in (ReadCode, BnfCode):
 
@@ -140,6 +140,7 @@ def code_constructions(monkeypatch, patients: str, events: str) -> Counter:
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
+    store = load(patients, events)
     db = build_database(store)
     rules = mine_rules(db, rule_consequent(SPEC.hoi), workers=1)
     refine(SPEC, rules, apply_prescription_exclusions(store))

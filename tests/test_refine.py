@@ -3,7 +3,9 @@ import datetime as dt
 import importlib
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from adrrefine.codes import Item, ItemKind, normalize_item, parse_bnf, parse_read
@@ -22,7 +24,7 @@ from adrrefine.refine import (
 )
 from adrrefine.signals import SignalInstance, SignalSpec, load_signal_spec, read_instances_csv
 
-from oracles import assess_oracle
+from oracles import RULE_FILE_MEASURES, assess_oracle
 from test_signals import DIAGNOSIS_POOL, DRUG_POOL, calendar_store, record_scan_basket
 
 # The module; `adrrefine.refine` as a package attribute is the function.
@@ -57,6 +59,23 @@ class TestExtractHoiRules:
 
     def test_empty_rule_set(self):
         assert extract_hoi_rules([], parse_read("H05..")) == []
+
+    @pytest.mark.parametrize(
+        "rows, query",
+        [(slice(None), "Z99.."), (slice(0, 0), "H05..")],
+        ids=["item not in the vocabulary", "no rules"],
+    )
+    def test_no_match_keeps_the_vocabulary(self, worked_rules, rows, query):
+        """Each gives an empty table over the same items, as selecting the
+        consequent ids with `np.isin` does."""
+        table = worked_rules[rows]
+        found = extract_hoi_rules(table, parse_read(query))
+        ids = [k for k, it in enumerate(table.items) if it.token == query]
+        expected = table[np.isin(table.consequent, ids)]
+        assert len(found) == 0 and found.items == table.items
+        for name in ("antecedent", "consequent", *RULE_FILE_MEASURES):
+            a, b = getattr(found, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
 
     def test_query_above_level_three_rejected(self, worked_store, worked_rules, worked_spec):
         # The instances exist, but no rule has a level-1/2 consequent, so
@@ -271,6 +290,23 @@ class TestRefine:
         assert not report.matched_averages_defined
         assert report.avg_max_confidence_matched == 0.0
         assert report.avg_max_chi_matched == 0.0
+
+    def test_calls_each_signal_scan_once(
+        self, monkeypatch, worked_store, worked_rules, worked_spec
+    ):
+        """The bench traces these three by their names in `adrrefine.refine`,
+        so `refine` must call each of them, once, through those names."""
+        calls = Counter()
+        for name in ("exposure_count", "find_instances", "ab_ratio"):
+            original = getattr(refine_module, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(refine_module, name, counted)
+        refine(worked_spec, worked_rules, worked_store)
+        assert calls == {"exposure_count": 1, "find_instances": 1, "ab_ratio": 1}
 
     def test_derives_instances_and_exposure_from_store(self, worked_store, worked_rules, worked_spec):
         report = refine(worked_spec, worked_rules, worked_store)

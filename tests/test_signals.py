@@ -4,9 +4,21 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrrefine.baskets import build_database, pre_outcome_basket
-from adrrefine.codes import Item, ItemKind, normalize_item, parse_bnf, parse_read
+from adrrefine.codes import (
+    BNF_PARTS,
+    READ_LENGTH,
+    BnfCode,
+    Item,
+    ItemKind,
+    ReadCode,
+    normalize_item,
+    parse_bnf,
+    parse_read,
+)
 from adrrefine.errors import ConfigError, ParseError
 from adrrefine.events import (
     EventRecord,
@@ -18,6 +30,8 @@ from adrrefine.events import (
 )
 from adrrefine.signals import (
     SignalInstance,
+    _family_mask,
+    _outcome_mask,
     SignalSpec,
     ab_ratio,
     doi_matches,
@@ -29,7 +43,7 @@ from adrrefine.signals import (
 )
 
 from conftest import write_cohort
-from oracles import outcome_oracle
+from oracles import family_oracle, outcome_code_oracle, outcome_oracle
 
 DOI = frozenset([parse_bnf("1.1.0.0")])
 
@@ -91,7 +105,7 @@ def day_scan_ab(spec: SignalSpec, store) -> tuple[int, int]:
         hoi_days = {e.date for e in events if outcome_oracle(e.code_type, e.code, spec.hoi)}
         seen = set()
         for e in events:
-            if e.code_type != "BNF" or not doi_matches(parse_bnf(e.code), spec.doi):
+            if e.code_type != "BNF" or not family_oracle(parse_bnf(e.code), spec.doi):
                 continue
             key = (e.date, str(parse_bnf(e.code).parts[:2]))
             if key in seen:
@@ -112,7 +126,7 @@ def record_scan_first_dates(store, doi) -> dict[str, dt.date]:
         dates = [
             e.date
             for e in store.patient_events(pid)
-            if e.code_type == "BNF" and doi_matches(parse_bnf(e.code), doi)
+            if e.code_type == "BNF" and family_oracle(parse_bnf(e.code), doi)
         ]
         if dates:
             first[pid] = min(dates)
@@ -204,6 +218,56 @@ class TestDoiMatching:
         assert doi_matches(parse_bnf("1.1.2.3"), exact)
         assert not doi_matches(parse_bnf("1.1.2.4"), exact)
         assert not doi_matches(parse_bnf("1.1.0.0"), exact)
+
+
+# Codes at every level, over few symbols so that prefixes are often shared.
+bnf_codes = st.integers(1, BNF_PARTS).flatmap(
+    lambda k: st.tuples(*[st.integers(1, 3)] * k).map(
+        lambda head: BnfCode(head + (0,) * (BNF_PARTS - len(head)))
+    )
+)
+read_codes = st.integers(1, READ_LENGTH).flatmap(
+    lambda k: st.text("AB1z", min_size=k, max_size=k).map(
+        lambda head: ReadCode(head + "." * (READ_LENGTH - len(head)))
+    )
+)
+
+
+def code_store(codes) -> EventStore:
+    """One patient with one event of each code, so code ids follow `codes`."""
+    patients = {"p": PatientInfo("p", "F", 1960, dt.date(2000, 1, 1))}
+    day = dt.date(2004, 1, 1)
+    events = tuple(
+        EventRecord("p", day, "BNF" if isinstance(c, BnfCode) else "READ", str(c)) for c in codes
+    )
+    return EventStore(patients, {"p": events})
+
+
+class TestPrefixMasks:
+    """The per-code masks compare prefixes; they must equal the truncation
+    rule they stand for, for codes and queries at every level."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(code=bnf_codes, doi=st.frozensets(bnf_codes, min_size=1, max_size=3))
+    def test_doi_matches_is_truncation(self, code, doi):
+        assert doi_matches(code, doi) == family_oracle(code, doi)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        codes=st.lists(st.one_of(read_codes, bnf_codes), min_size=1, max_size=12, unique=True),
+        doi=st.frozensets(bnf_codes, min_size=1, max_size=3),
+        hoi=read_codes,
+    )
+    def test_masks_are_truncation(self, codes, doi, hoi):
+        store = code_store(codes)
+        parsed = [c for c, _ in store.code_table.values()]
+        assert parsed == codes
+        assert _outcome_mask(store, hoi).tolist() == [
+            isinstance(c, ReadCode) and outcome_code_oracle(c, hoi) for c in codes
+        ]
+        assert _family_mask(store, doi).tolist() == [
+            isinstance(c, BnfCode) and family_oracle(c, doi) for c in codes
+        ]
 
 
 class TestFirstDoiDate:

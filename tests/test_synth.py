@@ -14,7 +14,6 @@ from adrrefine import synth
 from adrrefine.codes import parse_bnf
 from adrrefine.errors import ConfigError, ParseError
 from adrrefine.events import load
-from adrrefine.signals import doi_matches
 from adrrefine.synth import (
     CatalogItem,
     PlantedAdr,
@@ -29,7 +28,7 @@ from adrrefine.synth import (
     validate_config,
 )
 
-from oracles import seedseq_cohort_oracle
+from oracles import family_oracle, seedseq_cohort_oracle
 
 SPAN = 1460
 
@@ -463,7 +462,7 @@ class TestExpectedFilterRate:
             events = store.patient_events(pid)
             doi_dates = [
                 ev.date for ev in events
-                if ev.code_type == "BNF" and doi_matches(parse_bnf(ev.code), doi)
+                if ev.code_type == "BNF" and family_oracle(parse_bnf(ev.code), doi)
             ]
             if not doi_dates:
                 continue
