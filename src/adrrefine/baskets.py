@@ -25,7 +25,7 @@ import numpy as np
 
 from .codes import Item, gender_item
 from .errors import DomainError
-from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, eligible_patients
+from .events import DEFAULT_MIN_ACTIVE_MONTHS, GENDERS, EventStore, eligible_patients
 
 
 def pre_outcome_items(
@@ -68,8 +68,9 @@ def pre_outcome_basket(
     their gender item: `pre_outcome_items` for one history. A cutoff of
     `dt.date.max` with `include_same_day` gives the whole-history basket."""
     _, ids = pre_outcome_items(store, [patient_id], [cutoff_date], include_same_day)
-    items = [store.columns.codes.mining_items[i] for i in set(ids.tolist())]
-    return frozenset([gender_item(store.patients[patient_id].gender), *items])
+    columns = store.columns
+    items = [columns.codes.mining_items[i] for i in set(ids.tolist())]
+    return frozenset([gender_item(GENDERS[columns.gender[columns.ordinal[patient_id]]]), *items])
 
 
 @dataclass(frozen=True)
@@ -190,26 +191,25 @@ def build_database(
     """One whole-history basket per eligible patient, in store order: the
     distinct (patient, item) pairs of its rows, plus its gender item."""
     eligible = eligible_patients(store, min_active_months)
-    keep = np.fromiter((pid in eligible for pid in store.patients), bool, len(store.patients))
+    columns = store.columns
+    keep = np.fromiter(map(eligible.__contains__, columns.pids), bool, len(columns.pids))
     if not keep.any():
         raise DomainError(
             f"no patients active for {min_active_months}+ months; nothing to mine"
         )
-    pids = tuple(compress(store.patients, keep))
-    genders = [store.patients[pid].gender for pid in pids]
-    gender_items = {g: gender_item(g) for g in set(genders)}
-    columns = store.columns
+    pids = tuple(compress(columns.pids, keep.tolist()))
+    gender_items = [gender_item(g) for g in GENDERS]
     codes = columns.codes
-    items = sorted({*codes.mining_items, *gender_items.values()}, key=lambda it: it.token)
+    items = sorted({*codes.mining_items, *gender_items}, key=lambda it: it.token)
     vocab = {it: k for k, it in enumerate(items)}
     code_vocab = np.array([vocab[it] for it in codes.mining_items], dtype=np.int64)
+    gender_vocab = np.array([vocab[it] for it in gender_items], dtype=np.int64)
 
     basket_of = np.cumsum(keep) - 1  # basket ordinal of each kept patient
     rows = keep[columns.patient]
     basket = np.concatenate([basket_of[columns.patient[rows]], np.arange(len(pids))])
     item = np.concatenate([
-        code_vocab[codes.item_id[columns.code[rows]]],
-        [vocab[gender_items[g]] for g in genders],
+        code_vocab[codes.item_id[columns.code[rows]]], gender_vocab[columns.gender[keep]]
     ])
     key = basket * len(items) + item
     key.sort()

@@ -1,11 +1,14 @@
 """Patient demographics and date-stamped event ingestion.
 
-The store is immutable after construction and holds its events as
-columns: per-patient row offsets (patients in store order), an int32 day
-number (`date.toordinal()`) and an int32 code id into the store's code
-table. A patient's rows are date-ordered, same-day rows in input order.
-Every stage downstream works on these columns with array operations;
-`EventRecord`s are views built on request.
+The store is immutable after construction and holds its patients and
+events once, as columns. Patients are in store order: their ids (indexed
+by one id -> ordinal dict), a uint8 gender code into `GENDERS`, the
+years of birth as the exact ints read, and an int32 registration day
+number (`date.toordinal()`). Events are per-patient row offsets, an
+int32 day number and an int32 code id into the store's code table. A
+patient's rows are date-ordered, same-day rows in input order. Every
+stage downstream works on these columns with array operations;
+`PatientInfo`s and `EventRecord`s are views built on request.
 
 Prescription exclusion rules (early-registration and end-of-database
 windows) produce a new store that shares the patients and the code
@@ -17,9 +20,10 @@ cannot have complete follow-up. Diagnosis records are never excluded.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator
+from itertools import compress, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +41,8 @@ DEFAULT_MIN_ACTIVE_MONTHS = 24
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
 # A shift this long takes any date past 9999-12-31, as every longer one does.
 _MAX_SHIFT_MONTHS = 12 * 9999
+# A patient's gender code indexes this.
+GENDERS = ("M", "F")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +90,19 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EventColumns:
-    """A store's events as columns. Patient k (`ordinal[patient_id]`, in
-    store order) has rows `offsets[k]:offsets[k + 1]`, date-ordered, and
-    registered on day number `registered[k]`."""
+    """A store's patients and events as columns. Patient k (in store
+    order, `ordinal[pids[k]] == k`) has a gender code, year of birth and
+    registration day, and rows `offsets[k]:offsets[k + 1]`, date-ordered."""
 
     offsets: np.ndarray  # int64, one more than the patients
     day: np.ndarray  # int32 day number per row
     code: np.ndarray  # int32 code id per row, into `codes`
     codes: CodeTable
+    pids: tuple[str, ...]
     ordinal: dict[str, int]
-    registered: np.ndarray  # int32 per patient
+    gender: np.ndarray  # uint8 per patient, into `GENDERS`
+    year_of_birth: tuple[int, ...]
+    registered: np.ndarray  # int32 registration day number per patient
 
     @cached_property
     def patient(self) -> np.ndarray:
@@ -108,67 +117,36 @@ class EventColumns:
 
     def select(self, keep: np.ndarray) -> EventColumns:
         """The rows where `keep` is True, with the same patients and codes."""
-        counts = np.bincount(self.patient[keep], minlength=len(self.offsets) - 1)
+        counts = np.bincount(self.patient[keep], minlength=len(self.pids))
         offsets = np.zeros(len(self.offsets), dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return EventColumns(
-            _frozen(offsets), _frozen(self.day[keep]), _frozen(self.code[keep]),
-            self.codes, self.ordinal, self.registered,
-        )
+        day, code = _frozen(self.day[keep]), _frozen(self.code[keep])
+        return replace(self, offsets=_frozen(offsets), day=day, code=code)
 
 
-def _columns(
-    ordinal: dict[str, int],
-    registered: np.ndarray,
-    patient: np.ndarray,
-    day: np.ndarray,
-    code: np.ndarray,
-    codes: CodeTable,
-) -> EventColumns:
-    """Columns from rows in input order: grouped by patient ordinal, then
-    sorted by day, same-day rows keeping their input order."""
-    order = np.argsort((patient.astype(np.int64) << 32) | day, kind="stable")
-    offsets = np.zeros(len(registered) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(patient, minlength=len(registered)), out=offsets[1:])
-    return EventColumns(
-        _frozen(offsets),
-        _frozen(day[order].astype(np.int32)),
-        _frozen(code[order].astype(np.int32)),
-        codes,
-        ordinal,
-        _frozen(registered),
-    )
-
-
-def _patient_index(patients: dict[str, PatientInfo]) -> tuple[dict[str, int], np.ndarray]:
-    """Each patient's ordinal and registration day number, in store order."""
-    days = (info.registration_date.toordinal() for info in patients.values())
-    ordinal = {pid: k for k, pid in enumerate(patients)}
-    return ordinal, np.fromiter(days, np.int32, len(patients))
-
-
+# A store's patient columns in `EventColumns`' field order (ids, the id -> ordinal
+# dict, gender codes, years of birth, registration days), the arrays read-only.
+_Patients = tuple[tuple[str, ...], dict[str, int], np.ndarray, tuple[int, ...], np.ndarray]
 # Patient ordinal, day number and code id per row, in input order, and the code table.
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable]
 
 
-def _store(
-    patients: dict[str, PatientInfo], read: Callable[[dict[str, int], np.ndarray], _Rows],
-    db_end_date: dt.date | None,
-) -> EventStore:
-    """The store of the rows `read(ordinal, registered)` gives, from each
-    patient's ordinal and registration day number. The end of the
-    database defaults to the latest event day."""
-    ordinal, registered = _patient_index(patients)
-    patient, day, code, codes = read(ordinal, registered)
+def _store(patients: _Patients, rows: _Rows, db_end_date: dt.date | None) -> EventStore:
+    """The store of the `rows`, grouped by patient ordinal, then sorted by
+    day, same-day rows keeping their input order. The end of the database
+    defaults to the latest event day."""
+    patient, day, code, codes = rows
     if db_end_date is None and len(day):
         db_end_date = dt.date.fromordinal(int(day.max()))
-    columns = _columns(ordinal, registered, patient, day, code, codes)
-    return EventStore._from_columns(patients, columns, db_end_date)
+    order = np.argsort((patient.astype(np.int64) << 32) | day, kind="stable")
+    offsets = np.zeros(len(patients[0]) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(patient, minlength=len(offsets) - 1), out=offsets[1:])
+    day, code = (_frozen(column[order].astype(np.int32)) for column in (day, code))
+    columns = EventColumns(_frozen(offsets), day, code, codes, *patients)
+    return EventStore._from_columns(columns, db_end_date)
 
 
-def _records(
-    patients: dict[str, PatientInfo], columns: EventColumns
-) -> dict[str, tuple[EventRecord, ...]]:
+def _records(columns: EventColumns) -> dict[str, tuple[EventRecord, ...]]:
     keys = list(columns.codes)
     dates = {d: dt.date.fromordinal(d) for d in np.unique(columns.day).tolist()}
     day, code, offsets = columns.day.tolist(), columns.code.tolist(), columns.offsets.tolist()
@@ -177,21 +155,22 @@ def _records(
             EventRecord(pid, dates[day[r]], *keys[code[r]])
             for r in range(offsets[k], offsets[k + 1])
         )
-        for k, pid in enumerate(patients)
+        for k, pid in enumerate(columns.pids)
     }
 
 
 class EventStore:
-    """Patients (in store order) and their events.
+    """Patients (in store order) and their events, held as `columns`.
 
     `EventStore(patients, events, db_end_date)` builds a store from
-    `EventRecord`s, each filed under its own `patient_id`. They are read
-    as `load` reads events.csv rows, when the store is built: a record
-    that `load` would reject raises its ParseError, numbered by its
-    1-based position in the dict's tuples (`records:2: ...`), and
-    `db_end_date` defaults to the latest event day. `events` is a
-    date-ordered view of the columns.
-    """
+    `PatientInfo` and `EventRecord` records, each filed under its own
+    `patient_id` and read as `load` reads patients.csv and events.csv
+    rows: a record `load` would reject as a row (a gender, year or date
+    that fails, a repeated patient_id, an unknown patient, an event
+    before registration, a bad code) raises its ParseError at its 1-based
+    position among the patients or the events (`records:2: ...`), and
+    `db_end_date` defaults to the latest event day. `patients` and
+    `events` are views of the columns, built on first read."""
 
     def __init__(
         self,
@@ -199,22 +178,35 @@ class EventStore:
         events: dict[str, tuple[EventRecord, ...]],
         db_end_date: dt.date | None = None,
     ):
-        read = partial(_read_events, _record_blocks(events), patients)
-        store = _store(patients, read, db_end_date)
-        self.patients, self.columns, self.db_end_date = patients, store.columns, store.db_end_date
+        cohort = _read_patients(_record_blocks([
+            [p.patient_id, p.gender, str(p.year_of_birth), str(p.registration_date)]
+            for p in patients.values()
+        ]))
+        rows = _record_blocks([
+            [ev.patient_id, str(ev.date), ev.code_type, ev.code]
+            for evs in events.values() for ev in evs
+        ])
+        store = _store(cohort, _read_events(rows, cohort), db_end_date)
+        self.columns, self.db_end_date = store.columns, store.db_end_date
 
     @classmethod
-    def _from_columns(
-        cls, patients: dict[str, PatientInfo], columns: EventColumns, db_end_date: dt.date | None
-    ) -> EventStore:
+    def _from_columns(cls, columns: EventColumns, db_end_date: dt.date | None) -> EventStore:
         store = cls.__new__(cls)
-        store.patients, store.columns, store.db_end_date = patients, columns, db_end_date
+        store.columns, store.db_end_date = columns, db_end_date
         return store
+
+    @cached_property
+    def patients(self) -> dict[str, PatientInfo]:
+        """Per patient id, in store order, its demographics."""
+        c = self.columns
+        genders = map(GENDERS.__getitem__, c.gender.tolist())
+        dates = map(dt.date.fromordinal, c.registered.tolist())
+        return dict(zip(c.pids, map(PatientInfo, c.pids, genders, c.year_of_birth, dates)))
 
     @cached_property
     def events(self) -> dict[str, tuple[EventRecord, ...]]:
         """Per patient, its events as date-ordered records."""
-        return _records(self.patients, self.columns)
+        return _records(self.columns)
 
     @property
     def code_table(self) -> CodeTable:
@@ -222,14 +214,14 @@ class EventStore:
 
     @property
     def patient_count(self) -> int:
-        return len(self.patients)
+        return len(self.columns.pids)
 
     @property
     def event_count(self) -> int:
         return len(self.columns.code)
 
     def patient_events(self, patient_id: str) -> tuple[EventRecord, ...]:
-        if patient_id not in self.patients:
+        if patient_id not in self.columns.ordinal:
             raise DomainError(f"unknown patient: {patient_id}")
         return self.events[patient_id]
 
@@ -300,27 +292,36 @@ _PATIENTS_HEADER = ["patient_id", "gender", "year_of_birth", "registration_date"
 _EVENTS_HEADER = ["patient_id", "date", "code_type", "code"]
 
 
-def _read_patients(path: str) -> dict[str, PatientInfo]:
-    """Patients in file order. Each distinct year and date string is
-    converted once; a malformed row raises its ParseError."""
-    patients: dict[str, PatientInfo] = {}
+def _day_number(text: str) -> int:
+    return dt.date.fromisoformat(text).toordinal()
+
+
+def _read_patients(blocks: Iterable[CsvBlock]) -> _Patients:
+    """The patient columns of patients.csv `blocks`, in row order. Each
+    distinct year and date string is converted once; a malformed row
+    raises its ParseError."""
+    ordinal: dict[str, int] = {}
     year_of: dict[str, int] = {}
-    date_of: dict[str, dt.date] = {}
-    for block in csv_columns(path, _PATIENTS_HEADER):
+    day_of: dict[str, int] = {}
+    genders, years, days = [], [], []  # per patient, in row order
+    for block in blocks:
+        seen = len(ordinal)
         try:
-            pids, genders, years, dates = block.columns  # None (a TypeError) on a bad field count
-            if (
-                not {"M", "F"}.issuperset(genders)
-                or len(set(pids)) < len(pids)
-                or not patients.keys().isdisjoint(pids)
-            ):
-                raise ValueError("a malformed row")
-            years = column_values(year_of, years, int)
-            dates = column_values(date_of, dates, dt.date.fromisoformat)
+            pids, gender, year, date = block.columns  # None (a TypeError) on a bad field count
+            ordinal.update(zip(pids, range(seen, seen + len(pids))))
+            if len(ordinal) < seen + len(pids):
+                raise ValueError("a duplicate patient_id")
+            gender = list(map(GENDERS.index, gender))
+            year = column_values(year_of, year, int)
+            date = column_values(day_of, date, _day_number)
         except INPUT_FAULTS:
-            raise_first_fault(block.rows(), partial(_check_patient, set(patients)), path)
-        patients.update(zip(pids, map(PatientInfo, pids, genders, years, dates)))
-    return patients
+            check = partial(_check_patient, set(islice(ordinal, seen)))
+            raise_first_fault(block.rows(), check, block.path)
+        genders += gender
+        years += year
+        days += date
+    gender, registered = _frozen(np.array(genders, np.uint8)), _frozen(np.array(days, np.int32))
+    return tuple(ordinal), ordinal, gender, tuple(years), registered
 
 
 def _check_patient(seen: set[str], row: list[str]) -> None:
@@ -329,29 +330,22 @@ def _check_patient(seen: set[str], row: list[str]) -> None:
     pid, gender, yob, reg = row
     if pid in seen:
         raise ValueError(f"duplicate patient_id {pid!r}")
-    if gender not in ("M", "F"):
+    if gender not in GENDERS:
         raise ValueError(f"gender must be M or F: {gender!r}")
     int(yob), dt.date.fromisoformat(reg)
     seen.add(pid)
 
 
-def _read_events(
-    blocks: Iterable[CsvBlock],
-    patients: dict[str, PatientInfo],
-    ordinal: dict[str, int],
-    registered: np.ndarray,
-) -> _Rows:
-    """The rows of events.csv `blocks`, in order. Each distinct patient
-    id, date string and (code_type, code) is checked once; a malformed
-    row raises its ParseError."""
+def _read_events(blocks: Iterable[CsvBlock], patients: _Patients) -> _Rows:
+    """The rows of events.csv `blocks`, in order, for the `patients`. Each
+    distinct patient id, date string and (code_type, code) is checked
+    once; a malformed row raises its ParseError."""
+    _, ordinal, _, _, registered = patients
     day_of: dict[str, int] = {}
     texts: list[str] = []  # each distinct code_type and code string
     text_of: dict[str, int] = {}  # its index in `texts`
     code_of: dict[int, int] = {}  # code id by (code_type index << 32 | code index)
     entries: dict = {}
-
-    def add_day(text: str) -> int:
-        return dt.date.fromisoformat(text).toordinal()
 
     def add_text(text: str) -> int:
         texts.append(text)
@@ -367,14 +361,15 @@ def _read_events(
         try:
             pids, dates, types, codes = block.columns  # None (a TypeError) on a bad field count
             patient = np.array(column_values(ordinal, pids, ordinal.__getitem__), np.int32)
-            day = np.array(column_values(day_of, dates, add_day), np.int32)
+            day = np.array(column_values(day_of, dates, _day_number), np.int32)
             pair = np.array(column_values(text_of, types, add_text), np.int64) << 32
             pair |= np.array(column_values(text_of, codes, add_text), np.int64)
             code = np.array(column_values(code_of, pair.tolist(), add_code), np.int32)
             if (day < registered[patient]).any():
                 raise ValueError("an event before registration")
         except INPUT_FAULTS:
-            raise_first_fault(block.rows(), partial(_check_event, patients), block.path)
+            check = partial(_check_event, ordinal, registered)
+            raise_first_fault(block.rows(), check, block.path)
         parts.append((patient, day, code))
     if not parts:
         empty = np.zeros(0, dtype=np.int32)
@@ -383,26 +378,23 @@ def _read_events(
     return patient, day, code, CodeTable(entries)
 
 
-def _check_event(patients: dict[str, PatientInfo], row: list[str]) -> None:
-    """Check one events.csv row against the `patients`."""
+def _check_event(ordinal: dict[str, int], registered: np.ndarray, row: list[str]) -> None:
+    """Check one events.csv row against the patients' ordinals and registration days."""
     pid, date_text, code_type, code = row
-    patient = patients.get(pid)
-    if patient is None:
+    if pid not in ordinal:
         raise ValueError(f"unknown patient_id {pid!r}")
     date = dt.date.fromisoformat(date_text)
     parse_code(code_type, code)
-    if date < patient.registration_date:
-        raise ValueError(f"event dated {date} before registration {patient.registration_date}")
+    registration = dt.date.fromordinal(int(registered[ordinal[pid]]))
+    if date < registration:
+        raise ValueError(f"event dated {date} before registration {registration}")
 
 
-def _record_blocks(events: dict[str, tuple[EventRecord, ...]]) -> list[CsvBlock]:
-    """The records as the events.csv rows they would be, in one block
-    whose lines are their 1-based positions under the name `records`."""
-    records = [ev for evs in events.values() for ev in evs]
-    rows = [[ev.patient_id, str(ev.date), ev.code_type, ev.code] for ev in records]
-    if not rows:
-        return []
-    return [CsvBlock("records", 1, len(_EVENTS_HEADER), rows, [list(c) for c in zip(*rows)])]
+def _record_blocks(rows: list[list]) -> list[CsvBlock]:
+    """Records turned into the CSV rows they would be, as one block whose
+    lines are their 1-based positions under the name `records`."""
+    columns = [list(c) for c in zip(*rows)]
+    return [CsvBlock("records", 1, len(columns), rows, columns)] if rows else []
 
 
 def load(
@@ -416,9 +408,9 @@ def load(
     patient by date, ties keeping file order. The end of the database
     defaults to the latest event date unless overridden.
     """
-    patients = _read_patients(patients_file)
-    read = partial(_read_events, csv_columns(events_file, _EVENTS_HEADER), patients)
-    return _store(patients, read, db_end_date)
+    patients = _read_patients(csv_columns(patients_file, _PATIENTS_HEADER))
+    rows = _read_events(csv_columns(events_file, _EVENTS_HEADER), patients)
+    return _store(patients, rows, db_end_date)
 
 
 def apply_prescription_exclusions(
@@ -445,7 +437,7 @@ def apply_prescription_exclusions(
     if end is not None:
         window |= end.toordinal() - columns.day.astype(np.int64) < end_buffer_days
     keep = ~(columns.codes.drug[columns.code] & window)
-    return EventStore._from_columns(store.patients, columns.select(keep), end)
+    return EventStore._from_columns(columns.select(keep), end)
 
 
 def _active_months(store: EventStore) -> np.ndarray:
@@ -459,7 +451,7 @@ def _active_months(store: EventStore) -> np.ndarray:
 
 def active_months(store: EventStore, patient_id: str) -> int:
     """Whole months between a patient's first and last retained events."""
-    if patient_id not in store.patients:
+    if patient_id not in store.columns.ordinal:
         raise DomainError(f"unknown patient: {patient_id}")
     return int(_active_months(store)[store.columns.ordinal[patient_id]])
 
@@ -467,6 +459,8 @@ def active_months(store: EventStore, patient_id: str) -> int:
 def eligible_patients(
     store: EventStore, min_active_months: int = DEFAULT_MIN_ACTIVE_MONTHS
 ) -> set[str]:
-    """Patients active for at least `min_active_months` whole months."""
-    eligible = (_active_months(store) >= min_active_months).tolist()
-    return {pid for pid, ok in zip(store.patients, eligible) if ok}
+    """Patients active for at least `min_active_months` whole months. A
+    negative `min_active_months` is a ConfigError."""
+    if min_active_months < 0:
+        raise ConfigError(f"min_active_months must be >= 0: {min_active_months}")
+    return set(compress(store.columns.pids, (_active_months(store) >= min_active_months).tolist()))

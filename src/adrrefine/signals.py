@@ -180,20 +180,19 @@ def find_instances(spec: SignalSpec, store: EventStore) -> list[SignalInstance]:
     matching outcome inside the window; the earliest such outcome wins."""
     start, end = _window(spec)
     columns = store.columns
-    patient, day = columns.patient, columns.day.astype(np.int64)
+    patient = columns.patient
     family = _rows(store, _family_mask(store, spec.doi))
     first = family[_group_starts(patient[family])]  # each exposed patient's first prescription
-    doi_day = np.full(len(store.patients), _MAX_GAP * 3, dtype=np.int64)  # beyond every window
-    doi_day[patient[first]] = day[first]
+    doi_day = np.full(len(columns.pids), _MAX_GAP * 3, dtype=np.int64)  # beyond every window
+    doi_day[patient[first]] = columns.day[first]
     outcome = _rows(store, _outcome_mask(store, spec.hoi))
-    gap = day[outcome] - doi_day[patient[outcome]]
+    gap = columns.day[outcome] - doi_day[patient[outcome]]  # int64, as `doi_day` is
     hit = outcome[(gap >= start) & (gap <= end)]
     hit = hit[_group_starts(patient[hit])]  # each patient's earliest outcome in the window
-    pids = list(store.patients)
     instances = [
-        SignalInstance(pids[k], dt.date.fromordinal(d0), dt.date.fromordinal(d1))
+        SignalInstance(columns.pids[k], dt.date.fromordinal(d0), dt.date.fromordinal(d1))
         for k, d0, d1 in zip(
-            patient[hit].tolist(), doi_day[patient[hit]].tolist(), day[hit].tolist()
+            patient[hit].tolist(), doi_day[patient[hit]].tolist(), columns.day[hit].tolist()
         )
     ]
     instances.sort(key=lambda inst: inst.patient_id)

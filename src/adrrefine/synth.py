@@ -44,7 +44,8 @@ from .errors import (
     ConfigError, ParseError, checked, csv_rows, json_int, json_list, json_number, read_json,
 )
 from .events import (
-    _EVENTS_HEADER, _PATIENTS_HEADER, CodeTable, EventStore, PatientInfo, _parse_entry, _store,
+    _EVENTS_HEADER, _PATIENTS_HEADER, GENDERS, CodeTable, EventStore, _frozen, _parse_entry,
+    _store,
 )
 from .signals import DEFAULT_WINDOW, doi_matches
 
@@ -277,16 +278,14 @@ def _patient_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
 
 
 def _generate_patient(
-    config: ScenarioConfig, ordinal: int, rng: np.random.Generator, rates: np.ndarray,
+    config: ScenarioConfig, rng: np.random.Generator, rates: np.ndarray,
     catalog: np.ndarray, position: dict[tuple[str, str], int], family: list[bool],
-) -> tuple[PatientInfo, list[int], list[int], list[str]]:
-    """A patient and its rows, unsorted: per row a day offset, a code
-    position (into the scenario's sorted codes) and a cause, all drawn
-    from `rng`."""
-    pid = f"s{ordinal:07d}"
-    gender = "M" if rng.random() < 0.5 else "F"
+) -> tuple[int, int, list[int], list[int], list[str]]:
+    """A patient's gender code, year of birth and rows, unsorted: per row
+    a day offset, a code position (into the scenario's sorted codes) and
+    a cause, all drawn from `rng`."""
+    gender = GENDERS.index("M" if rng.random() < 0.5 else "F")
     year_of_birth = 1930 + int(rng.integers(0, 60))
-    info = PatientInfo(pid, gender, year_of_birth, config.start_date)
     days = config.observation_days
 
     counts = rng.binomial(days, rates)
@@ -324,7 +323,7 @@ def _generate_patient(
             latency = int(rng.integers(adr.latency_days[0], adr.latency_days[1] + 1))
             if first + latency < days:
                 add(first + latency, ("READ", adr.outcome_code), CAUSE_ADR)
-    return info, day, code, cause
+    return gender, year_of_birth, day, code, cause
 
 
 def _generate(config: ScenarioConfig) -> tuple[EventStore, np.ndarray, list[str]]:
@@ -350,23 +349,28 @@ def _cohort(
     rates = np.array([item.daily_rate for item in config.catalog])
     catalog = np.array([position[item.code_type, item.code] for item in config.catalog])
 
-    patients: dict[str, PatientInfo] = {}
-    sizes, day, code, cause = [], [], [], []
-    for ordinal, rng in enumerate(rngs):
-        info, d, k, c = _generate_patient(config, ordinal, rng, rates, catalog, position, family)
-        patients[info.patient_id] = info
+    genders, years, sizes, day, code, cause = [], [], [], [], [], []
+    for rng in rngs:
+        g, y, d, k, c = _generate_patient(config, rng, rates, catalog, position, family)
+        genders.append(g)
+        years.append(y)
         sizes.append(len(d))
         day += d
         code += k
         cause += c
-    patient = np.repeat(np.arange(config.patient_count), sizes)
+    n = config.patient_count
+    pids = tuple(f"s{k:07d}" for k in range(n))
+    registered = _frozen(np.full(n, config.start_date.toordinal(), dtype=np.int32))
+    gender = _frozen(np.array(genders, np.uint8))
+    patients = (pids, dict(zip(pids, range(n))), gender, tuple(years), registered)
+    patient = np.repeat(np.arange(n), sizes)
     day = np.array(day, dtype=np.int64) + config.start_date.toordinal()
     code = np.array(code, dtype=np.int64)
     order = np.lexsort((code, day, patient))
     patient, day, code = patient[order], day[order], code[order]
     used, code_id = np.unique(code, return_inverse=True)  # only the codes that occur
     table = CodeTable({keys[k]: _parse_entry(keys[k]) for k in used.tolist()})
-    store = _store(patients, lambda *_: (patient, day, code_id, table), None)
+    store = _store(patients, (patient, day, code_id, table), None)
     # The rows went in already in store order, so `truth` indexes its columns.
     truth = np.flatnonzero(np.array([key in outcomes for key in keys])[code])
     return store, truth, [cause[r] for r in order[truth].tolist()]
@@ -375,9 +379,9 @@ def _cohort(
 def generate_store(config: ScenarioConfig) -> tuple[EventStore, list[TruthRow]]:
     """Generate a cohort directly as an in-memory store plus truth labels."""
     store, truth, causes = _generate(config)
-    pids, columns = list(store.patients), store.columns
+    columns = store.columns
     rows = zip(columns.patient[truth].tolist(), columns.day[truth].tolist(), causes)
-    return store, [TruthRow(pids[p], dt.date.fromordinal(d), c) for p, d, c in rows]
+    return store, [TruthRow(columns.pids[p], dt.date.fromordinal(d), c) for p, d, c in rows]
 
 
 def _dated_lines(
@@ -385,7 +389,7 @@ def _dated_lines(
 ) -> Iterator[str]:
     """The CSV line `patient_id,date,tail` of each of the store's `rows`,
     each distinct day formatted once."""
-    pids = list(store.patients)
+    pids = store.columns.pids
     days, inverse = np.unique(store.columns.day[rows], return_inverse=True)
     dates = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
     cells = zip(store.columns.patient[rows].tolist(), inverse.tolist(), tails)
@@ -467,15 +471,17 @@ def generate(config: ScenarioConfig, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    columns = store.columns
+    date = config.start_date.isoformat()  # every patient's registration date
     with open(out / "patients.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(_PATIENTS_HEADER) + "\n")
-        for p in store.patients.values():
-            date = p.registration_date.isoformat()
-            fh.write(f"{p.patient_id},{p.gender},{p.year_of_birth},{date}\n")
+        genders = map(GENDERS.__getitem__, columns.gender.tolist())
+        fields = zip(columns.pids, genders, columns.year_of_birth)
+        fh.writelines(f"{pid},{g},{y},{date}\n" for pid, g, y in fields)
     code_text = [f"{code_type},{code}" for code_type, code in store.code_table]
     with open(out / "events.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(_EVENTS_HEADER) + "\n")
-        codes = map(code_text.__getitem__, store.columns.code.tolist())
+        codes = map(code_text.__getitem__, columns.code.tolist())
         fh.writelines(_dated_lines(store, slice(None), codes))
     with open(out / "ground_truth.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(_TRUTH_HEADER) + "\n")

@@ -100,7 +100,8 @@ class TestIngest:
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--exclusion-months", "-3", "exclusion_months"),
-         ("--end-buffer-days", "-30", "end_buffer_days")],
+         ("--end-buffer-days", "-30", "end_buffer_days"),
+         ("--min-active-months", "-3", "min_active_months")],
     )
     def test_negative_exclusion_window_exits_one(
         self, capsys, worked_example_dir, flag, value, name

@@ -1,4 +1,5 @@
-"""The per-store code table: each distinct event code is parsed once."""
+"""The per-store code table: each distinct event code is parsed once; and
+the pipeline keeps patients as columns, building no `PatientInfo`."""
 
 import datetime as dt
 from collections import Counter
@@ -146,6 +147,27 @@ def code_constructions(monkeypatch, patients: str, events: str) -> Counter:
     refine(SPEC, rules, apply_prescription_exclusions(store))
     monkeypatch.undo()
     return counts
+
+
+def test_pipeline_builds_no_patient_info(monkeypatch, tmp_path):
+    """Patients stay columns from load through refine; `store.patients`
+    is the only place that builds `PatientInfo`s."""
+    generate(SCENARIO, str(tmp_path))
+    built: Counter = Counter()
+
+    def counting(self, *args, original=PatientInfo.__init__):
+        built["PatientInfo"] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(PatientInfo, "__init__", counting)
+    store = load(str(tmp_path / "patients.csv"), str(tmp_path / "events.csv"))
+    excluded = apply_prescription_exclusions(store)
+    rules = mine_rules(build_database(store), rule_consequent(SPEC.hoi), workers=1)
+    instances = find_instances(SPEC, excluded)
+    report = refine(SPEC, rules, excluded)
+    assert report.instance_count == len(instances) > 0 and report.expected_count > 0
+    assert built["PatientInfo"] == 0
+    assert len(store.patients) == built["PatientInfo"] == SCENARIO.patient_count
 
 
 def test_parse_work_scales_with_distinct_codes_not_events(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion as a fresh process."""
+"""Each demo script runs to completion as a fresh process, and the demo
+scenario generates a cohort that loads."""
 
 import os
 import subprocess
@@ -6,6 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from adrrefine.events import load
+from adrrefine.synth import generate, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +33,11 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "Exception ignored" not in result.stderr, result.stderr
+
+
+def test_demo_scenario_generates_a_loadable_cohort(tmp_path):
+    config = load_scenario(str(ROOT / "demos" / "scenario.json"))
+    assert config.patient_count == 2000 and config.confounder is not None
+    summary = generate(config, str(tmp_path))
+    store = load(str(tmp_path / "patients.csv"), str(tmp_path / "events.csv"))
+    assert (store.patient_count, store.event_count) == (summary["patients"], summary["events"])

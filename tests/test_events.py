@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from adrrefine.baskets import build_database
 from adrrefine.errors import ConfigError, DomainError, ParseError
 from adrrefine.events import (
     EventStore,
@@ -180,6 +181,12 @@ class TestPrescriptionExclusions:
         store = _exclusion_store(tmp_path)
         with pytest.raises(ConfigError, match="must be >= 0"):
             apply_prescription_exclusions(store, months, days)
+
+    def test_negative_min_active_months_is_config_error(self, tmp_path):
+        store = _exclusion_store(tmp_path)
+        for count in (eligible_patients, build_database):
+            with pytest.raises(ConfigError, match=r"^min_active_months must be >= 0: -3$"):
+                count(store, -3)
 
     def test_long_window_drops_every_prescription(self, tmp_path):
         # Day arithmetic past 9999-12-31 once wrapped around int64 (from

@@ -1,5 +1,6 @@
-"""A store built from `EventRecord`s equals the store `load` reads from the
-same rows written as CSV, and a bad record fails as its row would."""
+"""A store built from `PatientInfo` and `EventRecord` records equals the
+store `load` reads from the same rows written as CSV, and a bad record
+fails as its row would."""
 
 import datetime as dt
 
@@ -101,9 +102,39 @@ class TestRecordStoreParity:
         assert (loaded.line, built.line) == (5, 4)  # the header is line 1 of events.csv
         assert str(built) == f"records:4: {body}"
 
+    @pytest.mark.parametrize(
+        "bad, body",
+        [
+            (PatientInfo("p4", "X", 1950, dt.date(2000, 1, 1)), "gender must be M or F: 'X'"),
+            (
+                PatientInfo("p4", "M", "19x0", dt.date(2000, 1, 1)),
+                "invalid literal for int() with base 10: '19x0'",
+            ),
+            (PatientInfo("p4", "M", 1950, "2000-13-01"), "month must be in 1..12"),
+            (PatientInfo("p1", "M", 1950, dt.date(2000, 1, 1)), "duplicate patient_id 'p1'"),
+        ],
+        ids=["gender", "year", "date", "duplicate_id"],
+    )
+    def test_bad_patient_record_fails_as_its_row(self, tmp_path, bad, body):
+        # Second in either form, and filed under a key of its own.
+        row = ",".join(map(str, [bad.patient_id, bad.gender, bad.year_of_birth,
+                                 bad.registration_date]))
+        files = write_cohort(tmp_path, [PATIENT_ROWS[0], row, *PATIENT_ROWS[1:]], EVENT_ROWS)
+        given = patients_of(PATIENT_ROWS[:1]) | {"p4": bad} | patients_of(PATIENT_ROWS[1:])
+        with pytest.raises(ParseError) as loaded:
+            load(*files)
+        with pytest.raises(ParseError) as built:
+            EventStore(given, records_of(EVENT_ROWS))
+        assert message_body(loaded.value) == message_body(built.value) == body
+        assert (loaded.value.line, built.value.line) == (3, 2)
+        assert str(built.value) == f"records:2: {body}"
+
     def test_records_are_filed_under_their_own_patient(self):
+        # Patient and event records alike, whatever key holds them.
         record = EventRecord("p2", dt.date(2004, 1, 1), "READ", "A11..")
-        store = EventStore(patients_of(PATIENT_ROWS), {"p1": (record,)})
+        patients = dict(zip(["q1", "q2", "q3"], patients_of(PATIENT_ROWS).values()))
+        store = EventStore(patients, {"p1": (record,)})
+        assert store.patients == patients_of(PATIENT_ROWS)
         assert store.patient_events("p1") == ()
         assert store.patient_events("p2") == (record,)
 
@@ -115,4 +146,4 @@ class TestRecordStoreParity:
         assert [ev.code for ev in store.patient_events("p2")] == [
             "H33..", "1.2.0.0", "5.1.1.0", "N771z"
         ]
-        assert store == EventStore._from_columns(store.patients, store.columns, store.db_end_date)
+        assert store == EventStore._from_columns(store.columns, store.db_end_date)

@@ -571,7 +571,7 @@ class TestStoreScanOracle:
                 assert excluded.events == record_scan_exclusions(store, months, buffer_days)
                 assert excluded.db_end_date == store.db_end_date
             for source in (store, apply_prescription_exclusions(store)):
-                for min_months in (-1, 0, 1, 23, 24, 25):
+                for min_months in (0, 1, 23, 24, 25):
                     assert eligible_patients(source, min_months) == record_scan_eligible(
                         source, min_months
                     )
