@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import Item, gender_item
+from .codes import Item
 from .errors import DomainError
-from .events import DEFAULT_MIN_ACTIVE_MONTHS, GENDERS, EventStore, eligible_patients
+from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, eligible_patients
 
 
 def pre_outcome_items(
@@ -35,8 +35,9 @@ def pre_outcome_items(
     include_same_day: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(history k, mining item id) of each row of patient `patient_ids[k]`
-    dated before `cutoffs[k]`, repeats kept and gender left out; ids index
-    the store's `codes.mining_items`. An unknown patient is a DomainError.
+    dated before `cutoffs[k]`, repeats kept, then one gender row per
+    history holding that patient's gender item; ids index the store's
+    `codes.mining_items`. An unknown patient is a DomainError.
 
     Events dated exactly on the cutoff are excluded by default: same-day
     entry order is not recorded, so a same-day item may be a consequence
@@ -55,7 +56,12 @@ def pre_outcome_items(
     history = np.repeat(np.arange(len(ordinal)), sizes)
     # Row r of history k sits at start[k] + (r minus the history's first r).
     rows = np.arange(len(history)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
-    return history, columns.codes.item_id[columns.code[rows]]
+    codes = columns.codes
+    gender = codes.gender_id[columns.gender[ordinal]]
+    return (
+        np.concatenate([history, np.arange(len(ordinal))]),
+        np.concatenate([codes.item_id[columns.code[rows]], gender]),
+    )
 
 
 def pre_outcome_basket(
@@ -68,9 +74,7 @@ def pre_outcome_basket(
     their gender item: `pre_outcome_items` for one history. A cutoff of
     `dt.date.max` with `include_same_day` gives the whole-history basket."""
     _, ids = pre_outcome_items(store, [patient_id], [cutoff_date], include_same_day)
-    columns = store.columns
-    items = [columns.codes.mining_items[i] for i in set(ids.tolist())]
-    return frozenset([gender_item(GENDERS[columns.gender[columns.ordinal[patient_id]]]), *items])
+    return frozenset(map(store.columns.codes.mining_items.__getitem__, set(ids.tolist())))
 
 
 @dataclass(frozen=True)
@@ -198,21 +202,15 @@ def build_database(
             f"no patients active for {min_active_months}+ months; nothing to mine"
         )
     pids = tuple(compress(columns.pids, keep.tolist()))
-    gender_items = [gender_item(g) for g in GENDERS]
     codes = columns.codes
-    items = sorted({*codes.mining_items, *gender_items}, key=lambda it: it.token)
-    vocab = {it: k for k, it in enumerate(items)}
-    code_vocab = np.array([vocab[it] for it in codes.mining_items], dtype=np.int64)
-    gender_vocab = np.array([vocab[it] for it in gender_items], dtype=np.int64)
-
     basket_of = np.cumsum(keep) - 1  # basket ordinal of each kept patient
     rows = keep[columns.patient]
     basket = np.concatenate([basket_of[columns.patient[rows]], np.arange(len(pids))])
     item = np.concatenate([
-        code_vocab[codes.item_id[columns.code[rows]]], gender_vocab[columns.gender[keep]]
+        codes.item_id[columns.code[rows]], codes.gender_id[columns.gender[keep]]
     ])
-    key = basket * len(items) + item
+    n = len(codes.mining_items)
+    key = basket * n + item
     key.sort()
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]  # distinct pairs, basket-major
-    pairs = BasketPairs(pids, tuple(items), key // len(items), key % len(items))
-    return BasketDatabase(pairs)
+    return BasketDatabase(BasketPairs(pids, codes.mining_items, key // n, key % n))

@@ -22,6 +22,9 @@ READ_NORMALIZE_LEVEL = 3
 BNF_PARTS = 4
 BNF_NORMALIZE_LEVEL = 2
 
+# The genders a patient may have, each with its own item.
+GENDERS = ("M", "F")
+
 # Upper/lower Latin letters plus digits; '.' is the filler for unused positions.
 _READ_ALPHABET = frozenset(string.ascii_letters + string.digits)
 
@@ -188,7 +191,7 @@ def parse_code(code_type: str, code: str) -> ReadCode | BnfCode:
 
 
 def gender_item(gender: str) -> Item:
-    if gender not in ("M", "F"):
+    if gender not in GENDERS:
         raise ParseError(f"gender must be M or F: {gender!r}")
     return Item(ItemKind.GENDER, gender)
 

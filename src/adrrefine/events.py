@@ -6,7 +6,9 @@ by one id -> ordinal dict), a uint8 gender code into `GENDERS`, the
 years of birth as the exact ints read, and an int32 registration day
 number (`date.toordinal()`). Events are per-patient row offsets, an
 int32 day number and an int32 code id into the store's code table. A
-patient's rows are date-ordered, same-day rows in input order. Every
+patient's rows are date-ordered, same-day rows in input order. The code
+table numbers each distinct (code_type, code) pair, in first-seen order,
+and each mining item, the gender items included, once. Every
 stage downstream works on these columns with array operations;
 `PatientInfo`s and `EventRecord`s are views built on request.
 
@@ -23,13 +25,13 @@ import datetime as dt
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import compress, islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .codes import BnfCode, Item, ReadCode, code_item, parse_code
+from .codes import GENDERS, BnfCode, Item, ReadCode, code_item, gender_item, parse_code
 from .errors import (
-    INPUT_FAULTS, ConfigError, CsvBlock, DomainError, column_values, csv_columns,
+    INPUT_FAULTS, ConfigError, CsvBlock, DomainError, checked, column_values, csv_columns,
     raise_first_fault,
 )
 
@@ -41,8 +43,6 @@ DEFAULT_MIN_ACTIVE_MONTHS = 24
 _EPOCH_DAY = dt.date(1970, 1, 1).toordinal()
 # A shift this long takes any date past 9999-12-31, as every longer one does.
 _MAX_SHIFT_MONTHS = 12 * 9999
-# A patient's gender code indexes this.
-GENDERS = ("M", "F")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,18 +64,21 @@ class EventRecord:
 class CodeTable(dict):
     """Each distinct (code_type, code) of a store, parsed once, mapped to
     its parsed code and its mining item. A code's id is its position in
-    the table. Per code id, `drug` says whether it is a prescription code
-    and `item_id` indexes `mining_items`, the table's distinct items in
-    token order."""
+    the table. `mining_items` holds the codes' distinct items and the
+    gender items, in token order. Per code id, `drug` says whether it is
+    a prescription code and `item_id` indexes `mining_items`; per gender
+    code (into `GENDERS`), `gender_id` does."""
 
     def __init__(self, entries: dict[tuple[str, str], tuple[ReadCode | BnfCode, Item]]):
         super().__init__(entries)
+        genders = [gender_item(g) for g in GENDERS]
         self.mining_items: tuple[Item, ...] = tuple(
-            sorted({item for _, item in self.values()}, key=lambda it: it.token)
+            sorted({*(item for _, item in self.values()), *genders}, key=lambda it: it.token)
         )
         ids = {item: k for k, item in enumerate(self.mining_items)}
         self.drug = _frozen(np.array([isinstance(p, BnfCode) for p, _ in self.values()], bool))
         self.item_id = _frozen(np.array([ids[it] for _, it in self.values()], np.int32))
+        self.gender_id = _frozen(np.array([ids[it] for it in genders], np.int32))
 
 
 def _parse_entry(key: tuple[str, str]) -> tuple[ReadCode | BnfCode, Item]:
@@ -167,9 +170,10 @@ class EventStore:
     `patient_id` and read as `load` reads patients.csv and events.csv
     rows: a record `load` would reject as a row (a gender, year or date
     that fails, a repeated patient_id, an unknown patient, an event
-    before registration, a bad code) raises its ParseError at its 1-based
-    position among the patients or the events (`records:2: ...`), and
-    `db_end_date` defaults to the latest event day. `patients` and
+    before registration, a bad code), or one that cannot be written as a
+    row (an int too long to write as text), raises its ParseError at its
+    1-based position among the patients or the events (`records:2: ...`),
+    and `db_end_date` defaults to the latest event day. `patients` and
     `events` are views of the columns, built on first read."""
 
     def __init__(
@@ -178,15 +182,10 @@ class EventStore:
         events: dict[str, tuple[EventRecord, ...]],
         db_end_date: dt.date | None = None,
     ):
-        cohort = _read_patients(_record_blocks([
-            [p.patient_id, p.gender, str(p.year_of_birth), str(p.registration_date)]
-            for p in patients.values()
-        ]))
-        rows = _record_blocks([
-            [ev.patient_id, str(ev.date), ev.code_type, ev.code]
-            for evs in events.values() for ev in evs
-        ])
-        store = _store(cohort, _read_events(rows, cohort), db_end_date)
+        cohort = _read_patients(_record_blocks(patients.values(), _patient_row))
+        records = (ev for evs in events.values() for ev in evs)
+        rows = _read_events(_record_blocks(records, _event_row), cohort)
+        store = _store(cohort, rows, db_end_date)
         self.columns, self.db_end_date = store.columns, store.db_end_date
 
     @classmethod
@@ -342,17 +341,10 @@ def _read_events(blocks: Iterable[CsvBlock], patients: _Patients) -> _Rows:
     once; a malformed row raises its ParseError."""
     _, ordinal, _, _, registered = patients
     day_of: dict[str, int] = {}
-    texts: list[str] = []  # each distinct code_type and code string
-    text_of: dict[str, int] = {}  # its index in `texts`
-    code_of: dict[int, int] = {}  # code id by (code_type index << 32 | code index)
+    code_of: dict[tuple[str, str], int] = {}  # code id by (code_type, code)
     entries: dict = {}
 
-    def add_text(text: str) -> int:
-        texts.append(text)
-        return len(texts) - 1
-
-    def add_code(pair: int) -> int:
-        key = (texts[pair >> 32], texts[pair & 0xFFFFFFFF])
+    def add_code(key: tuple[str, str]) -> int:
         entries[key] = _parse_entry(key)
         return len(entries) - 1
 
@@ -362,9 +354,7 @@ def _read_events(blocks: Iterable[CsvBlock], patients: _Patients) -> _Rows:
             pids, dates, types, codes = block.columns  # None (a TypeError) on a bad field count
             patient = np.array(column_values(ordinal, pids, ordinal.__getitem__), np.int32)
             day = np.array(column_values(day_of, dates, _day_number), np.int32)
-            pair = np.array(column_values(text_of, types, add_text), np.int64) << 32
-            pair |= np.array(column_values(text_of, codes, add_text), np.int64)
-            code = np.array(column_values(code_of, pair.tolist(), add_code), np.int32)
+            code = np.array(column_values(code_of, list(zip(types, codes)), add_code), np.int32)
             if (day < registered[patient]).any():
                 raise ValueError("an event before registration")
         except INPUT_FAULTS:
@@ -390,9 +380,19 @@ def _check_event(ordinal: dict[str, int], registered: np.ndarray, row: list[str]
         raise ValueError(f"event dated {date} before registration {registration}")
 
 
-def _record_blocks(rows: list[list]) -> list[CsvBlock]:
-    """Records turned into the CSV rows they would be, as one block whose
-    lines are their 1-based positions under the name `records`."""
+def _patient_row(p: PatientInfo) -> list:
+    return [p.patient_id, p.gender, str(p.year_of_birth), str(p.registration_date)]
+
+
+def _event_row(ev: EventRecord) -> list:
+    return [ev.patient_id, str(ev.date), ev.code_type, ev.code]
+
+
+def _record_blocks(records: Iterable, row: Callable) -> list[CsvBlock]:
+    """Records turned into the CSV rows `row` makes of them, as one block
+    whose lines are their 1-based positions under the name `records`; a
+    record that cannot be written as a row raises its ParseError there."""
+    rows = list(checked(enumerate(records, 1), row, "records"))
     columns = [list(c) for c in zip(*rows)]
     return [CsvBlock("records", 1, len(columns), rows, columns)] if rows else []
 

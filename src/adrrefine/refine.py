@@ -22,9 +22,9 @@ import numpy as np
 
 # `pre_outcome_basket` is not called here; bench/spans.py wraps it by this module's name.
 from .baskets import pre_outcome_basket, pre_outcome_items
-from .codes import READ_NORMALIZE_LEVEL, Item, ReadCode, code_item, gender_item, read_level
+from .codes import READ_NORMALIZE_LEVEL, Item, ReadCode, code_item, read_level
 from .errors import ConfigError, DomainError
-from .events import GENDERS, EventStore
+from .events import EventStore
 from .mining import AssociationRule, RuleTable
 from .signals import (
     SignalInstance,
@@ -120,11 +120,8 @@ def assess_instances(
     column = {it.token: k for k, it in enumerate(rules.items)}
     other = len(rules.items)
     item_column = [column.get(it.token, other) for it in store.columns.codes.mining_items]
-    gender_column = [column.get(gender_item(g).token, other) for g in GENDERS]
-    gender = store.columns.gender[[store.columns.ordinal[p] for p in pids]]
     member = np.zeros((len(pids), other + 2), dtype=bool)
     member[hist, np.array(item_column, np.intp)[item]] = True
-    member[np.arange(len(pids)), np.array(gender_column, np.intp)[gender]] = True
     member[:, -1] = True
 
     measures = np.stack([rules.confidence, rules.lift, rules.chi_squared])

@@ -1,26 +1,37 @@
-"""The per-store code table: each distinct event code is parsed once; and
-the pipeline keeps patients as columns, building no `PatientInfo`."""
+"""The per-store code table: each distinct event code is parsed once, and
+each code and item, the gender items included, is numbered once; and the
+pipeline keeps patients as columns, building no `PatientInfo`."""
 
+import dataclasses
 import datetime as dt
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adrrefine.baskets import build_database, pre_outcome_basket
-from adrrefine.codes import BnfCode, ReadCode, normalize_item, parse_bnf, parse_code, parse_read
+from adrrefine.baskets import (
+    BasketDatabase, build_database, pre_outcome_basket, pre_outcome_items,
+)
+from adrrefine.codes import (
+    GENDERS, BnfCode, ItemKind, ReadCode, gender_item, normalize_item, parse_bnf, parse_code,
+    parse_read,
+)
 from adrrefine.errors import ParseError
 from adrrefine.events import (
     EventRecord,
     EventStore,
     PatientInfo,
     apply_prescription_exclusions,
+    eligible_patients,
     load,
 )
 from adrrefine.mining import mine_rules
 from adrrefine.refine import refine, rule_consequent
 from adrrefine.signals import SignalSpec, ab_ratio, exposure_count, find_instances
-from adrrefine.synth import CatalogItem, PlantedConfounder, ScenarioConfig, generate
+from adrrefine.synth import (
+    CatalogItem, PlantedConfounder, ScenarioConfig, generate, generate_store,
+)
 
 from conftest import write_cohort
 
@@ -181,3 +192,60 @@ def test_parse_work_scales_with_distinct_codes_not_events(monkeypatch, tmp_path)
     double = code_constructions(monkeypatch, *twice)
     assert single["ReadCode"] > 0 and single["BnfCode"] > 0
     assert double == single
+
+
+def synth_store(seed: int, gender: str | None = None) -> EventStore:
+    """The scenario's store at `seed`; with `gender`, every patient has it."""
+    store, _ = generate_store(dataclasses.replace(SCENARIO, seed=seed))
+    if gender is None:
+        return store
+    patients = {pid: dataclasses.replace(p, gender=gender) for pid, p in store.patients.items()}
+    return EventStore(patients, store.events, store.db_end_date)
+
+
+class TestItemsNumberedOnce:
+    def test_gender_ids_index_the_gender_items(self, worked_store):
+        items = worked_store.code_table.mining_items
+        assert [items[i] for i in worked_store.code_table.gender_id] == list(
+            map(gender_item, GENDERS)
+        )
+        assert list(items) == sorted(items, key=lambda it: it.token)
+
+    @pytest.mark.parametrize(
+        "seed, gender", [(51001, None), (52001, None), (51001, "M")], ids=["51001", "52001", "all_M"]
+    )
+    def test_database_equals_whole_history_baskets(self, seed, gender):
+        # The code table holds both gender items; an all-M cohort's
+        # database drops the GENDER:F that no basket holds.
+        store = synth_store(seed, gender)
+        eligible = eligible_patients(store)
+        whole = BasketDatabase([
+            (pid, pre_outcome_basket(store, pid, dt.date.max, include_same_day=True))
+            for pid in store.patients
+            if pid in eligible
+        ])
+        db = build_database(store)
+        assert db.pids == whole.pids and db.m > 0
+        assert db.items == whole.items
+        assert np.array_equal(db.bits, whole.bits)
+        assert len(db.tid_lists) == len(whole.tid_lists)
+        assert all(map(np.array_equal, db.tid_lists, whole.tid_lists))
+        assert np.array_equal(db.counts, whole.counts)
+        if gender is not None:
+            assert gender_item("F") in store.code_table.mining_items
+            assert gender_item("F") not in db and gender_item("M") in db
+
+    def test_each_history_has_one_gender_row(self):
+        store = synth_store(51001)
+        pids = list(store.patients)[:40]
+        pids += pids[:1] * 2  # the first patient twice more
+        cutoffs = [dt.date(2002, 1, 1)] * 40 + [dt.date(2001, 1, 1), dt.date.max]
+        history, ids = pre_outcome_items(store, pids, cutoffs)
+        items = store.code_table.mining_items
+        genders = [
+            (k, items[i]) for k, i in zip(history.tolist(), ids.tolist())
+            if items[i].kind is ItemKind.GENDER
+        ]
+        assert sorted(genders, key=lambda row: row[0]) == [
+            (k, gender_item(store.patients[pid].gender)) for k, pid in enumerate(pids)
+        ]

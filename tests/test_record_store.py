@@ -3,6 +3,7 @@ store `load` reads from the same rows written as CSV, and a bad record
 fails as its row would."""
 
 import datetime as dt
+import sys
 
 import pytest
 
@@ -128,6 +129,21 @@ class TestRecordStoreParity:
         assert message_body(loaded.value) == message_body(built.value) == body
         assert (loaded.value.line, built.value.line) == (3, 2)
         assert str(built.value) == f"records:2: {body}"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int-to-text has no digit limit",
+    )
+    @pytest.mark.parametrize("which", ["patient", "event"])
+    def test_record_too_long_to_write_as_a_row_fails_as_its_row(self, which):
+        # An int with more digits than Python writes as text.
+        huge = 10 ** sys.get_int_max_str_digits()
+        patients = patients_of(PATIENT_ROWS)
+        events = {"p1": (EventRecord("p1", huge, "READ", "A11.."),)}
+        if which == "patient":
+            patients, events = {"p": PatientInfo("p", "M", huge, dt.date(2000, 1, 1))}, {}
+        with pytest.raises(ParseError, match=r"^records:1: Exceeds the limit"):
+            EventStore(patients, events)
 
     def test_records_are_filed_under_their_own_patient(self):
         # Patient and event records alike, whatever key holds them.
