@@ -97,7 +97,7 @@ def extract_hoi_rules(
     return table[np.flatnonzero(table.consequent == k)]
 
 
-# Bytes per block of instances in `assess_instances`: 1 per antecedent cell, 8 per measure cell.
+# Match cells per block of instances in `assess_instances`, one byte each.
 _MATCH_BYTES = 1 << 24
 
 
@@ -111,7 +111,16 @@ def assess_instances(
     """Match each instance's gender item and pre-outcome history against
     the outcome rules. Maxima over the matched rules' confidence, lift,
     and chi-squared are reported, all zero when nothing matches; only a
-    matched instance whose max lift exceeds the threshold is expected."""
+    matched instance whose max lift exceeds the threshold is expected.
+
+    Instances are matched a block at a time, `_MATCH_BYTES` instance and
+    rule cells a block. A block's match matrix, one byte per instance and
+    rule, is the AND of the instances' item flags gathered by one
+    antecedent column at a time. Its set cells, taken in row-major order,
+    list each matched instance's rules together, so one
+    `np.maximum.reduceat` over those rules' measures gives every matched
+    instance's three maxima; no float cell is spent on an unmatched pair,
+    and an unmatched instance keeps 0.0."""
     rules = RuleTable.from_rules(hoi_rules)
     pids = [inst.patient_id for inst in instances]
     hist, item = pre_outcome_items(store, pids, [i.hoi_date for i in instances], include_same_day)
@@ -127,15 +136,32 @@ def assess_instances(
     measures = np.stack([rules.confidence, rules.lift, rules.chi_squared])
     count = np.zeros(len(pids), dtype=np.int64)
     best = np.zeros((len(measures), len(pids)))
-    step = max(1, _MATCH_BYTES // max(1, rules.antecedent.size + 8 * measures.size))
-    for block in (slice(lo, lo + step) for lo in range(0, len(pids), step)):
-        matched = member[block][:, rules.antecedent].all(axis=2)
-        count[block] = matched.sum(axis=1)
-        best[:, block] = np.where(matched, measures[:, None], -np.inf).max(axis=2, initial=-np.inf)
-    best[:, count == 0] = 0.0
+    step = max(1, _MATCH_BYTES // max(1, len(rules)))
+    for lo in range(0, len(pids), step):
+        block = slice(lo, lo + step)
+        count[block], best[:, block] = _block_maxima(member[block], rules.antecedent, measures)
     expected = (count > 0) & (best[1] > lift_threshold)
     fields = zip(count.tolist(), *best.tolist(), expected.tolist())
     return tuple(InstanceAssessment(inst, *f) for inst, f in zip(instances, fields))
+
+
+def _block_maxima(
+    member: np.ndarray, antecedent: np.ndarray, measures: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `member`, the number of rules (antecedent rows) whose
+    every item column it holds, and each `measures` row's maximum over
+    those rules, 0.0 when there are none."""
+    matched = member[:, antecedent[:, 0]]
+    for column in antecedent.T[1:]:
+        matched &= member[:, column]
+    at, rule = np.nonzero(matched)
+    count = np.bincount(at, minlength=len(member))
+    best = np.zeros((len(measures), len(member)))
+    if len(rule):
+        has = np.flatnonzero(count)
+        starts = (np.cumsum(count) - count)[has]
+        best[:, has] = np.maximum.reduceat(measures[:, rule], starts, axis=1)
+    return count, best
 
 
 def assess_instance(

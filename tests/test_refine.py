@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adrrefine import signals as signals_module
 from adrrefine.codes import Item, ItemKind, normalize_item, parse_bnf, parse_read
 from adrrefine.errors import ConfigError, DomainError
 from adrrefine.events import apply_prescription_exclusions
@@ -198,11 +199,69 @@ class TestAssessInstances:
         instances = outcome_day_instances(rng, store)
         rules = random_rules(rng, 20)
         whole = assess_instances(store, instances, rules)
-        # A byte per instance and rule slot plus 24 per instance and rule
-        # make 20 instances or fewer per block at 20,000 bytes.
-        for budget in (1, 20_000):
+        blocks = []
+        block_maxima = refine_module._block_maxima
+        monkeypatch.setattr(
+            refine_module, "_block_maxima",
+            lambda member, *args: blocks.append(len(member)) or block_maxima(member, *args),
+        )
+        # A byte per instance and rule: a budget of k rules' bytes holds k
+        # instances a block, and never fewer than one.
+        n, r = len(instances), len(rules)
+        assert n % 7
+        for budget, sizes in (
+            (1, [1] * n),
+            (r, [1] * n),
+            (7 * r + r // 2, [7] * (n // 7) + [n % 7]),
+            (n * r, [n]),
+        ):
             monkeypatch.setattr(refine_module, "_MATCH_BYTES", budget)
+            blocks.clear()
             assert assess_instances(store, instances, rules) == whole
+            assert blocks == sizes, budget
+
+    def test_sparse_maxima_equal_the_oracle(self, monkeypatch):
+        """Unmatched instances between matched ones and alone in a block,
+        tied maxima, and one- and three-item antecedents in one table."""
+        rng = random.Random(84)
+        store = calendar_store(rng)
+        instances = outcome_day_instances(rng, store)
+        basket = {i: record_scan_basket(store, i.patient_id, i.hoi_date, False) for i in instances}
+        full = [b for b in basket.values() if len(b) >= 3]
+        # Antecedents of one pool item or three items of one basket; two
+        # values per measure, so maxima tie. No gender-only antecedent.
+        pool = [it for it in RULE_POOL if it.kind is not ItemKind.GENDER]
+        rules = [
+            AssociationRule(
+                frozenset(rng.sample(sorted(rng.choice(full), key=lambda it: it.token), 3))
+                if k % 2 else frozenset([rng.choice(pool)]),
+                OUTCOME, 0.1, 0.2, rng.choice([0.3, 0.6]), rng.choice([1.0, 2.0]),
+                rng.choice([4.0, 8.0]),
+            )
+            for k in range(30)
+        ]
+        oracle = {i: assess_oracle(basket[i], rules, 1.0) for i in instances}
+        matched = [i for i in instances if oracle[i][0]]
+        unmatched = [i for i in instances if not oracle[i][0]]
+        assert len(matched) > 10 and len(unmatched) > 10
+        # Matched and unmatched alternate, so with blocks of 1-3 instances
+        # an unmatched one ends, starts or fills a block.
+        order = [i for pair in zip(matched, unmatched) for i in pair]
+        for widths in ({1}, {3}):
+            assert any(len(r.antecedent) in widths and r.antecedent <= basket[i]
+                       for i in matched for r in rules)
+        tied = [
+            i for i in matched
+            if sum(r.lift == oracle[i][2] and r.antecedent <= basket[i] for r in rules) > 1
+        ]
+        assert tied
+        for budget in (1, 2 * len(rules), 3 * len(rules), refine_module._MATCH_BYTES):
+            monkeypatch.setattr(refine_module, "_MATCH_BYTES", budget)
+            got = assess_instances(store, order, rules)
+            assert [assessment_tuple(a) for a in got] == [oracle[i] for i in order]
+            assert [assessment_tuple(a) for a in assess_instances(store, order, [])] == [
+                assess_oracle(basket[i], [], 1.0) for i in order
+            ]
 
     def test_no_instances_and_no_rules(self, worked_store, worked_rules, worked_instances):
         hoi_rules = extract_hoi_rules(worked_rules, parse_read("H05.."))
@@ -307,6 +366,24 @@ class TestRefine:
             monkeypatch.setattr(refine_module, name, counted)
         refine(worked_spec, worked_rules, worked_store)
         assert calls == {"exposure_count": 1, "find_instances": 1, "ab_ratio": 1}
+
+    def test_selects_family_and_outcome_rows_once(
+        self, monkeypatch, worked_store, worked_rules, worked_spec
+    ):
+        """On a fresh store, a refine's three scans share two passes over
+        the code column: one for the family's rows, one for the outcome's."""
+        passes = Counter()
+        select = signals_module._select
+        monkeypatch.setattr(
+            signals_module, "_select",
+            lambda store, mask: passes.update([id(store)]) or select(store, mask),
+        )
+        excluded = apply_prescription_exclusions(worked_store)
+        for store in (worked_store, excluded):
+            refine(worked_spec, worked_rules, store)
+        assert passes == {id(worked_store): 2, id(excluded): 2}
+        refine(worked_spec, worked_rules, excluded)
+        assert passes == {id(worked_store): 2, id(excluded): 2}
 
     def test_derives_instances_and_exposure_from_store(self, worked_store, worked_rules, worked_spec):
         report = refine(worked_spec, worked_rules, worked_store)

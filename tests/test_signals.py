@@ -3,10 +3,12 @@ import datetime as dt
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adrrefine import signals as signals_module
 from adrrefine.baskets import build_database, pre_outcome_basket
 from adrrefine.codes import (
     BNF_PARTS,
@@ -607,3 +609,66 @@ class TestStoreScanOracle:
         assert on_cutoff > 0 and on_buffer > 0 and ties > 0 and empty > 0
         eligible = eligible_patients(store, 24)
         assert 0 < len(eligible) < len(store.patients) - empty
+
+
+class TestSharedSelections:
+    """`_rows` keeps a store's latest row selections on the store itself."""
+
+    SCANS = (
+        lambda spec, store: exposure_count(spec.doi, store),
+        find_instances,
+        ab_ratio,
+    )
+
+    @staticmethod
+    def pair(seed: int):
+        store = calendar_store(random.Random(seed))
+        return store, apply_prescription_exclusions(store)
+
+    def test_store_and_its_exclusions_keep_their_own_rows(self):
+        """Alternating the scans between a store and its exclusions, which
+        share one code table but not rows, gives each scan's result on a
+        separate fresh store."""
+        specs = list(oracle_specs())
+        fresh = {
+            (k, side, s): scan(spec, self.pair(92)[side])
+            for k, spec in enumerate(specs)
+            for s, scan in enumerate(self.SCANS)
+            for side in (0, 1)
+        }
+        store, excluded = self.pair(92)
+        assert store.code_table is excluded.code_table
+        for k, spec in enumerate(specs):
+            for s, scan in enumerate(self.SCANS):
+                for side, source in enumerate((store, excluded)):
+                    assert scan(spec, source) == fresh[k, side, s], (spec, s, side)
+        # The exclusions change some result of every scan.
+        for s in range(len(self.SCANS)):
+            assert any(fresh[k, 0, s] != fresh[k, 1, s] for k in range(len(specs)))
+
+    def test_keeps_the_two_most_recently_used_read_only(self, monkeypatch):
+        store, _ = self.pair(93)
+        masks = [_family_mask(store, DOI), _outcome_mask(store, parse_read("H05..")),
+                 _family_mask(store, frozenset([parse_bnf("2.1.0.0")]))]
+        assert len({m.tobytes() for m in masks}) == 3
+        passes = []
+        select = signals_module._select
+        monkeypatch.setattr(
+            signals_module, "_select", lambda *args: passes.append(1) or select(*args)
+        )
+        rows = [signals_module._rows(store, mask) for mask in masks]
+        for mask, got in zip(masks, rows):
+            assert not got.flags.writeable
+            assert got.tolist() == np.flatnonzero(mask[store.columns.code]).tolist()
+        assert len(passes) == 3
+        # Kept: masks 2 and 1. Using mask 1 makes mask 2 the one that a new
+        # selection (mask 0) drops.
+        assert signals_module._rows(store, masks[1]) is rows[1]
+        assert len(passes) == 3
+        signals_module._rows(store, masks[0])
+        assert len(passes) == 4
+        assert signals_module._rows(store, masks[1]) is rows[1]
+        assert len(passes) == 4
+        assert signals_module._rows(store, masks[2]) is not rows[2]
+        assert len(passes) == 5
+        assert len(store._selections) == 2
