@@ -116,8 +116,11 @@ class BasketDatabase:
     Built from (patient id, frozenset of items) pairs or from
     `BasketPairs`. `tid_lists[i]` holds the sorted int64 ordinals of the
     baskets that contain item i; `bits` is the baskets x items membership
-    matrix, one 0/1 byte per cell and a row per basket, so the rows of a
-    set of baskets gather as contiguous runs. Both are read-only. Basket
+    matrix, one 0/1 byte per cell and a row per basket. Rule emission
+    gathers a target's basket rows from it whole; frequent-itemset
+    counting copies its frequent items' columns once per call, in
+    ascending count order, and gathers spans of that copy's rows
+    (`mining.frequent_antecedents`). Both are read-only. Basket
     ordinals follow the input order (store patient order for
     `build_database`), so rebuilding from the same store yields identical
     ordinals. Items are indexed in token order for deterministic ids.

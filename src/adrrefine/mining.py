@@ -22,7 +22,11 @@ candidate needs a subset prune. Items are counted in ascending support
 order (Zaki, "Scalable algorithms for association mining", IEEE TKDE
 2000): a prefix is its itemset's rarest items, so each Gram covers few
 baskets, and the common items, which have the most frequent supersets,
-are Gram rows rather than prefixes.
+are Gram rows rather than prefixes. The rows are read from one copy of
+the basket matrix with the frequent items' columns in that order, made
+once per counting call: a prefix's rows are ascending columns, so each
+covered basket's bytes for them are one span of the copy, gathered as
+one run and narrowed to the rows only when the span has gaps.
 
 All measures are derived from exact integer basket counts, as columns
 filled a block of rules at a time that equal the one-rule formula bit
@@ -81,6 +85,12 @@ class MiningConstraints:
             raise ConfigError(f"min_left_support must be in (0, 1]: {self.min_left_support}")
         if not 0 < self.min_confidence <= 1:
             raise ConfigError(f"min_confidence must be in (0, 1]: {self.min_confidence}")
+        # A bool is an int subclass, but not a size; a float such as 2.5 or
+        # inf would bound the levels without being one.
+        if isinstance(self.max_antecedent, bool) or not isinstance(
+            self.max_antecedent, (int, np.integer)
+        ):
+            raise ConfigError(f"max_antecedent must be an integer: {self.max_antecedent!r}")
         if self.max_antecedent < 1:
             raise ConfigError(f"max_antecedent must be >= 1: {self.max_antecedent}")
 
@@ -441,37 +451,49 @@ def min_count_for(threshold: float, m: int) -> int:
     return c
 
 
-# Bytes of one baskets x rows float32 input block of `_gram`, and of the
-# chunk's basket rows gathered from `bits` to make it or to pack
+# Bytes of one baskets x tails float32 input block of `_gram`, of the
+# chunk's tail span gathered from the rank-ordered copy of `bits` to make
+# it, and of the chunk's basket rows gathered from `bits` to pack
 # `_target_bitsets`. It bounds only those blocks: the Gram itself is
-# rows x rows, so it grows with the square of the row count.
+# tails x tails, so it grows with the square of the tail count.
 _GRAM_BYTES = 1 << 25
 
 
-def _gram(db: BasketDatabase, prefix: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """Co-occurrence counts of the items `rows` inside the baskets holding
-    every item of `prefix`, as a rows x rows matrix of exact integers:
-    float32 when the cover is one chunk, else int64.
+def _gram(ranked: np.ndarray, tids: np.ndarray | None, tails: np.ndarray) -> np.ndarray:
+    """Co-occurrence counts of the columns `tails` of the 0/1 byte matrix
+    `ranked` inside the baskets `tids` (every basket for None), as a
+    tails x tails matrix of exact integers: float32 when the baskets are
+    one chunk, else int64.
 
-    Off-diagonal cell (r, s) is count(prefix | {rows[r], rows[s]});
-    diagonal cell r is count(prefix | {rows[r]}). The cover's basket rows
-    are gathered from `bits` a chunk at a time, narrowed to the `rows`
-    columns, and the 0/1 block times its own transpose is the chunk's
-    Gram. Chunks keep each block within `_GRAM_BYTES`; with more than
-    one, their products are summed in int64. Every product is exact at
-    any m: a chunk's partial sums are integers of at most its basket
-    count, which `_GRAM_BYTES` keeps at or below 2**23, and float32 holds
-    every integer up to 2**24 exactly.
+    `tails` are ascending column numbers. Off-diagonal cell (r, s) counts
+    the baskets holding both tails[r] and tails[s]; diagonal cell r those
+    holding tails[r]. A chunk of the baskets' rows is gathered over the
+    span of columns from the first tail to the last only (a view of
+    `ranked` when `tids` is None), narrowed to the tails when the span has
+    gaps, and the 0/1 float32 block times its own transpose is the
+    chunk's Gram. Chunks keep the span and the block within
+    `_GRAM_BYTES`; with more than one, their products are summed in
+    int64. Every product is exact at any m: a chunk's partial sums are
+    integers of at most its basket count, which `_GRAM_BYTES` keeps at or
+    below 2**23, and float32 holds every integer up to 2**24 exactly.
     """
-    tids = db.cover(prefix)
-    step = max(1, _GRAM_BYTES // max(4 * len(rows), db.bits.shape[1]))
-    if len(tids) <= step:
-        block = db.bits[tids][:, rows].astype(np.float32)
-        return block.T @ block
-    gram = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for lo in range(0, len(tids), step):
-        block = db.bits[tids[lo : lo + step]][:, rows].astype(np.float32)
-        gram += (block.T @ block).astype(np.int64)
+    lo, hi = int(tails[0]), int(tails[-1]) + 1
+    gaps = None if hi - lo == len(tails) else tails - lo
+    n = len(ranked) if tids is None else len(tids)
+    step = max(1, _GRAM_BYTES // max(4 * len(tails), hi - lo))
+
+    def block(start: int) -> np.ndarray:
+        rows = slice(start, start + step) if tids is None else tids[start : start + step]
+        span = ranked[rows, lo:hi]
+        return (span if gaps is None else span[:, gaps]).astype(np.float32)
+
+    if n <= step:
+        whole = block(0)
+        return whole.T @ whole
+    gram = np.zeros((len(tails), len(tails)), dtype=np.int64)
+    for start in range(0, n, step):
+        part = block(start)
+        gram += (part.T @ part).astype(np.int64)
     return gram
 
 
@@ -556,7 +578,9 @@ def frequent_antecedents(
     counts.
 
     Counting numbers the frequent items by ascending basket count, their
-    ranks, and works on rank rows. Level k+1 comes from one `_gram` per
+    ranks, and works on rank rows over `ranked`, the baskets' rows of
+    `bits` with one column per rank, copied once for the call and holding
+    only the frequent items. Level k+1 comes from one `_gram` per
     run of level-k rows sharing their first k-1 ranks, the prefix Q, over
     the run's last ranks, Q's tails (the items t ranked above max(Q) with
     Q | {t} frequent): off-diagonal cell (r, s) is count(Q | {r, s}),
@@ -575,8 +599,9 @@ def frequent_antecedents(
     if exclude_id is not None:
         keep[exclude_id] = False
     kept = np.flatnonzero(keep).astype(np.int32)
-    # The item id of each rank.
+    # The item id of each rank, and the baskets' rows over the ranks.
     item_of = kept[np.argsort(db.counts[kept], kind="stable")]
+    ranked = np.take(db.bits, item_of, axis=1)
     first = np.arange(len(item_of), dtype=np.int32)[:, None]
     levels = [(first, db.counts[item_of])] if len(item_of) else []
 
@@ -587,8 +612,14 @@ def frequent_antecedents(
         for lo, hi in zip(starts, starts[1:]):
             if hi - lo < 2:
                 continue
+            # The cover of the prefix: its rarest rank's baskets, narrowed
+            # through its other ranks' columns; every basket when empty.
+            prefix = ranks[lo, :-1].tolist()
+            tids = db.tid_lists[item_of[prefix[0]]] if prefix else None
+            for rank in prefix[1:]:
+                tids = tids[ranked[tids, rank] != 0]
             tails = ranks[lo:hi, -1]
-            gram = _gram(db, tuple(item_of[ranks[lo, :-1]].tolist()), item_of[tails]).ravel()
+            gram = _gram(ranked, tids, tails).ravel()
             cells = np.flatnonzero(gram >= min_count)
             r, s = np.divmod(cells, len(tails))
             upper = r < s

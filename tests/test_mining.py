@@ -67,11 +67,20 @@ class TestConstraints:
             {"min_confidence": 0.0},
             {"min_confidence": -0.2},
             {"max_antecedent": 0},
+            {"max_antecedent": 2.5},
+            {"max_antecedent": 3.0},
+            {"max_antecedent": float("inf")},
+            {"max_antecedent": True},
+            {"max_antecedent": "3"},
+            {"max_antecedent": None},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             MiningConstraints(**kwargs)
+
+    def test_numpy_integer_size(self):
+        assert MiningConstraints(max_antecedent=np.int64(2)).max_antecedent == 2
 
     def test_min_count_threshold(self):
         rng = random.Random(31)
@@ -260,20 +269,33 @@ class TestMeasureColumns:
             assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
+def ranked_gram(db, order, prefix, rows):
+    """`mining._gram` of the item ids `rows` over the baskets holding every
+    item of `prefix`, with `bits`' columns copied in `order` (item ids) as
+    the miner copies them in rank order; also the item ids of the Gram's
+    rows, which are `rows` in `order`."""
+    ranked = np.take(db.bits, order, axis=1)
+    tails = np.sort(np.argsort(order)[rows])
+    gram = mining._gram(ranked, db.cover(prefix) if prefix else None, tails)
+    return gram, order[tails]
+
+
 class TestGram:
     @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.6, 0.95])
     def test_cells_equal_cover_counts(self, monkeypatch, density):
-        # A budget of a few floats forces many chunks per Gram.
+        # A budget of a few floats forces many chunks per Gram; columns in
+        # a shuffled order give tail spans with and without gaps.
         monkeypatch.setattr(mining, "_GRAM_BYTES", 64)
         rng = random.Random(int(density * 100))
         db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=density)
         n = len(db.items)
+        order = np.array(rng.sample(range(n), n))
         for _ in range(15):
             ids = rng.sample(range(n), rng.randint(2, 8))
             prefix = tuple(sorted(ids[:rng.randint(0, 2)]))
             extra = tuple(ids[len(prefix) : len(prefix) + rng.randint(0, 1)])
             rows = np.array(sorted(set(ids) - set(prefix) - set(extra)) or [ids[-1]])
-            gram = mining._gram(db, prefix + extra, rows)
+            gram, rows = ranked_gram(db, order, prefix + extra, rows)
             for i, r in enumerate(rows.tolist()):
                 for j, s in enumerate(rows.tolist()):
                     want = len(db.cover(prefix + extra + (r, s)))
@@ -286,6 +308,7 @@ class TestGram:
         rng = random.Random(60 + chunks)
         db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=0.3)
         n = len(db.items)
+        order = np.arange(n)
         for _ in range(15):
             ids = rng.sample(range(n), rng.randint(3, 8))
             prefix = tuple(sorted(ids[:rng.randint(0, 1)]))
@@ -293,9 +316,9 @@ class TestGram:
             tids = db.cover(prefix)
             if chunks == 2:
                 # A budget whose step is the cover's size rounded up to even, halved.
-                per_basket = max(4 * len(rows), n)
+                per_basket = max(4 * len(rows), rows[-1] - rows[0] + 1)
                 monkeypatch.setattr(mining, "_GRAM_BYTES", per_basket * -(-len(tids) // 2))
-            gram = mining._gram(db, prefix, rows)
+            gram, rows = ranked_gram(db, order, prefix, rows)
             assert gram.dtype == (np.float32 if chunks == 1 or len(tids) < 2 else np.int64)
             for i, r in enumerate(rows.tolist()):
                 for j, s in enumerate(rows.tolist()):
@@ -303,18 +326,21 @@ class TestGram:
 
     @pytest.mark.parametrize("budget", [None, 64])
     def test_unsorted_prefix_and_rows(self, monkeypatch, budget):
-        # Frequent-itemset counting passes items in ascending-count order,
-        # not id order; a budget of a few floats forces many chunks.
+        # Frequent-itemset counting copies items in ascending-count order,
+        # not id order: here the columns are in descending id order, so
+        # the Gram's rows are too; a budget of a few floats forces many
+        # chunks.
         if budget is not None:
             monkeypatch.setattr(mining, "_GRAM_BYTES", budget)
         rng = random.Random(65)
         db = random_db(rng, max_baskets=250, min_baskets=150, min_items=12, density=0.4)
+        order = np.arange(len(db.items))[::-1]
         for _ in range(15):
             ids = rng.sample(range(len(db.items)), rng.randint(4, 9))
             prefix = tuple(sorted(ids[:2], reverse=True))
-            rows = np.array(sorted(ids[2:], reverse=True))
             tids = db.cover(prefix)
-            gram = mining._gram(db, prefix, rows)
+            gram, rows = ranked_gram(db, order, prefix, np.array(ids[2:]))
+            assert rows.tolist() == sorted(ids[2:], reverse=True)
             assert gram.dtype == (np.float32 if budget is None or len(tids) < 2 else np.int64)
             for i, r in enumerate(rows.tolist()):
                 for j, s in enumerate(rows.tolist()):
@@ -476,6 +502,81 @@ class TestCountOrder:
             want = mine_rules(db, consequent, constraints)
             got = mine_rules(renamed, rename[consequent], constraints)
             assert len(got) == len(want) and restored(got) == set(want)
+
+
+def assert_levels_match_brute_force(db, freq, min_count, max_size, exclude_id=None):
+    want = brute_force_itemsets(db, min_count, max_size, exclude_id)
+    assert {tuple(ids) for ids in freq} == set(want)
+    for size, (ids, counts) in enumerate(freq.levels, 1):
+        assert ids.shape == (len(counts), size)
+        assert [tuple(row) for row in ids.tolist()] == sorted(map(tuple, ids.tolist()))
+        assert counts.tolist() == [want[tuple(row)] for row in ids.tolist()]
+
+
+def gram_calls(monkeypatch) -> list:
+    """Each `_gram` call the miner makes from now on, as (tids, tails,
+    dtype of the Gram)."""
+    calls = []
+    gram = mining._gram
+
+    def spy(ranked, tids, tails):
+        result = gram(ranked, tids, tails)
+        calls.append((tids, tails.copy(), result.dtype))
+        return result
+
+    monkeypatch.setattr(mining, "_gram", spy)
+    return calls
+
+
+class TestRankedCounting:
+    # `frequent_antecedents` counts from one copy of `bits` with a column
+    # per rank: the empty prefix's Gram reads all of it, and a deeper
+    # prefix's Gram gathers its tails' span of ranks, narrowed to the
+    # tails when the span has gaps.
+    def test_tail_spans_with_and_without_gaps(self, monkeypatch):
+        calls = gram_calls(monkeypatch)
+        db = skewed_db(random.Random(97), n_items=12, n_baskets=200)
+        freq = mining.frequent_antecedents(db, 4, 4)
+        gaps = [t[-1] - t[0] + 1 - len(t) for tids, t, _ in calls if tids is not None]
+        assert any(g > 0 for g in gaps) and any(g == 0 for g in gaps)
+        assert_levels_match_brute_force(db, freq, 4, 4)
+
+    def test_excluded_item_ranked_inside_a_tail_span(self):
+        # By count, P < A < X < B < C; P's baskets hold A, X and B. With X
+        # excluded, P's tails are A and B, which X's rank would separate.
+        p, a, x, b, c = ITEM_POOL[:5]
+        baskets = (
+            [frozenset({p, a, x, b})] * 12
+            + [frozenset({a})] * 18
+            + [frozenset({x})] * 28
+            + [frozenset({b})] * 38
+            + [frozenset({c})] * 60
+        )
+        db = BasketDatabase([(f"p{j}", basket) for j, basket in enumerate(baskets)])
+        assert db.counts[[db.item_ids[it] for it in (p, a, x, b, c)]].tolist() == [
+            12, 30, 40, 50, 60
+        ]
+        freq = mining.frequent_antecedents(db, 5, 3, exclude=x)
+        assert_levels_match_brute_force(db, freq, 5, 3, db.item_ids[x])
+        assert sorted(map(tuple, freq.levels[2][0].tolist())) == [
+            tuple(sorted(db.item_ids[it] for it in (p, a, b)))
+        ]
+        assert_rules_match_oracle(db, x, MiningConstraints(0.05, 0.01, 3))
+        # Every item of a skewed corpus excluded in turn.
+        db = skewed_db(random.Random(98), n_items=10, n_baskets=150)
+        for exclude in db.items:
+            freq = mining.frequent_antecedents(db, 3, 3, exclude=exclude)
+            assert_levels_match_brute_force(db, freq, 3, 3, db.item_ids[exclude])
+
+    def test_chunked_grams_at_every_level(self, monkeypatch):
+        # A budget of a few floats splits both the empty prefix's Gram and
+        # the deeper prefixes' Grams into chunks, summed in int64.
+        monkeypatch.setattr(mining, "_GRAM_BYTES", 64)
+        calls = gram_calls(monkeypatch)
+        db = skewed_db(random.Random(99), n_items=10, n_baskets=150)
+        freq = mining.frequent_antecedents(db, 3, 4)
+        assert {tids is None for tids, _, dtype in calls if dtype == np.int64} == {True, False}
+        assert_levels_match_brute_force(db, freq, 3, 4)
 
 
 class TestEmittedRules:
