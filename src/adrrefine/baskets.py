@@ -2,10 +2,9 @@
 
 Each eligible patient contributes one deduplicated basket: their gender
 item plus the normalized item of every retained event. The database
-keeps two index structures: `tid_lists`, per item its sorted basket
-ordinals, and `bits`, a baskets x items 0/1 byte matrix with a row per
-basket. An itemset's baskets are the rarest item's ordinals narrowed
-through the other items' columns, so counting costs one byte lookup per
+keeps one index: `tid_lists`, per item its sorted basket ordinals. An
+itemset's baskets are the rarest item's ordinals narrowed through the
+other items' lists by binary search, so counting costs a few lookups per
 candidate basket rather than a scan of all m.
 
 Whole-history baskets feed mining; time-restricted pre-outcome histories
@@ -25,7 +24,7 @@ import numpy as np
 
 from .codes import Item
 from .errors import DomainError
-from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, eligible_patients
+from .events import DEFAULT_MIN_ACTIVE_MONTHS, EventStore, _frozen, eligible_patients
 
 
 def pre_outcome_items(
@@ -115,15 +114,13 @@ class BasketDatabase:
 
     Built from (patient id, frozenset of items) pairs or from
     `BasketPairs`. `tid_lists[i]` holds the sorted int64 ordinals of the
-    baskets that contain item i; `bits` is the baskets x items membership
-    matrix, one 0/1 byte per cell and a row per basket. Rule emission
-    gathers a target's basket rows from it whole; frequent-itemset
-    counting copies its frequent items' columns once per call, in
-    ascending count order, and gathers spans of that copy's rows
-    (`mining.frequent_antecedents`). Both are read-only. Basket
-    ordinals follow the input order (store patient order for
-    `build_database`), so rebuilding from the same store yields identical
-    ordinals. Items are indexed in token order for deterministic ids.
+    baskets that contain item i, read-only, and `counts[i]` their number;
+    they are the only index. Mining scatters the frequent items' lists
+    into its own baskets x ranks copy once per call
+    (`mining.frequent_antecedents`). Basket ordinals follow the input
+    order (store patient order for `build_database`), so rebuilding from
+    the same store yields identical ordinals. Items are indexed in token
+    order for deterministic ids.
     """
 
     def __init__(self, baskets: Sequence[tuple[str, frozenset[Item]]] | BasketPairs):
@@ -143,13 +140,8 @@ class BasketDatabase:
         # Stable by item, so each item's baskets stay in ascending order; a
         # 16-bit key sorts by radix.
         key = item.astype(np.uint16) if len(self.items) <= 1 << 16 else item
-        tids = pairs.basket.astype(np.int64)[np.argsort(key, kind="stable")]
-        tids.flags.writeable = False
-        bits = np.zeros((self.m, len(self.items)), dtype=np.uint8)
-        bits[pairs.basket, item] = 1
-        bits.flags.writeable = False
+        tids = _frozen(pairs.basket.astype(np.int64)[np.argsort(key, kind="stable")])
         self.tid_lists: tuple[np.ndarray, ...] = tuple(np.split(tids, np.cumsum(counts)[:-1]))
-        self.bits: np.ndarray = bits
         self.counts: np.ndarray = counts.astype(np.int64)
 
     @cached_property
@@ -172,13 +164,13 @@ class BasketDatabase:
     def cover(self, ids: Sequence[int]) -> np.ndarray:
         """Sorted ordinals of the baskets holding every item id in `ids`;
         all baskets for no ids. Starts from the rarest item's ordinals and
-        keeps those whose byte is set in each other item's column."""
+        keeps those found, by binary search, in each other item's list."""
         if not ids:
             return np.arange(self.m, dtype=np.int64)
         ordered = sorted(ids, key=lambda i: self.counts[i])
         tids = self.tid_lists[ordered[0]]
-        for i in ordered[1:]:
-            tids = tids[self.bits[tids, i] != 0]
+        for other in map(self.tid_lists.__getitem__, ordered[1:]):
+            tids = tids[other.take(np.searchsorted(other, tids), mode="clip") == tids]
         return tids
 
     def count(self, itemset: Iterable[Item]) -> int:

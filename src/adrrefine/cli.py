@@ -92,12 +92,6 @@ def _load_spec(args) -> signals.SignalSpec:
     return spec
 
 
-def _read_rules(path: str) -> mining.RuleTable:
-    if path.endswith(".json"):
-        return mining.read_rules_json(path)
-    return mining.read_rules_csv(path)
-
-
 def cmd_ingest(args) -> int:
     store = _load_store(args)
     excluded = events.apply_prescription_exclusions(
@@ -133,10 +127,8 @@ def cmd_mine(args) -> int:
     else:
         rules = mining.mine_all_rules(db, constraints)
     _log("mine", rules=len(rules), seconds=f"{time.perf_counter() - t0:.3f}")
-    if args.out.endswith(".json"):
-        mining.write_rules_json(rules, args.out)
-    else:
-        mining.write_rules_csv(rules, args.out)
+    write = mining.write_rules_json if args.out.endswith(".json") else mining.write_rules_csv
+    write(rules, args.out)
     _emit({"rules": len(rules), "out": args.out})
     return 0
 
@@ -167,7 +159,8 @@ def cmd_signal(args) -> int:
 def cmd_refine(args) -> int:
     store = _excluded_store(args)
     spec = _load_spec(args)
-    rules = _read_rules(args.rules)
+    read = mining.read_rules_json if args.rules.endswith(".json") else mining.read_rules_csv
+    rules = read(args.rules)
     instances = signals.read_instances_csv(args.instances) if args.instances else None
     t0 = time.perf_counter()
     report = refine_signal(
@@ -309,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

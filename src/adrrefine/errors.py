@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one way inputs are opened
-and read, the one way a bad input value becomes a ParseError, and the one
-check of the `workers` keyword.
+and read, the one way a bad input value becomes a ParseError, the one check
+of the `workers` keyword, and the one test of an integer value.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
@@ -17,6 +17,7 @@ not a conversion fault and keeps its exit code 1.
 import csv
 import io
 import json
+import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
@@ -49,6 +50,11 @@ def check_workers(workers: int | None) -> None:
     """
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1: {workers}")
+
+
+def integral(value: Any) -> bool:
+    """True for an int or numpy integer; a bool is not a count or a size."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ParseError(AdrRefineError):

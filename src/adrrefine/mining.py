@@ -22,11 +22,12 @@ candidate needs a subset prune. Items are counted in ascending support
 order (Zaki, "Scalable algorithms for association mining", IEEE TKDE
 2000): a prefix is its itemset's rarest items, so each Gram covers few
 baskets, and the common items, which have the most frequent supersets,
-are Gram rows rather than prefixes. The rows are read from one copy of
-the basket matrix with the frequent items' columns in that order, made
-once per counting call: a prefix's rows are ascending columns, so each
-covered basket's bytes for them are one span of the copy, gathered as
-one run and narrowed to the rows only when the span has gaps.
+are Gram rows rather than prefixes. The rows are read from one baskets
+x ranks byte matrix, scattered from the frequent items' tid lists once
+per mining call: a prefix's rows are ascending columns, so each covered
+basket's bytes for them are one span of it, gathered as one run and
+narrowed to the rows only when the span has gaps. Emission packs each
+target's bitsets from the same matrix.
 
 All measures are derived from exact integer basket counts, as columns
 filled a block of rules at a time that equal the one-rule formula bit
@@ -52,6 +53,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +62,7 @@ from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
     INPUT_FAULTS, ConfigError, DomainError, ParseError, check_workers, column_values, csv_columns,
-    json_list, json_number, raise_first_fault, read_json,
+    integral, json_list, json_number, raise_first_fault, read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -81,15 +83,13 @@ class MiningConstraints:
     max_antecedent: int = DEFAULT_MAX_ANTECEDENT
 
     def __post_init__(self):
-        if not 0 < self.min_left_support <= 1:
-            raise ConfigError(f"min_left_support must be in (0, 1]: {self.min_left_support}")
-        if not 0 < self.min_confidence <= 1:
-            raise ConfigError(f"min_confidence must be in (0, 1]: {self.min_confidence}")
-        # A bool is an int subclass, but not a size; a float such as 2.5 or
-        # inf would bound the levels without being one.
-        if isinstance(self.max_antecedent, bool) or not isinstance(
-            self.max_antecedent, (int, np.integer)
-        ):
+        # A bool or a string would compare as a number or not at all; a
+        # float such as 2.5 or inf would bound the levels without being one.
+        for name in ("min_left_support", "min_confidence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value <= 1:
+                raise ConfigError(f"{name} must be in (0, 1]: {value!r}")
+        if not integral(self.max_antecedent):
             raise ConfigError(f"max_antecedent must be an integer: {self.max_antecedent!r}")
         if self.max_antecedent < 1:
             raise ConfigError(f"max_antecedent must be >= 1: {self.max_antecedent}")
@@ -359,10 +359,17 @@ def _chi_sum(observed, expected, m):
     return m * (((t0 + t1) + t2) + t3)
 
 
+def _check_integers(*counts) -> None:
+    """A DomainError for the first count that is not an integer."""
+    if bad := [count for count in counts if not integral(count)]:
+        raise DomainError(f"basket counts must be integers: {bad[0]!r}")
+
+
 def contingency_from_counts(
     count_xy: int, count_x: int, count_y: int, m: int
 ) -> ContingencyTable:
     """Contingency cells from integer counts (see `_cells`)."""
+    _check_integers(count_xy, count_x, count_y, m)
     m = int(m)
     observed, expected = _cells(int(count_xy), int(count_x), int(count_y), m)
     return ContingencyTable(observed=observed, expected=expected, m=m)
@@ -427,6 +434,7 @@ def _measure_block(
 def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeasures:
     """All five rule measures from exact basket counts (one row of
     `_measure_columns`)."""
+    _check_integers(count_xy, count_x, count_y, m)
     if m <= 0:
         raise DomainError("basket count must be positive")
     if count_x <= 0 or count_y <= 0:
@@ -452,8 +460,8 @@ def min_count_for(threshold: float, m: int) -> int:
 
 
 # Bytes of one baskets x tails float32 input block of `_gram`, of the
-# chunk's tail span gathered from the rank-ordered copy of `bits` to make
-# it, and of the chunk's basket rows gathered from `bits` to pack
+# chunk's tail span gathered from the rank-ordered basket matrix to make
+# it, and of the chunk's rows of that matrix gathered to pack
 # `_target_bitsets`. It bounds only those blocks: the Gram itself is
 # tails x tails, so it grows with the square of the tail count.
 _GRAM_BYTES = 1 << 25
@@ -502,22 +510,21 @@ def _gram(ranked: np.ndarray, tids: np.ndarray | None, tails: np.ndarray) -> np.
 _COUNT_BYTES = 1 << 20
 
 
-def _target_bitsets(db: BasketDatabase, y: int) -> np.ndarray:
+def _target_bitsets(db: BasketDatabase, freq: FrequentItemsets, y: int) -> np.ndarray:
     """The baskets holding item `y` as item-major packed bitsets: a
     (items + 1, words) uint64 matrix whose row i has bit j set when the
-    j-th basket of `db.tid_lists[y]` holds item i. The last row is all
-    ones, so the -1 pad of an id row selects it. The baskets' rows are
-    gathered from `bits` a chunk at a time, each chunk within
-    `_GRAM_BYTES`, and packed eight baskets to a byte, so the bitsets take
-    about an eighth of the bytes of y's rows of `bits`."""
+    j-th basket of `db.tid_lists[y]` holds item i, for the items `freq`
+    counted (the other rows stay zero: no antecedent holds one). The last
+    row is all ones, so the -1 pad of an id row selects it. y's rows of
+    `freq.ranked` are packed eight baskets to a byte, a chunk within
+    `_GRAM_BYTES` at a time, into the rows `freq.item_of`."""
     tids = db.tid_lists[y]
-    n_items = db.bits.shape[1]
-    packed = np.zeros((n_items + 1, 8 * -(-len(tids) // 64)), np.uint8)
+    packed = np.zeros((len(db.items) + 1, 8 * -(-len(tids) // 64)), np.uint8)
     packed[-1] = 0xFF
-    step = max(8, _GRAM_BYTES // n_items // 8 * 8)
+    step = max(8, _GRAM_BYTES // max(1, len(freq.item_of)) // 8 * 8)
     for lo in range(0, len(tids), step):
-        chunk = np.packbits(db.bits[tids[lo : lo + step]], axis=0, bitorder="little")
-        packed[:-1, lo // 8 : lo // 8 + len(chunk)] = chunk.T
+        chunk = np.packbits(freq.ranked[tids[lo : lo + step]], axis=0, bitorder="little")
+        packed[freq.item_of, lo // 8 : lo // 8 + len(chunk)] = chunk.T
     return packed.view(np.uint64)
 
 
@@ -556,12 +563,14 @@ class FrequentItemsets:
     int64 basket counts. Only non-empty levels are kept. Iterating gives
     each itemset's ids, a row of its level's matrix, level by level (rows
     rather than `tolist()` lists: a third of a million short-lived lists
-    keep the garbage collector busy for several times as long)."""
+    keep the garbage collector busy for several times as long). `ranked`
+    is the baskets x ranks 0/1 byte matrix the levels were counted from,
+    and `item_of` the item id of each rank (column)."""
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "ranked", "item_of")
 
-    def __init__(self, levels: list[tuple[np.ndarray, np.ndarray]]):
-        self.levels = levels
+    def __init__(self, levels: list, ranked: np.ndarray, item_of: np.ndarray):
+        self.levels, self.ranked, self.item_of = levels, ranked, item_of
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for ids, _ in self.levels:
@@ -578,9 +587,9 @@ def frequent_antecedents(
     counts.
 
     Counting numbers the frequent items by ascending basket count, their
-    ranks, and works on rank rows over `ranked`, the baskets' rows of
-    `bits` with one column per rank, copied once for the call and holding
-    only the frequent items. Level k+1 comes from one `_gram` per
+    ranks, and works on rank rows over `ranked`, a baskets x ranks 0/1
+    byte matrix scattered once for the call from the frequent items' tid
+    lists, one column per rank. Level k+1 comes from one `_gram` per
     run of level-k rows sharing their first k-1 ranks, the prefix Q, over
     the run's last ranks, Q's tails (the items t ranked above max(Q) with
     Q | {t} frequent): off-diagonal cell (r, s) is count(Q | {r, s}),
@@ -601,7 +610,9 @@ def frequent_antecedents(
     kept = np.flatnonzero(keep).astype(np.int32)
     # The item id of each rank, and the baskets' rows over the ranks.
     item_of = kept[np.argsort(db.counts[kept], kind="stable")]
-    ranked = np.take(db.bits, item_of, axis=1)
+    ranked = np.zeros((db.m, len(item_of)), np.uint8)
+    for rank, i in enumerate(item_of.tolist()):
+        ranked[db.tid_lists[i], rank] = 1
     first = np.arange(len(item_of), dtype=np.int32)[:, None]
     levels = [(first, db.counts[item_of])] if len(item_of) else []
 
@@ -612,12 +623,9 @@ def frequent_antecedents(
         for lo, hi in zip(starts, starts[1:]):
             if hi - lo < 2:
                 continue
-            # The cover of the prefix: its rarest rank's baskets, narrowed
-            # through its other ranks' columns; every basket when empty.
-            prefix = ranks[lo, :-1].tolist()
-            tids = db.tid_lists[item_of[prefix[0]]] if prefix else None
-            for rank in prefix[1:]:
-                tids = tids[ranked[tids, rank] != 0]
+            # The baskets holding the prefix; every basket when it is empty.
+            prefix = item_of[ranks[lo, :-1]].tolist()
+            tids = db.cover(prefix) if prefix else None
             tails = ranks[lo:hi, -1]
             gram = _gram(ranked, tids, tails).ravel()
             cells = np.flatnonzero(gram >= min_count)
@@ -634,7 +642,7 @@ def frequent_antecedents(
         grown[:, :-2] = ranks[np.concatenate(heads), :-1]
         grown[:, -2:] = np.concatenate(pairs)
         levels.append((grown, np.concatenate(counts)))
-    return FrequentItemsets([_item_level(item_of, *level) for level in levels])
+    return FrequentItemsets([_item_level(item_of, *level) for level in levels], ranked, item_of)
 
 
 def _item_level(
@@ -660,7 +668,8 @@ def _emit_rules(
     ordered by (y, X) ids.
 
     count(X | {y}) of every antecedent comes from `_joint_counts` over
-    y's `_target_bitsets`, one bitset matrix held at a time; rows that
+    y's `_target_bitsets`, packed from `freq`'s counting matrix, one
+    bitset matrix held at a time; rows that
     hold y are masked out, and only the rows passing confidence are kept.
     """
     # Row k of `matrix` is antecedent k: the levels' rows in turn, padded
@@ -674,7 +683,7 @@ def _emit_rules(
     # With no target there are no rules: three empty columns.
     results = [(np.empty(0, np.int64),) * 3]
     for y in target_ids:
-        xy = _joint_counts(_target_bitsets(db, y), matrix)
+        xy = _joint_counts(_target_bitsets(db, freq, y), matrix)
         keep = ~(xy / count_x < min_confidence)
         for column in matrix.T:
             keep &= column != y

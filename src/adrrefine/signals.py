@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .codes import BnfCode, ReadCode, bnf_level, parse_bnf, parse_read, read_level
-from .errors import ConfigError, ParseError, checked, csv_rows, json_list, read_json
+from .errors import ConfigError, ParseError, checked, csv_rows, integral, json_list, read_json
 from .events import EventStore, _frozen
 
 DEFAULT_WINDOW = (1, 60)
@@ -62,6 +62,8 @@ class SignalSpec:
     def __post_init__(self):
         if not self.doi:
             raise ConfigError("signal spec needs at least one drug code")
+        if len(self.window) != 2 or not all(map(integral, self.window)):
+            raise ConfigError(f"window must be two integer days: {self.window}")
         start, end = self.window
         if start < 1:
             raise ConfigError(f"window must start at day 1 or later: {self.window}")

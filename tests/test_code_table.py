@@ -227,7 +227,6 @@ class TestItemsNumberedOnce:
         db = build_database(store)
         assert db.pids == whole.pids and db.m > 0
         assert db.items == whole.items
-        assert np.array_equal(db.bits, whole.bits)
         assert len(db.tid_lists) == len(whole.tid_lists)
         assert all(map(np.array_equal, db.tid_lists, whole.tid_lists))
         assert np.array_equal(db.counts, whole.counts)

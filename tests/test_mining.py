@@ -66,6 +66,10 @@ class TestConstraints:
             {"min_left_support": 1.5},
             {"min_confidence": 0.0},
             {"min_confidence": -0.2},
+            {"min_confidence": True},
+            {"min_left_support": True},
+            {"min_left_support": "0.1"},
+            {"min_confidence": None},
             {"max_antecedent": 0},
             {"max_antecedent": 2.5},
             {"max_antecedent": 3.0},
@@ -81,6 +85,10 @@ class TestConstraints:
 
     def test_numpy_integer_size(self):
         assert MiningConstraints(max_antecedent=np.int64(2)).max_antecedent == 2
+
+    def test_numpy_and_integer_floors(self):
+        c = MiningConstraints(min_left_support=np.float32(0.5), min_confidence=1)
+        assert (c.min_left_support, c.min_confidence) == (0.5, 1)
 
     def test_min_count_threshold(self):
         rng = random.Random(31)
@@ -177,6 +185,22 @@ class TestRuleMeasures:
         with pytest.raises(DomainError, match="basket count must be positive"):
             rule_measures(0, 1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [(2.9, 3, 3, 4), (2, 3.0, 3, 4), (2, 3, 3, 4.5), (True, 3, 3, 4), ("2", 3, 3, 4)],
+    )
+    def test_counts_that_are_not_integers_rejected(self, counts):
+        # `int()` would truncate 2.9 to 2 and compute another rule's measures.
+        with pytest.raises(DomainError, match="basket counts must be integers"):
+            rule_measures(*counts)
+        with pytest.raises(DomainError, match="basket counts must be integers"):
+            contingency_from_counts(*counts)
+
+    def test_numpy_integer_counts(self):
+        counts = (np.int64(1), np.int32(2), np.uint8(2), np.int16(4))
+        assert rule_measures(*counts) == rule_measures(1, 2, 2, 4)
+        assert contingency_from_counts(*counts) == contingency_from_counts(1, 2, 2, 4)
+
     def test_identities_on_random_counts(self):
         rng = random.Random(34)
         for _ in range(1000):
@@ -271,10 +295,13 @@ class TestMeasureColumns:
 
 def ranked_gram(db, order, prefix, rows):
     """`mining._gram` of the item ids `rows` over the baskets holding every
-    item of `prefix`, with `bits`' columns copied in `order` (item ids) as
-    the miner copies them in rank order; also the item ids of the Gram's
-    rows, which are `rows` in `order`."""
-    ranked = np.take(db.bits, order, axis=1)
+    item of `prefix`, with one column per item of `order` (item ids),
+    scattered from its tid list as the miner scatters its frequent items
+    in rank order; also the item ids of the Gram's rows, which are `rows`
+    in `order`."""
+    ranked = np.zeros((db.m, len(order)), np.uint8)
+    for rank, i in enumerate(order.tolist()):
+        ranked[db.tid_lists[i], rank] = 1
     tails = np.sort(np.argsort(order)[rows])
     gram = mining._gram(ranked, db.cover(prefix) if prefix else None, tails)
     return gram, order[tails]
@@ -347,34 +374,58 @@ class TestGram:
                     assert gram[i, j] == len(db.cover(prefix + (r, s))), (prefix, r, s)
 
 
+def check_joint_counts(monkeypatch, held, budget, counted):
+    """`_joint_counts` over a target's `_target_bitsets`, packed from the
+    counting copy of every item, of the items above the median count
+    only (as `mine_all_rules` counts), or of those without the target (as
+    `mine_rules` counts), against cover counts. Rows hold only counted
+    items, and the other items' bitset rows stay zero."""
+    if budget is not None:
+        monkeypatch.setattr(mining, "_GRAM_BYTES", budget)
+        monkeypatch.setattr(mining, "_COUNT_BYTES", budget)
+    rng = random.Random(held)
+    target = Item(ItemKind.READ, "Z99..")
+    n_baskets = rng.randint(150, 250)
+    chosen = set(rng.sample(range(n_baskets), held))
+    baskets = []
+    for j in range(n_baskets):
+        members = {it for it in ITEM_POOL[:14] if rng.random() < 0.4} or {ITEM_POOL[0]}
+        baskets.append((f"p{j}", frozenset(members | ({target} if j in chosen else set()))))
+    db = BasketDatabase(baskets)
+    y = db.item_ids[target]
+    assert db.counts[y] == held
+    every, excluded = counted == "every item", "excluded" in counted
+    min_count = 1 if every else int(np.median(db.counts)) + 1
+    freq = mining.frequent_antecedents(db, min_count, 1, target if excluded else None)
+    ranked = sorted(freq.item_of.tolist())
+    assert (len(ranked) == len(db.items)) == every
+    assert (y in ranked) == (every or held >= min_count and not excluded)
+    # Rows of 1 to 5 counted ids, padded with -1; some may hold the target itself.
+    ids = [sorted(rng.sample(ranked, rng.randint(1, min(5, len(ranked))))) for _ in range(120)]
+    rows = np.array([row + [-1] * (5 - len(row)) for row in ids], dtype=np.int32)
+    bitsets = mining._target_bitsets(db, freq, y)
+    assert not bitsets[np.setdiff1d(np.arange(len(db.items)), ranked)].any()
+    assert (bitsets[-1] == np.uint64(2**64 - 1)).all()
+    counts = mining._joint_counts(bitsets, rows)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [len(db.cover(tuple(row) + (y,))) for row in ids]
+
+
 class TestJointCounts:
+    # Targets held by one basket and by baskets either side of the 64-bit
+    # word edges; a budget of a few hundred bytes packs the target's
+    # baskets eight at a time (a whole byte of bits each) and counts one
+    # antecedent row at a time.
     @pytest.mark.parametrize("budget", [None, 200])
     @pytest.mark.parametrize("held", [1, 63, 64, 65, 129])
     def test_counts_equal_cover_counts(self, monkeypatch, held, budget):
-        # Targets held by one basket and by baskets either side of the
-        # 64-bit word edges; a budget of a few hundred bytes packs the
-        # target's baskets eight at a time (a whole byte of bits each)
-        # and counts one antecedent row at a time.
-        if budget is not None:
-            monkeypatch.setattr(mining, "_GRAM_BYTES", budget)
-            monkeypatch.setattr(mining, "_COUNT_BYTES", budget)
-        rng = random.Random(held)
-        target = Item(ItemKind.READ, "Z99..")
-        n_baskets = rng.randint(150, 250)
-        chosen = set(rng.sample(range(n_baskets), held))
-        baskets = []
-        for j in range(n_baskets):
-            members = {it for it in ITEM_POOL[:14] if rng.random() < 0.4} or {ITEM_POOL[0]}
-            baskets.append((f"p{j}", frozenset(members | ({target} if j in chosen else set()))))
-        db = BasketDatabase(baskets)
-        y = db.item_ids[target]
-        assert db.counts[y] == held
-        # Rows of 1 to 5 ids, padded with -1; some hold the target itself.
-        ids = [sorted(rng.sample(range(len(db.items)), rng.randint(1, 5))) for _ in range(120)]
-        rows = np.array([row + [-1] * (5 - len(row)) for row in ids], dtype=np.int32)
-        counts = mining._joint_counts(mining._target_bitsets(db, y), rows)
-        assert counts.dtype == np.int64
-        assert counts.tolist() == [len(db.cover(tuple(row) + (y,))) for row in ids]
+        check_joint_counts(monkeypatch, held, budget, "every item")
+
+    @pytest.mark.parametrize("budget", [None, 200])
+    @pytest.mark.parametrize("held", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("counted", ["frequent", "frequent, target excluded"])
+    def test_copy_without_rare_items_or_target(self, monkeypatch, held, budget, counted):
+        check_joint_counts(monkeypatch, held, budget, counted)
 
 
 class TestRowOrder:
@@ -529,10 +580,11 @@ def gram_calls(monkeypatch) -> list:
 
 
 class TestRankedCounting:
-    # `frequent_antecedents` counts from one copy of `bits` with a column
-    # per rank: the empty prefix's Gram reads all of it, and a deeper
-    # prefix's Gram gathers its tails' span of ranks, narrowed to the
-    # tails when the span has gaps.
+    # `frequent_antecedents` counts from one baskets x ranks copy, scattered
+    # from the frequent items' tid lists, with a column per rank: the
+    # empty prefix's Gram reads all of it, and a deeper prefix's Gram
+    # gathers its tails' span of ranks, narrowed to the tails when the
+    # span has gaps.
     def test_tail_spans_with_and_without_gaps(self, monkeypatch):
         calls = gram_calls(monkeypatch)
         db = skewed_db(random.Random(97), n_items=12, n_baskets=200)

@@ -159,6 +159,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             make_spec(window=(10, 5))
 
+    @pytest.mark.parametrize("window", [(1.5, 60), (1, 60.0), (True, 60), (1, 2, 3), ("1", 60)])
+    def test_window_must_be_two_integer_days(self, window):
+        with pytest.raises(ConfigError, match="window must be two integer days"):
+            make_spec(window=window)
+
+    def test_numpy_integer_window(self):
+        assert make_spec(window=(np.int64(2), np.int32(30))).window == (2, 30)
+
     def test_doi_must_be_nonempty(self):
         with pytest.raises(ConfigError):
             make_spec(doi=frozenset())
