@@ -79,8 +79,8 @@ def pre_outcome_basket(
 @dataclass(frozen=True)
 class BasketPairs:
     """Baskets as columns: each basket's patient id (in basket ordinal
-    order), an item vocabulary in token order, and the distinct
-    (basket ordinal, item id) pairs in ascending basket order."""
+    order), an item vocabulary in token order, and (basket ordinal, item
+    id) pairs, in any order, a pair possibly repeated."""
 
     pids: tuple[str, ...]
     items: tuple[Item, ...]
@@ -113,10 +113,12 @@ class BasketDatabase:
     """An immutable basket corpus with a per-item vertical index.
 
     Built from (patient id, frozenset of items) pairs or from
-    `BasketPairs`. `tid_lists[i]` holds the sorted int64 ordinals of the
-    baskets that contain item i, read-only, and `counts[i]` their number;
-    they are the only index. Mining scatters the frequent items' lists
-    into its own baskets x ranks copy once per call
+    `BasketPairs`, whose pairs may repeat and come in any order.
+    `tid_lists[i]` holds the sorted int64 ordinals of the baskets that
+    contain item i, read-only, and `counts[i]` their number; they are the
+    only index, from one sort of the item-major keys `item * m + basket`
+    with repeats dropped. Mining scatters the frequent items' lists into
+    its own baskets x ranks copy once per call
     (`mining.frequent_antecedents`). Basket ordinals follow the input
     order (store patient order for `build_database`), so rebuilding from
     the same store yields identical ordinals. Items are indexed in token
@@ -129,20 +131,21 @@ class BasketDatabase:
             raise DomainError("basket database is empty; mining is undefined")
         self.pids: tuple[str, ...] = pairs.pids
         self.m: int = len(self.pids)
+        key = pairs.item.astype(np.int64) * self.m + pairs.basket
+        key.sort()
+        distinct = np.ones(len(key), dtype=bool)
+        distinct[1:] = key[1:] != key[:-1]
+        key = key[distinct]
+        # Item i's keys are those in [i * m, (i + 1) * m).
+        ends = np.searchsorted(key, np.arange(1, len(pairs.items) + 1) * self.m)
+        counts = np.diff(ends, prepend=0)
+        tids = _frozen(key - np.repeat(np.arange(len(pairs.items)) * self.m, counts))
         # Keep only the vocabulary's items that some basket holds.
-        counts = np.bincount(pairs.item, minlength=len(pairs.items))
         held = counts > 0
         self.items: tuple[Item, ...] = tuple(compress(pairs.items, held.tolist()))
-        item = pairs.item if held.all() else (np.cumsum(held) - 1)[pairs.item]
-        counts = counts[held]
         self.item_ids: dict[Item, int] = {it: i for i, it in enumerate(self.items)}
-
-        # Stable by item, so each item's baskets stay in ascending order; a
-        # 16-bit key sorts by radix.
-        key = item.astype(np.uint16) if len(self.items) <= 1 << 16 else item
-        tids = _frozen(pairs.basket.astype(np.int64)[np.argsort(key, kind="stable")])
-        self.tid_lists: tuple[np.ndarray, ...] = tuple(np.split(tids, np.cumsum(counts)[:-1]))
-        self.counts: np.ndarray = counts.astype(np.int64)
+        self.counts: np.ndarray = counts[held]
+        self.tid_lists: tuple[np.ndarray, ...] = tuple(np.split(tids, ends[held])[:-1])
 
     @cached_property
     def baskets(self) -> tuple[tuple[str, frozenset[Item]], ...]:
@@ -188,7 +191,7 @@ def build_database(
     store: EventStore, min_active_months: int = DEFAULT_MIN_ACTIVE_MONTHS
 ) -> BasketDatabase:
     """One whole-history basket per eligible patient, in store order: the
-    distinct (patient, item) pairs of its rows, plus its gender item."""
+    items of its rows, plus its gender item."""
     eligible = eligible_patients(store, min_active_months)
     columns = store.columns
     keep = np.fromiter(map(eligible.__contains__, columns.pids), bool, len(columns.pids))
@@ -204,8 +207,4 @@ def build_database(
     item = np.concatenate([
         codes.item_id[columns.code[rows]], codes.gender_id[columns.gender[keep]]
     ])
-    n = len(codes.mining_items)
-    key = basket * n + item
-    key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]  # distinct pairs, basket-major
-    return BasketDatabase(BasketPairs(pids, codes.mining_items, key // n, key % n))
+    return BasketDatabase(BasketPairs(pids, codes.mining_items, basket, item))

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one way inputs are opened
 and read, the one way a bad input value becomes a ParseError, the one check
-of the `workers` keyword, and the one test of an integer value.
+of the `workers` keyword, and the one test and checks of integer values.
 
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
@@ -55,6 +55,20 @@ def check_workers(workers: int | None) -> None:
 def integral(value: Any) -> bool:
     """True for an int or numpy integer; a bool is not a count or a size."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integers(what: str, *values: Any) -> None:
+    """A DomainError naming `what` for the first value that is not `integral`."""
+    if bad := [value for value in values if not integral(value)]:
+        raise DomainError(f"{what} must be integers: {bad[0]!r}")
+
+
+def check_setting(name: str, value: Any) -> None:
+    """A ConfigError naming `name` unless `value` is `integral` and >= 0."""
+    if not integral(value):
+        raise ConfigError(f"{name} must be an integer: {value!r}")
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0: {value}")
 
 
 class ParseError(AdrRefineError):

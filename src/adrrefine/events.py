@@ -31,7 +31,7 @@ import numpy as np
 
 from .codes import GENDERS, BnfCode, Item, ReadCode, code_item, gender_item, parse_code
 from .errors import (
-    INPUT_FAULTS, ConfigError, CsvBlock, DomainError, checked, column_values, csv_columns,
+    INPUT_FAULTS, CsvBlock, DomainError, check_setting, checked, column_values, csv_columns,
     raise_first_fault,
 )
 
@@ -423,13 +423,11 @@ def apply_prescription_exclusions(
     A prescription is removed if dated within `exclusion_months` calendar
     months of the patient's registration (inclusive of the boundary) or
     within `end_buffer_days` days of the database end date. Diagnosis
-    (READ) events always pass through; the filter is idempotent. A
-    negative window is a ConfigError.
+    (READ) events always pass through; the filter is idempotent. A window
+    that is negative or not an integer is a ConfigError.
     """
-    windows = {"exclusion_months": exclusion_months, "end_buffer_days": end_buffer_days}
-    for name, value in windows.items():
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0: {value}")
+    check_setting("exclusion_months", exclusion_months)
+    check_setting("end_buffer_days", end_buffer_days)
     columns = store.columns
     end = store.db_end_date
     cutoff = _add_months_days(columns.registered, min(exclusion_months, _MAX_SHIFT_MONTHS))
@@ -460,7 +458,6 @@ def eligible_patients(
     store: EventStore, min_active_months: int = DEFAULT_MIN_ACTIVE_MONTHS
 ) -> set[str]:
     """Patients active for at least `min_active_months` whole months. A
-    negative `min_active_months` is a ConfigError."""
-    if min_active_months < 0:
-        raise ConfigError(f"min_active_months must be >= 0: {min_active_months}")
+    `min_active_months` that is negative or not an integer is a ConfigError."""
+    check_setting("min_active_months", min_active_months)
     return set(compress(store.columns.pids, (_active_months(store) >= min_active_months).tolist()))

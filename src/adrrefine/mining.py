@@ -61,8 +61,8 @@ import numpy as np
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
-    INPUT_FAULTS, ConfigError, DomainError, ParseError, check_workers, column_values, csv_columns,
-    integral, json_list, json_number, raise_first_fault, read_json,
+    INPUT_FAULTS, ConfigError, DomainError, ParseError, check_integers, check_workers,
+    column_values, csv_columns, integral, json_list, json_number, raise_first_fault, read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -359,17 +359,11 @@ def _chi_sum(observed, expected, m):
     return m * (((t0 + t1) + t2) + t3)
 
 
-def _check_integers(*counts) -> None:
-    """A DomainError for the first count that is not an integer."""
-    if bad := [count for count in counts if not integral(count)]:
-        raise DomainError(f"basket counts must be integers: {bad[0]!r}")
-
-
 def contingency_from_counts(
     count_xy: int, count_x: int, count_y: int, m: int
 ) -> ContingencyTable:
     """Contingency cells from integer counts (see `_cells`)."""
-    _check_integers(count_xy, count_x, count_y, m)
+    check_integers("basket counts", count_xy, count_x, count_y, m)
     m = int(m)
     observed, expected = _cells(int(count_xy), int(count_x), int(count_y), m)
     return ContingencyTable(observed=observed, expected=expected, m=m)
@@ -434,7 +428,7 @@ def _measure_block(
 def rule_measures(count_xy: int, count_x: int, count_y: int, m: int) -> RuleMeasures:
     """All five rule measures from exact basket counts (one row of
     `_measure_columns`)."""
-    _check_integers(count_xy, count_x, count_y, m)
+    check_integers("basket counts", count_xy, count_x, count_y, m)
     if m <= 0:
         raise DomainError("basket count must be positive")
     if count_x <= 0 or count_y <= 0:

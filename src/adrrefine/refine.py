@@ -17,13 +17,14 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 # `pre_outcome_basket` is not called here; bench/spans.py wraps it by this module's name.
 from .baskets import pre_outcome_basket, pre_outcome_items
 from .codes import READ_NORMALIZE_LEVEL, Item, ReadCode, code_item, read_level
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integers
 from .events import EventStore
 from .mining import AssociationRule, RuleTable
 from .signals import (
@@ -97,6 +98,14 @@ def extract_hoi_rules(
     return table[np.flatnonzero(table.consequent == k)]
 
 
+def _check_threshold(lift_threshold: float) -> None:
+    """A ConfigError unless the lift threshold is a real number, not NaN."""
+    if isinstance(lift_threshold, bool) or not isinstance(lift_threshold, Real):
+        raise ConfigError(f"lift_threshold must be a number: {lift_threshold!r}")
+    if math.isnan(lift_threshold):
+        raise ConfigError("lift_threshold must be a number, not NaN")
+
+
 # Match cells per block of instances in `assess_instances`, one byte each.
 _MATCH_BYTES = 1 << 24
 
@@ -120,7 +129,9 @@ def assess_instances(
     list each matched instance's rules together, so one
     `np.maximum.reduceat` over those rules' measures gives every matched
     instance's three maxima; no float cell is spent on an unmatched pair,
-    and an unmatched instance keeps 0.0."""
+    and an unmatched instance keeps 0.0. A lift threshold that is not a
+    number, or is NaN, is a ConfigError."""
+    _check_threshold(lift_threshold)
     rules = RuleTable.from_rules(hoi_rules)
     pids = [inst.patient_id for inst in instances]
     hist, item = pre_outcome_items(store, pids, [i.hoi_date for i in instances], include_same_day)
@@ -176,6 +187,7 @@ def assess_instance(
 
 
 def absolute_risk(instance_count: int, exposures: int) -> float:
+    check_integers("risk counts", instance_count, exposures)
     if exposures <= 0:
         raise DomainError("risk is undefined with zero exposures")
     return instance_count / exposures
@@ -183,13 +195,10 @@ def absolute_risk(instance_count: int, exposures: int) -> float:
 
 def adjusted_risk(instance_count: int, expected_count: int, exposures: int) -> float:
     """Unexpected instances over exposed patients."""
-    if exposures <= 0:
-        raise DomainError("risk is undefined with zero exposures")
+    check_integers("risk counts", instance_count, expected_count)
     if not 0 <= expected_count <= instance_count:
-        raise DomainError(
-            f"expected_count {expected_count} outside [0, {instance_count}]"
-        )
-    return (instance_count - expected_count) / exposures
+        raise DomainError(f"expected_count {expected_count} outside [0, {instance_count}]")
+    return absolute_risk(instance_count - expected_count, exposures)
 
 
 def refine(
@@ -205,14 +214,15 @@ def refine(
 
     Instances and the exposure denominator are derived from the store
     unless supplied, so externally listed instances (or given counts)
-    can be pushed through the same arithmetic. A NaN `lift_threshold`
-    is a ConfigError, since no lift exceeds it.
+    can be pushed through the same arithmetic. A `lift_threshold` that is
+    not a number, or is NaN, is a ConfigError, and given `exposures` that
+    are not an integer a DomainError, each raised before the store is read.
     """
-    if math.isnan(lift_threshold):
-        raise ConfigError("lift_threshold must be a number, not NaN")
+    _check_threshold(lift_threshold)
     hoi_rules = extract_hoi_rules(rules, spec.hoi)
     if exposures is None:
         exposures = exposure_count(spec.doi, store)
+    check_integers("risk counts", exposures)
     if exposures <= 0:
         raise DomainError("no patients exposed to the drug family; risk undefined")
     if instances is None:

@@ -6,23 +6,22 @@ often the outcome follows a prescription versus precedes it inside a
 mirrored day window), and signal instances are the (patient, first
 prescription date, outcome date) triplets whose gap falls in the window.
 
-A signal's rows are selected through its store's code table: one mask
-per code id says which codes belong to the drug family or the outcome,
-and `_select` turns a mask into the ascending row numbers whose code id
-is set, in one pass over the code column and no per-row Python. A drug
-code is in the family when its first `bnf_level(entry)` parts equal
-some entry's; a diagnosis code is an outcome record when its first
-`read_level(hoi)` characters equal the query's. Each prefix form is the
-truncation rule itself: `bnf_truncate(code, bnf_level(entry)) == entry`
-and `read_truncate(code, read_level(hoi)) == hoi`.
+A signal's rows are selected through its store's code table. A drug
+code is in the family (`doi_matches`) when its first `bnf_level(entry)`
+parts equal some entry's; a diagnosis code is an outcome record
+(`outcome_matches`) when its first `read_level(hoi)` characters equal
+the query's. Each prefix form is the truncation rule itself:
+`bnf_truncate(code, bnf_level(entry)) == entry` and
+`read_truncate(code, read_level(hoi)) == hoi`.
 
-`exposure_count`, `find_instances` and `ab_ratio` each need the family's
-rows, and the last two the outcome's too. They ask `_rows`, which keeps
-its selections on the store, read-only and keyed by the mask's bytes, so
-one refine passes over the rows once for its family and once for its
-outcome. It keeps the two most recently used, one signal's family and
-outcome, so the memo does not grow with the number of signals screened.
-It is held by the store, not by the code table: a store and its
+`exposure_count`, `find_instances` and `ab_ratio` ask `_rows` for rows
+by query, the spec's `doi` set or its `hoi` code. `_rows` keeps the rows
+of the store's two most recently used queries on the store, read-only,
+and only on a miss builds a mask over the code table and takes it by
+the code column. So one refine passes over the code column once for its
+family and once for its outcome, a repeated one not at all, and the
+memo does not grow with the number of signals screened. It is held by
+the store, not by the code table: a store and its
 `apply_prescription_exclusions` store share one code table, not rows.
 """
 
@@ -36,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import BnfCode, ReadCode, bnf_level, parse_bnf, parse_read, read_level
+from .codes import BnfCode, ReadCode, bnf_level, parse_bnf, parse_read
 from .errors import ConfigError, ParseError, checked, csv_rows, integral, json_list, read_json
 from .events import EventStore, _frozen
 
@@ -60,8 +59,11 @@ class SignalSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.doi:
-            raise ConfigError("signal spec needs at least one drug code")
+        doi = self.doi  # immutable, as `_rows` keeps rows by it
+        if not (isinstance(doi, frozenset) and doi and all(isinstance(c, BnfCode) for c in doi)):
+            raise ConfigError(f"doi must be a non-empty frozenset of parsed drug codes: {doi!r}")
+        if not isinstance(self.hoi, ReadCode):
+            raise ConfigError(f"hoi must be a parsed diagnosis code: {self.hoi!r}")
         if len(self.window) != 2 or not all(map(integral, self.window)):
             raise ConfigError(f"window must be two integer days: {self.window}")
         start, end = self.window
@@ -104,53 +106,36 @@ def _spec_fields(payload: dict) -> tuple:
     )
 
 
-def doi_matches(code: BnfCode, doi: frozenset[BnfCode]) -> bool:
-    """True when the drug code falls under any family entry: its first
-    `bnf_level(entry)` parts are the entry's."""
-    for entry in doi:
-        k = bnf_level(entry)
-        if code.parts[:k] == entry.parts[:k]:
-            return True
-    return False
+def doi_matches(code: BnfCode | ReadCode, doi: frozenset[BnfCode]) -> bool:
+    """True when the parsed code is a drug code under some family entry:
+    its first `bnf_level(entry)` parts are the entry's."""
+    return isinstance(code, BnfCode) and any(
+        code.parts[: (k := bnf_level(entry))] == entry.parts[:k] for entry in doi
+    )
 
 
-def _code_mask(store: EventStore, keep) -> np.ndarray:
-    """Per code id of the store's code table, `keep(parsed code)`."""
-    table = store.code_table
-    return np.fromiter((keep(parsed) for parsed, _ in table.values()), bool, len(table))
+def outcome_matches(code: BnfCode | ReadCode, hoi: ReadCode) -> bool:
+    """True when the parsed code is a diagnosis code that equals the query
+    or descends from it: its first `read_level(hoi)` characters, those
+    before the query's dots, are the query's."""
+    return isinstance(code, ReadCode) and code.chars.startswith(hoi.chars.rstrip("."))
 
 
-def _family_mask(store: EventStore, doi: frozenset[BnfCode]) -> np.ndarray:
-    """Per code id: a drug code in the family."""
-    return _code_mask(store, lambda c: isinstance(c, BnfCode) and doi_matches(c, doi))
-
-
-def _outcome_mask(store: EventStore, hoi: ReadCode) -> np.ndarray:
-    """Per code id: a diagnosis code that equals the query or descends
-    from it, so its first `read_level(hoi)` characters are the query's."""
-    level = read_level(hoi)
-    prefix = hoi.chars[:level]
-    return _code_mask(store, lambda c: isinstance(c, ReadCode) and c.chars[:level] == prefix)
-
-
-def _select(store: EventStore, code_mask: np.ndarray) -> np.ndarray:
-    """Ascending row numbers of the store whose code id is set in `code_mask`."""
-    # `take` by the int32 code column runs about 2.8x as fast as `code_mask[code]`
-    # (25,776 rows on a 2 vCPU host: 29 us against 82 us).
-    return _frozen(np.flatnonzero(code_mask.take(store.columns.code)))
-
-
-def _rows(store: EventStore, code_mask: np.ndarray) -> np.ndarray:
-    """`_select(store, code_mask)`, from the store's two most recently
-    used selections when it is one of them."""
-    key = code_mask.tobytes()
-    # (mask bytes, rows) pairs, most recently used first. The tuple is
-    # replaced, never changed, so a store read by two threads at worst misses.
+def _rows(store: EventStore, query, matches) -> np.ndarray:
+    """Ascending row numbers of the store whose parsed code `c` has
+    `matches(c, query)`, from the store's two most recently used
+    selections when `query` is one of them."""
+    # (query, rows) pairs, most recently used first. The tuple is replaced,
+    # never changed, so a store read by two threads at worst misses.
     kept = getattr(store, "_selections", ())
-    rows = next((rows for k, rows in kept if k == key), None)
+    rows = next((rows for q, rows in kept if q == query), None)
     if rows is None:
-        rows = _select(store, code_mask)
-    store._selections = ((key, rows), *((k, r) for k, r in kept if k != key))[:2]
+        table = store.code_table
+        mask = np.fromiter((matches(c, query) for c, _ in table.values()), bool, len(table))
+        # `take` by the int32 code column runs about 2.8x as fast as `mask[code]`
+        # (25,776 rows on a 2 vCPU host: 29 us against 82 us).
+        rows = _frozen(np.flatnonzero(mask.take(store.columns.code)))
+    store._selections = ((query, rows), *((q, r) for q, r in kept if q != query))[:2]
     return rows
 
 
@@ -180,8 +165,8 @@ def ab_ratio(spec: SignalSpec, store: EventStore) -> AbResult:
     """
     start, end = _window(spec)
     columns = store.columns
-    outcome = columns.key[_rows(store, _outcome_mask(store, spec.hoi))]
-    family = _rows(store, _family_mask(store, spec.doi))
+    outcome = columns.key[_rows(store, spec.hoi, outcome_matches)]
+    family = _rows(store, spec.doi, doi_matches)
     drug, item = columns.key[family], columns.codes.item_id[columns.code[family]]
     order = np.lexsort((item, drug))
     drug, item = drug[order], item[order]
@@ -206,11 +191,11 @@ def find_instances(spec: SignalSpec, store: EventStore) -> list[SignalInstance]:
     start, end = _window(spec)
     columns = store.columns
     patient = columns.patient
-    family = _rows(store, _family_mask(store, spec.doi))
+    family = _rows(store, spec.doi, doi_matches)
     first = family[_group_starts(patient[family])]  # each exposed patient's first prescription
     doi_day = np.full(len(columns.pids), _MAX_GAP * 3, dtype=np.int64)  # beyond every window
     doi_day[patient[first]] = columns.day[first]
-    outcome = _rows(store, _outcome_mask(store, spec.hoi))
+    outcome = _rows(store, spec.hoi, outcome_matches)
     gap = columns.day[outcome] - doi_day[patient[outcome]]  # int64, as `doi_day` is
     hit = outcome[(gap >= start) & (gap <= end)]
     hit = hit[_group_starts(patient[hit])]  # each patient's earliest outcome in the window
@@ -233,7 +218,7 @@ def _group_starts(sorted_ids: np.ndarray) -> np.ndarray:
 
 def exposure_count(doi: frozenset[BnfCode], store: EventStore) -> int:
     """Number of patients with at least one retained family prescription."""
-    exposed = store.columns.patient[_rows(store, _family_mask(store, doi))]
+    exposed = store.columns.patient[_rows(store, frozenset(doi), doi_matches)]
     return len(_group_starts(exposed))
 
 

@@ -7,17 +7,30 @@ test per rule, an outcome record is a string-prefix test or the
 truncation rule, a family prescription is the truncation rule, and the
 rules-file writers go a rule at a time through `csv.writer` and
 `json.dump`, and synthetic patients draw from streams numpy seeds
-itself. The library must agree with them.
+itself. `reference_report` runs the whole pipeline, exclusions to
+report, over record lists. The library must agree with them.
 """
 
+import calendar
 import csv
+import datetime as dt
 import json
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
 
 from adrrefine import synth
-from adrrefine.codes import bnf_level, bnf_truncate, read_level, read_truncate
+from adrrefine.codes import (
+    bnf_level,
+    bnf_truncate,
+    gender_item,
+    normalize_item,
+    parse_bnf,
+    read_level,
+    read_truncate,
+)
+from adrrefine.errors import DomainError
 
 
 def chi2_counts_oracle(count_xy: int, count_x: int, count_y: int, m: int) -> float:
@@ -216,3 +229,130 @@ def csv_rows_oracle(path, header):
                 if len(record) != len(header):
                     return rows, (f"expected {len(header)} fields, got {len(record)}", line)
                 rows.append((line, record))
+
+
+def add_months_oracle(date, months):
+    """Shift by calendar months, clamping the day to the month's length."""
+    year, month0 = divmod(date.year * 12 + date.month - 1 + months, 12)
+    return dt.date(year, month0 + 1, min(date.day, calendar.monthrange(year, month0 + 1)[1]))
+
+
+ReferenceRule = namedtuple("ReferenceRule", "antecedent confidence lift chi_squared")
+
+
+def reference_report(patients, events, spec, config):
+    """report.json's payload for `spec` over a cohort given as lists of
+    `PatientInfo` and `EventRecord`, record by record, with the tunables
+    of `config` (a `cli.PipelineConfig`; the window is the spec's).
+
+    Mining takes one whole-history basket per patient whose first event
+    shifted by `min_active_months` months is on or before the last, its
+    rules for the outcome's level-3 item from `brute_force_rules`, with
+    the miner's formulas (`scalar_rule_measures`) recounted per rule.
+    Refinement reads the history left after README's exclusions: a
+    prescription on or before registration plus `exclusion_months`, or
+    fewer than `end_buffer_days` days before the latest event, is gone.
+    A DomainError stands where the library raises one: no eligible
+    patient, or no exposed one."""
+    history = {p.patient_id: [] for p in patients}
+    for e in events:
+        history[e.patient_id].append(e)
+    for evs in history.values():
+        evs.sort(key=lambda e: e.date)
+    end = max((e.date for e in events), default=None)
+    gender = {p.patient_id: gender_item(p.gender) for p in patients}
+
+    def items(evs):
+        return {normalize_item(e.code_type, e.code) for e in evs}
+
+    def eligible(evs):
+        months = config.min_active_months
+        return months <= 0 or bool(evs) and add_months_oracle(evs[0].date, months) <= evs[-1].date
+
+    baskets = [
+        {gender[p.patient_id], *items(history[p.patient_id])}
+        for p in patients
+        if eligible(history[p.patient_id])
+    ]
+    if not baskets:
+        raise DomainError("no eligible patient")
+    target = normalize_item("READ", str(spec.hoi))
+    found = brute_force_rules(
+        baskets, target, config.min_left_support, config.min_confidence, config.max_antecedent
+    )
+    count_y = sum(target in b for b in baskets)
+    rules = []
+    for antecedent in found:
+        holding = [b for b in baskets if antecedent <= b]
+        count_xy = sum(target in b for b in holding)
+        measures = scalar_rule_measures(count_xy, len(holding), count_y, len(baskets))
+        rules.append(ReferenceRule(antecedent, *measures[2:]))
+
+    def excluded(p, e):
+        cutoff = add_months_oracle(p.registration_date, config.exclusion_months)
+        return e.code_type == "BNF" and (
+            e.date <= cutoff or (end - e.date).days < config.end_buffer_days
+        )
+
+    kept = {p.patient_id: [e for e in history[p.patient_id] if not excluded(p, e)] for p in patients}
+    start, stop = spec.window
+    exposed = after = before = 0
+    instances = []
+    for pid, evs in kept.items():
+        drugs = [e for e in evs if e.code_type == "BNF" and family_oracle(parse_bnf(e.code), spec.doi)]
+        outcomes = [e.date for e in evs if outcome_oracle(e.code_type, e.code, spec.hoi)]
+        if not drugs:
+            continue
+        exposed += 1
+        first = drugs[0].date
+        hits = [d for d in outcomes if start <= (d - first).days <= stop]
+        if hits:
+            instances.append((pid, first, min(hits)))
+        # A prescription counts once per (day, level-2 item).
+        for day in (day for day, _ in {(e.date, normalize_item("BNF", e.code)) for e in drugs}):
+            gaps = [(d - day).days for d in outcomes]
+            after += any(start <= g <= stop for g in gaps)
+            before += any(-stop <= g <= -start for g in gaps)
+    if not exposed:
+        raise DomainError("no exposed patient")
+
+    rows = []
+    for pid, first, hoi_date in sorted(instances):
+        prior = [
+            e for e in kept[pid]
+            if e.date < hoi_date or (config.include_same_day and e.date == hoi_date)
+        ]
+        count, confidence, lift, chi, expected = assess_oracle(
+            {gender[pid], *items(prior)}, rules, config.lift_threshold
+        )
+        rows.append({
+            "patient_id": pid, "doi_date": first.isoformat(), "hoi_date": hoi_date.isoformat(),
+            "matched_rule_count": count, "max_confidence": confidence, "max_lift": lift,
+            "max_chi_squared": chi, "expected": expected,
+        })
+    matched = [row for row in rows if row["matched_rule_count"]]
+    n, expected_count = len(rows), sum(row["expected"] for row in rows)
+
+    def mean(group, field):
+        return sum(row[field] for row in group) / len(group) if group else 0.0
+
+    return {
+        "signal": {
+            "name": spec.name, "doi_items": sorted(str(c) for c in spec.doi),
+            "hoi_code": str(spec.hoi), "window": list(spec.window),
+        },
+        "exposure_count": exposed,
+        "instance_count": n,
+        "matched_count": len(matched),
+        "expected_count": expected_count,
+        "absolute_risk": n / exposed,
+        "adjusted_risk": (n - expected_count) / exposed,
+        "avg_max_confidence_all": mean(rows, "max_confidence"),
+        "avg_max_chi_all": mean(rows, "max_chi_squared"),
+        "avg_max_confidence_matched": mean(matched, "max_confidence"),
+        "avg_max_chi_matched": mean(matched, "max_chi_squared"),
+        "hoi_rule_count": len(rules),
+        "ab_ratio": after / max(before, 1),
+        "matched_averages_defined": bool(matched),
+        "instances": rows,
+    }

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from adrrefine.baskets import BasketDatabase, build_database, pre_outcome_basket
+from adrrefine.baskets import BasketDatabase, BasketPairs, build_database, pre_outcome_basket
 from adrrefine.codes import Item, ItemKind
 from adrrefine.errors import DomainError
 from adrrefine.events import load
@@ -134,6 +134,28 @@ class TestIndex:
             assert db.count(itemset) == len(want)
             if all(it in db for it in itemset):
                 assert db.cover([db.item_ids[it] for it in itemset]).tolist() == want
+
+    def test_pairs_in_any_order_with_repeats(self):
+        """Pairs shuffled and repeated, over a vocabulary holding items no
+        basket holds, give the index of the baskets as sets."""
+        rng = random.Random(11)
+        items = [Item(ItemKind.READ, f"A{i:02d}..") for i in range(12)]
+        sets = [frozenset(rng.sample(items[2:], rng.randint(0, 6))) for _ in range(60)]
+        pairs = [(b, items.index(it)) for b, members in enumerate(sets) for it in members]
+        pairs = rng.sample(pairs * 3, 3 * len(pairs))
+        basket, item = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        pids = tuple(f"p{j}" for j in range(len(sets)))
+        got = BasketDatabase(BasketPairs(pids, tuple(items), basket, item))
+        want = BasketDatabase(list(zip(pids, sets)))
+        assert got.items == want.items and got.baskets == want.baskets
+        assert np.array_equal(got.counts, want.counts)
+        assert len(got.tid_lists) == len(want.tid_lists) == len(want.items)
+        assert all(map(np.array_equal, got.tid_lists, want.tid_lists))
+
+    def test_baskets_without_items(self):
+        db = BasketDatabase([("p", frozenset()), ("q", frozenset())])
+        assert (db.items, db.tid_lists, len(db.counts)) == ((), (), 0)
+        assert db.count([]) == 2 and db.baskets == (("p", frozenset()), ("q", frozenset()))
 
     def test_index_is_read_only(self, worked_store):
         db = build_database(worked_store, min_active_months=0)

@@ -2,6 +2,7 @@ import calendar
 import datetime as dt
 import random
 
+import numpy as np
 import pytest
 
 from adrrefine.baskets import build_database
@@ -181,6 +182,27 @@ class TestPrescriptionExclusions:
         store = _exclusion_store(tmp_path)
         with pytest.raises(ConfigError, match="must be >= 0"):
             apply_prescription_exclusions(store, months, days)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "12", None, float("nan")])
+    def test_window_must_be_an_integer(self, tmp_path, bad):
+        store = _exclusion_store(tmp_path)
+        for months, days in ((bad, 30), (12, bad)):
+            with pytest.raises(ConfigError, match=" must be an integer: "):
+                apply_prescription_exclusions(store, months, days)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "24", None])
+    def test_min_active_months_must_be_an_integer(self, tmp_path, bad):
+        store = _exclusion_store(tmp_path)
+        for count in (eligible_patients, build_database):
+            with pytest.raises(ConfigError, match="^min_active_months must be an integer: "):
+                count(store, bad)
+
+    def test_numpy_integer_windows(self, tmp_path):
+        store = _exclusion_store(tmp_path)
+        assert apply_prescription_exclusions(store, np.int64(12), np.int32(30)) == (
+            apply_prescription_exclusions(store, 12, 30)
+        )
+        assert eligible_patients(store, np.int64(1)) == eligible_patients(store, 1)
 
     def test_negative_min_active_months_is_config_error(self, tmp_path):
         store = _exclusion_store(tmp_path)

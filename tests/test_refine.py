@@ -20,6 +20,7 @@ from adrrefine.refine import (
     assess_instances,
     extract_hoi_rules,
     refine,
+    report_to_dict,
     write_report_csv,
     write_report_json,
 )
@@ -179,6 +180,14 @@ class TestAssessInstances:
                             assess_oracle(basket, rules, threshold) for basket in baskets[same_day]
                         ]
 
+    @pytest.mark.parametrize("bad", [float("nan"), True, "1", None])
+    def test_lift_threshold_must_be_a_number(self, worked_store, worked_rules, worked_instances, bad):
+        hoi_rules = extract_hoi_rules(worked_rules, parse_read("H05.."))
+        with pytest.raises(ConfigError, match="^lift_threshold must be a number"):
+            assess_instances(worked_store, worked_instances, hoi_rules, lift_threshold=bad)
+        with pytest.raises(ConfigError, match="^lift_threshold must be a number"):
+            assess_instance(worked_store, worked_instances[0], hoi_rules, lift_threshold=bad)
+
     def test_oracle_inputs_cover_the_edge_cases(self):
         rng = random.Random(81)
         store = calendar_store(rng)
@@ -322,6 +331,22 @@ class TestRiskArithmetic:
         with pytest.raises(DomainError):
             adjusted_risk(4, 5, 25)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, float("nan"), True, "4", None])
+    def test_counts_must_be_integers(self, bad):
+        for call in (
+            lambda: absolute_risk(1, bad),
+            lambda: absolute_risk(bad, 4),
+            lambda: adjusted_risk(3, bad, 4),
+            lambda: adjusted_risk(bad, 1, 4),
+            lambda: adjusted_risk(3, 1, bad),
+        ):
+            with pytest.raises(DomainError, match="^risk counts must be integers: "):
+                call()
+
+    def test_numpy_integer_counts(self):
+        assert absolute_risk(np.int64(1), np.int32(4)) == 0.25
+        assert adjusted_risk(np.int64(3), np.uint8(1), np.int16(4)) == 0.5
+
 
 class TestRefine:
     def test_worked_example_report(self, worked_store, worked_rules, worked_instances, worked_spec):
@@ -370,20 +395,29 @@ class TestRefine:
     def test_selects_family_and_outcome_rows_once(
         self, monkeypatch, worked_store, worked_rules, worked_spec
     ):
-        """On a fresh store, a refine's three scans share two passes over
-        the code column: one for the family's rows, one for the outcome's."""
-        passes = Counter()
-        select = signals_module._select
-        monkeypatch.setattr(
-            signals_module, "_select",
-            lambda store, mask: passes.update([id(store)]) or select(store, mask),
-        )
+        """On a fresh store, a refine's three scans share two code masks,
+        one for the family's rows and one for the outcome's, and two passes
+        over the code column, one per mask. A repeated refine makes none."""
+        asked = Counter()  # codes each predicate was asked about
+        for name in ("doi_matches", "outcome_matches"):
+            predicate = getattr(signals_module, name)
+            monkeypatch.setattr(
+                signals_module, name,
+                lambda code, query, name=name, predicate=predicate:
+                    asked.update([name]) or predicate(code, query),
+            )
+        passes = []  # each pass over the code column freezes its rows
+        frozen = signals_module._frozen
+        monkeypatch.setattr(signals_module, "_frozen", lambda rows: passes.append(1) or frozen(rows))
         excluded = apply_prescription_exclusions(worked_store)
-        for store in (worked_store, excluded):
+        codes = len(worked_store.code_table)  # shared with `excluded`
+        for k, store in enumerate((worked_store, excluded), 1):
             refine(worked_spec, worked_rules, store)
-        assert passes == {id(worked_store): 2, id(excluded): 2}
+            assert asked == {"doi_matches": k * codes, "outcome_matches": k * codes}
+            assert len(passes) == 2 * k
         refine(worked_spec, worked_rules, excluded)
-        assert passes == {id(worked_store): 2, id(excluded): 2}
+        assert asked == {"doi_matches": 2 * codes, "outcome_matches": 2 * codes}
+        assert len(passes) == 4
 
     def test_derives_instances_and_exposure_from_store(self, worked_store, worked_rules, worked_spec):
         report = refine(worked_spec, worked_rules, worked_store)
@@ -406,6 +440,29 @@ class TestRefine:
     def test_nan_lift_threshold_rejected(self, worked_store, worked_rules, worked_spec):
         with pytest.raises(ConfigError, match="NaN"):
             refine(worked_spec, worked_rules, worked_store, lift_threshold=float("nan"))
+
+    @pytest.mark.parametrize("bad", [True, "1", None, float("nan")])
+    def test_lift_threshold_must_be_a_number_before_any_scan(
+        self, monkeypatch, worked_store, worked_rules, worked_spec, bad
+    ):
+        for name in ("exposure_count", "find_instances", "ab_ratio", "assess_instances"):
+            monkeypatch.setattr(refine_module, name, lambda *args, **kwargs: pytest.fail("scanned"))
+        with pytest.raises(ConfigError, match="^lift_threshold must be a number"):
+            refine(worked_spec, worked_rules, worked_store, lift_threshold=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True, "25"])
+    def test_given_exposures_must_be_an_integer(
+        self, worked_store, worked_rules, worked_instances, worked_spec, bad
+    ):
+        with pytest.raises(DomainError, match="^risk counts must be integers: "):
+            refine(worked_spec, worked_rules, worked_store, instances=worked_instances, exposures=bad)
+
+    def test_numpy_integer_exposures(self, worked_store, worked_rules, worked_instances, worked_spec):
+        given = [
+            refine(worked_spec, worked_rules, worked_store, instances=worked_instances, exposures=n)
+            for n in (25, np.int64(25))
+        ]
+        assert report_to_dict(given[0]) == report_to_dict(given[1])
 
     def test_lift_threshold_monotone(self, worked_store, worked_rules, worked_instances, worked_spec):
         counts = []

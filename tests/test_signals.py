@@ -32,8 +32,6 @@ from adrrefine.events import (
 )
 from adrrefine.signals import (
     SignalInstance,
-    _family_mask,
-    _outcome_mask,
     SignalSpec,
     ab_ratio,
     doi_matches,
@@ -171,6 +169,24 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             make_spec(doi=frozenset())
 
+    @pytest.mark.parametrize("doi", [
+        frozenset([parse_read("C10..")]),
+        frozenset([parse_bnf("1.1.0.0"), parse_read("C10..")]),
+        frozenset(["1.1.0.0"]),
+        "1.1.0.0",
+        {parse_bnf("1.1.0.0")},
+        parse_bnf("1.1.0.0"),
+        None,
+    ])
+    def test_doi_must_be_a_frozenset_of_drug_codes(self, doi):
+        with pytest.raises(ConfigError, match="^doi must be a non-empty frozenset of parsed drug"):
+            make_spec(doi=doi)
+
+    @pytest.mark.parametrize("hoi", [parse_bnf("5.1.0.0"), "H05..", None])
+    def test_hoi_must_be_a_diagnosis_code(self, hoi):
+        with pytest.raises(ConfigError, match="^hoi must be a parsed diagnosis code: "):
+            make_spec(hoi=hoi)
+
     def test_load_from_json(self, worked_example_dir):
         spec = load_signal_spec(str(worked_example_dir / "signal.json"))
         assert spec.doi == DOI
@@ -269,15 +285,19 @@ class TestPrefixMasks:
         hoi=read_codes,
     )
     def test_masks_are_truncation(self, codes, doi, hoi):
+        """Per code of either system, and over the rows of a store with one
+        row per code."""
         store = code_store(codes)
         parsed = [c for c, _ in store.code_table.values()]
         assert parsed == codes
-        assert _outcome_mask(store, hoi).tolist() == [
-            isinstance(c, ReadCode) and outcome_code_oracle(c, hoi) for c in codes
-        ]
-        assert _family_mask(store, doi).tolist() == [
-            isinstance(c, BnfCode) and family_oracle(c, doi) for c in codes
-        ]
+        for query, matches, want in (
+            (hoi, signals_module.outcome_matches,
+             [isinstance(c, ReadCode) and outcome_code_oracle(c, hoi) for c in codes]),
+            (doi, doi_matches, [isinstance(c, BnfCode) and family_oracle(c, doi) for c in codes]),
+        ):
+            assert [matches(c, query) for c in codes] == want
+            rows = signals_module._rows(store, query, matches)
+            assert rows.tolist() == np.flatnonzero(np.array(want, bool)[store.columns.code]).tolist()
 
 
 class TestFirstDoiDate:
@@ -654,29 +674,54 @@ class TestSharedSelections:
         for s in range(len(self.SCANS)):
             assert any(fresh[k, 0, s] != fresh[k, 1, s] for k in range(len(specs)))
 
-    def test_keeps_the_two_most_recently_used_read_only(self, monkeypatch):
+    def test_a_family_set_changed_after_use_is_a_new_query(self):
+        store, _ = self.pair(94)
+        doi = set(DOI)
+        before = exposure_count(doi, store)
+        doi.add(parse_bnf("2.1.0.0"))
+        after = exposure_count(doi, store)
+        assert after == exposure_count(frozenset(doi), self.pair(94)[0]) > before
+
+    def test_keeps_the_two_most_recently_used_read_only(self):
         store, _ = self.pair(93)
-        masks = [_family_mask(store, DOI), _outcome_mask(store, parse_read("H05..")),
-                 _family_mask(store, frozenset([parse_bnf("2.1.0.0")]))]
-        assert len({m.tobytes() for m in masks}) == 3
-        passes = []
-        select = signals_module._select
-        monkeypatch.setattr(
-            signals_module, "_select", lambda *args: passes.append(1) or select(*args)
-        )
-        rows = [signals_module._rows(store, mask) for mask in masks]
-        for mask, got in zip(masks, rows):
+        queries = [DOI, parse_read("H05.."), frozenset([parse_bnf("2.1.0.0")])]
+        table = store.code_table
+
+        def select(query, code):
+            if isinstance(query, frozenset):
+                return doi_matches(code, query)
+            return signals_module.outcome_matches(code, query)
+
+        want = [
+            np.flatnonzero(np.array([select(q, c) for c, _ in table.values()])[store.columns.code])
+            for q in queries
+        ]
+        assert len({w.tobytes() for w in want}) == 3
+        calls = []
+
+        def rows_of(k):
+            """`_rows` for query k; each mask it builds asks once per code."""
+            return signals_module._rows(
+                store, queries[k], lambda code, query: calls.append(query) or select(query, code)
+            )
+
+        def masks_built():
+            assert len(calls) % len(table) == 0
+            return len(calls) // len(table)
+
+        rows = [rows_of(k) for k in range(3)]
+        for got, expected in zip(rows, want):
             assert not got.flags.writeable
-            assert got.tolist() == np.flatnonzero(mask[store.columns.code]).tolist()
-        assert len(passes) == 3
-        # Kept: masks 2 and 1. Using mask 1 makes mask 2 the one that a new
-        # selection (mask 0) drops.
-        assert signals_module._rows(store, masks[1]) is rows[1]
-        assert len(passes) == 3
-        signals_module._rows(store, masks[0])
-        assert len(passes) == 4
-        assert signals_module._rows(store, masks[1]) is rows[1]
-        assert len(passes) == 4
-        assert signals_module._rows(store, masks[2]) is not rows[2]
-        assert len(passes) == 5
+            assert got.tolist() == expected.tolist()
+        assert masks_built() == 3
+        # Kept: queries 2 and 1. Using query 1 makes query 2 the one that a
+        # new selection (query 0) drops.
+        assert rows_of(1) is rows[1]
+        assert masks_built() == 3
+        rows_of(0)
+        assert masks_built() == 4
+        assert rows_of(1) is rows[1]
+        assert masks_built() == 4
+        assert rows_of(2) is not rows[2]
+        assert masks_built() == 5
         assert len(store._selections) == 2
