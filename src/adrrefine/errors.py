@@ -5,10 +5,10 @@ of the `workers` keyword, and the one test and checks of integer values.
 The CLI maps these onto exit codes: DomainError (and subclasses) -> 1,
 ParseError and I/O failures -> 2.
 
-Readers convert what they read through `checked` (or, for a block whose
-whole-column check failed, `raise_first_fault`): any of `INPUT_FAULTS`
-raised while converting a CSV row or a JSON value becomes a ParseError
-with the file and, for CSV, the line. JSON values are taken through
+Readers convert what they read through `checked`, or a block at a time
+through `converted`, which re-runs a failed block's conversion row by row:
+any of `INPUT_FAULTS` raised while converting a CSV row or a JSON value
+becomes a ParseError with the file and, for CSV, the line. JSON values are taken through
 `json_list`, `json_int` and `json_number`, which name the field they
 reject. A ConfigError raised by validating a converted configuration is
 not a conversion fault and keeps its exit code 1.
@@ -21,7 +21,7 @@ import numbers
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from typing import Any, NoReturn, TextIO
+from typing import Any, TextIO
 
 # Characters of CSV text read at a time by `csv_columns`, then extended to
 # the end of the line.
@@ -117,13 +117,15 @@ def checked(
         yield value
 
 
-def raise_first_fault(
-    rows: Iterable[tuple[int | None, Any]], check: Callable, source: str, prefix: str = ""
-) -> NoReturn:
-    """Run `check` over the rows of a block whose whole-column check
-    failed, raising the first bad row's ParseError as `checked` does."""
-    for _ in checked(rows, check, source, prefix):
-        pass
+def converted(convert: Callable, block: Any, rows: Iterable, source: str, prefix: str = "") -> Any:
+    """`convert(block)`; when that raises one of `INPUT_FAULTS`, `convert`
+    of each of the block's `rows` by itself, in order, so the first bad
+    row raises its own message as `checked` does. A `convert` that fails
+    keeps nothing but caches of the values it did convert."""
+    try:
+        return convert(block)
+    except INPUT_FAULTS:
+        list(checked(rows, convert, source, prefix))  # raises at the first bad row
     raise AssertionError("a block failed but none of its rows")
 
 
@@ -189,7 +191,8 @@ class CsvBlock:
     `first` is the line number of the first record. `columns` holds the
     fields of the non-blank records, one list per header column, or is
     None when some record does not have one field per column. `rows()`
-    checks and gives those records one at a time.
+    checks and gives those records one at a time, and `row_columns()`
+    gives each as columns of one field.
     """
 
     __slots__ = ("path", "first", "width", "columns", "_records")
@@ -211,6 +214,9 @@ class CsvBlock:
                     message = f"expected {self.width} fields, got {len(row)}"
                     raise ParseError(message, source=self.path, line=line)
                 yield line, row
+
+    def row_columns(self) -> Iterator[tuple[int, list[list[str]]]]:
+        return ((line, [[field] for field in row]) for line, row in self.rows())
 
 
 def _split_lines(text: str, width: int) -> list[str] | None:

@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from itertools import compress, islice
-from typing import Callable, Iterable, Iterator
+from functools import cached_property
+from itertools import compress
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
 from .codes import GENDERS, BnfCode, Item, ReadCode, code_item, gender_item, parse_code
 from .errors import (
-    INPUT_FAULTS, CsvBlock, DomainError, check_setting, checked, column_values, csv_columns,
-    raise_first_fault,
+    CsvBlock, DomainError, check_setting, checked, column_values, converted, csv_columns,
 )
 
 DEFAULT_EXCLUSION_MONTHS = 12
@@ -295,44 +294,43 @@ def _day_number(text: str) -> int:
     return dt.date.fromisoformat(text).toordinal()
 
 
+def _unknown_gender(gender: str) -> NoReturn:
+    raise ValueError(f"gender must be M or F: {gender!r}")
+
+
+def _unknown_patient(pid: str) -> NoReturn:
+    raise ValueError(f"unknown patient_id {pid!r}")
+
+
 def _read_patients(blocks: Iterable[CsvBlock]) -> _Patients:
     """The patient columns of patients.csv `blocks`, in row order. Each
     distinct year and date string is converted once; a malformed row
     raises its ParseError."""
     ordinal: dict[str, int] = {}
+    gender_of = {gender: k for k, gender in enumerate(GENDERS)}
     year_of: dict[str, int] = {}
     day_of: dict[str, int] = {}
+
+    def convert(columns: list) -> tuple[list, list, list]:
+        """A block's gender codes, years and registration days. Its ids
+        join `ordinal` once the whole block has converted."""
+        pids, gender, year, date = columns  # None (a TypeError) on a bad field count
+        if len(fresh := dict.fromkeys(pids)) < len(pids) or not ordinal.keys().isdisjoint(fresh):
+            again = next(p for k, p in enumerate(pids) if p in ordinal or p in pids[:k])
+            raise ValueError(f"duplicate patient_id {again!r}")
+        gender = column_values(gender_of, gender, _unknown_gender)
+        year, date = column_values(year_of, year, int), column_values(day_of, date, _day_number)
+        ordinal.update(zip(pids, range(len(ordinal), len(ordinal) + len(pids))))
+        return gender, year, date
+
     genders, years, days = [], [], []  # per patient, in row order
     for block in blocks:
-        seen = len(ordinal)
-        try:
-            pids, gender, year, date = block.columns  # None (a TypeError) on a bad field count
-            ordinal.update(zip(pids, range(seen, seen + len(pids))))
-            if len(ordinal) < seen + len(pids):
-                raise ValueError("a duplicate patient_id")
-            gender = list(map(GENDERS.index, gender))
-            year = column_values(year_of, year, int)
-            date = column_values(day_of, date, _day_number)
-        except INPUT_FAULTS:
-            check = partial(_check_patient, set(islice(ordinal, seen)))
-            raise_first_fault(block.rows(), check, block.path)
+        gender, year, date = converted(convert, block.columns, block.row_columns(), block.path)
         genders += gender
         years += year
         days += date
     gender, registered = _frozen(np.array(genders, np.uint8)), _frozen(np.array(days, np.int32))
     return tuple(ordinal), ordinal, gender, tuple(years), registered
-
-
-def _check_patient(seen: set[str], row: list[str]) -> None:
-    """Check one patients.csv row, after the patient ids `seen` before it,
-    and add its id to them."""
-    pid, gender, yob, reg = row
-    if pid in seen:
-        raise ValueError(f"duplicate patient_id {pid!r}")
-    if gender not in GENDERS:
-        raise ValueError(f"gender must be M or F: {gender!r}")
-    int(yob), dt.date.fromisoformat(reg)
-    seen.add(pid)
 
 
 def _read_events(blocks: Iterable[CsvBlock], patients: _Patients) -> _Rows:
@@ -348,36 +346,23 @@ def _read_events(blocks: Iterable[CsvBlock], patients: _Patients) -> _Rows:
         entries[key] = _parse_entry(key)
         return len(entries) - 1
 
-    parts = []
-    for block in blocks:
-        try:
-            pids, dates, types, codes = block.columns  # None (a TypeError) on a bad field count
-            patient = np.array(column_values(ordinal, pids, ordinal.__getitem__), np.int32)
-            day = np.array(column_values(day_of, dates, _day_number), np.int32)
-            code = np.array(column_values(code_of, list(zip(types, codes)), add_code), np.int32)
-            if (day < registered[patient]).any():
-                raise ValueError("an event before registration")
-        except INPUT_FAULTS:
-            check = partial(_check_event, ordinal, registered)
-            raise_first_fault(block.rows(), check, block.path)
-        parts.append((patient, day, code))
+    def convert(columns: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pids, dates, types, codes = columns  # None (a TypeError) on a bad field count
+        patient = np.array(column_values(ordinal, pids, _unknown_patient), np.int32)
+        day = np.array(column_values(day_of, dates, _day_number), np.int32)
+        code = np.array(column_values(code_of, list(zip(types, codes)), add_code), np.int32)
+        start = registered[patient]
+        if len(early := np.flatnonzero(day < start)):
+            date, registration = (dt.date.fromordinal(int(d[early[0]])) for d in (day, start))
+            raise ValueError(f"event dated {date} before registration {registration}")
+        return patient, day, code
+
+    parts = [converted(convert, b.columns, b.row_columns(), b.path) for b in blocks]
     if not parts:
         empty = np.zeros(0, dtype=np.int32)
         return empty, empty, empty, CodeTable(entries)
     patient, day, code = (np.concatenate(column) for column in zip(*parts))
     return patient, day, code, CodeTable(entries)
-
-
-def _check_event(ordinal: dict[str, int], registered: np.ndarray, row: list[str]) -> None:
-    """Check one events.csv row against the patients' ordinals and registration days."""
-    pid, date_text, code_type, code = row
-    if pid not in ordinal:
-        raise ValueError(f"unknown patient_id {pid!r}")
-    date = dt.date.fromisoformat(date_text)
-    parse_code(code_type, code)
-    registration = dt.date.fromordinal(int(registered[ordinal[pid]]))
-    if date < registration:
-        raise ValueError(f"event dated {date} before registration {registration}")
 
 
 def _patient_row(p: PatientInfo) -> list:

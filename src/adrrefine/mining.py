@@ -52,7 +52,6 @@ import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 from numbers import Real
 from typing import NamedTuple
 
@@ -61,8 +60,8 @@ import numpy as np
 from .baskets import BasketDatabase
 from .codes import Item, parse_item
 from .errors import (
-    INPUT_FAULTS, ConfigError, DomainError, ParseError, check_integers, check_workers,
-    column_values, csv_columns, integral, json_list, json_number, raise_first_fault, read_json,
+    ConfigError, DomainError, ParseError, check_integers, check_workers, column_values,
+    converted, csv_columns, integral, json_list, json_number, read_json,
 )
 
 DEFAULT_MIN_LEFT_SUPPORT = 0.001
@@ -828,39 +827,23 @@ def write_rules_json(rules: Iterable[AssociationRule], path: str) -> None:
         fh.write(f"[\n{body}\n]\n" if body else "[]\n")
 
 
-def _check_fields(
-    antecedent_tokens: Sequence[str], consequent_token: str, numbers: Sequence[str | float]
-) -> None:
-    """Build one rule from its fields, raising the row's first error: a
-    bad token, then a number `float` rejects, then a broken rule
-    invariant, then a measure that is not finite. `numbers` come in
-    `_MEASURES` order. The readers call this only to report a malformed
-    row."""
-    items = {token: parse_item(token) for token in (*antecedent_tokens, consequent_token)}
-    measures = {name: float(v) for name, v in zip(_MEASURES, numbers)}
-    AssociationRule(
-        frozenset(items[t] for t in antecedent_tokens), items[consequent_token], **measures
-    )
-    for name, value in measures.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
-
-
-def _rule_table(blocks: Iterable, split: Callable, fault: Callable) -> RuleTable:
-    """A table of rules given a block of rows at a time, each block as
-    (source, columns). The columns are the antecedent keys (`split` gives
-    a key's tokens), the consequent tokens and the five raw measure
-    columns in `_MEASURES` order, each measure converted by `float` and
-    required finite; they are None when the block's rows are malformed.
-    A block that fails goes to `fault(source)`, which raises its first
-    bad row's error. Each distinct token and antecedent key is parsed
-    once."""
+def _rule_table(
+    blocks: Iterable[tuple], split: Callable, columns: Callable = lambda block: block,
+    check: Callable = lambda numbers: None,
+) -> RuleTable:
+    """A table of the rules of `blocks`, each given as the arguments of
+    `converted` after its `convert`: the block, its rows, source and
+    prefix. `columns(block)` gives the antecedent keys (`split` gives a
+    key's tokens), the consequent tokens and the five raw measure columns
+    in `_MEASURES` order. A row's checks run in this order: its tokens,
+    antecedent first; its measures, by `float`; the rule invariants, with
+    `AssociationRule`'s messages; each measure finite; then `check` of its
+    raw measures. Each distinct token and antecedent key is parsed once."""
     items: dict[Item, int] = {}  # each distinct item, by first sight
     item_of: dict[str, int] = {}  # token -> its item's index in `items`
-    key_of: dict = {}  # antecedent key -> its index in `rows`
+    key_of: dict = {}  # antecedent key -> its index in `rows`, -1 if it is empty
     rows: list[list[int]] = []  # per antecedent key, its ascending item indexes
     members: set[int] = set()  # (antecedent index << 32) | item index, per member
-    parts = []
 
     def add_item(token: str) -> int:
         return items.setdefault(parse_item(token), len(items))
@@ -868,24 +851,28 @@ def _rule_table(blocks: Iterable, split: Callable, fault: Callable) -> RuleTable
     def add_key(key) -> int:
         row = sorted(set(column_values(item_of, split(key), add_item)))
         if not row:
-            raise DomainError("rule antecedent must not be empty")
+            return -1
         members.update((len(rows) << 32) | i for i in row)
         rows.append(row)
         return len(rows) - 1
 
-    for source, columns in blocks:
-        try:
-            antecedents, consequents, *numbers = columns  # None (a TypeError) if malformed
-            key = np.array(column_values(key_of, antecedents, add_key), np.int64)
-            consequent = np.array(column_values(item_of, consequents, add_item), np.int64)
-            measures = [np.fromiter(map(float, column), np.float64, len(key)) for column in numbers]
-            if not np.isfinite(measures).all():
-                raise ValueError("a measure is not finite")
-            if not members.isdisjoint(((key << 32) | consequent).tolist()):
-                raise DomainError("a consequent is in its antecedent")
-        except INPUT_FAULTS:
-            fault(source)
-        parts.append((key, consequent, *measures))
+    def convert(block) -> tuple:
+        antecedents, consequents, *numbers = columns(block)  # None (a TypeError) if malformed
+        key = np.array(column_values(key_of, antecedents, add_key), np.int64)
+        consequent = np.array(column_values(item_of, consequents, add_item), np.int64)
+        measures = [np.fromiter(map(float, c), np.float64, len(key)) for c in numbers]
+        if (key < 0).any():
+            raise DomainError("rule antecedent must not be empty")
+        if not members.isdisjoint(pairs := ((key << 32) | consequent).tolist()):
+            inside = next(k for k, pair in enumerate(pairs) if pair in members)
+            raise DomainError(f"consequent {list(items)[consequent[inside]]} also in antecedent")
+        if not (finite := np.isfinite(measures)).all():
+            j = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"{_MEASURES[j]} must be finite, not {measures[j][~finite[j]][0]}")
+        check(numbers)
+        return key, consequent, *measures
+
+    parts = [converted(convert, *block) for block in blocks]
     # Item indexes in token order, the -1 pad kept last in each row.
     order = sorted(items, key=lambda it: it.token)
     rank = np.empty(len(items) + 1, dtype=np.int32)
@@ -903,22 +890,33 @@ def read_rules_csv(path: str) -> RuleTable:
     """The rules of a rules.csv file, read a block of rows at a time; a
     malformed row raises its ParseError with its line."""
     return _rule_table(
-        ((block, block.columns) for block in csv_columns(path, _CSV_HEADER)),
+        ((block.columns, block.row_columns(), path) for block in csv_columns(path, _CSV_HEADER)),
         lambda key: key.split("|"),
-        lambda block: raise_first_fault(
-            block.rows(), lambda row: _check_fields(row[0].split("|"), row[1], row[2:]), path
-        ),
     )
 
 
-def _check_object(obj: dict) -> None:
-    """Build one rules.json object's rule as `_check_fields` does, then
-    require each measure to be a JSON number. A measure that is an
-    integer too large for a float is named before any other error."""
-    numbers = [json_number(obj, n) if type(obj[n]) is int else obj[n] for n in _MEASURES]
-    _check_fields(json_list(obj["antecedent"], "antecedent"), obj["consequent"], numbers)
-    for name in _MEASURES:
-        json_number(obj, name)
+def _json_columns(objs: list) -> list:
+    """The columns `_rule_table` takes of rules.json objects. A measure
+    that is an integer too large for a float is named first, then an
+    antecedent that is not a list."""
+    numbers = [
+        [json_number(obj, n) if type(obj[n]) is int else obj[n] for obj in objs] for n in _MEASURES
+    ]
+    antecedents = [tuple(json_list(obj["antecedent"], "antecedent")) for obj in objs]
+    consequents = [obj["consequent"] for obj in objs]
+    try:
+        hash((*antecedents, *consequents))
+    except TypeError:  # a list or object as a token, named as `parse_item` names it
+        [parse_item(token) for key, y in zip(antecedents, consequents) for token in (*key, y)]
+    return [antecedents, consequents, *numbers]
+
+
+def _json_measures(numbers: list) -> None:
+    """A TypeError naming the first measure that is not a JSON number."""
+    for name, column in zip(_MEASURES, numbers):
+        if not set(map(type, column)) <= {int, float}:
+            for value in column:
+                json_number({name: value}, name)
 
 
 def read_rules_json(path: str) -> RuleTable:
@@ -928,18 +926,5 @@ def read_rules_json(path: str) -> RuleTable:
             f"top level must be a list of rule objects, not {type(payload).__name__}",
             source=path,
         )
-    try:
-        numbers = [[obj[name] for obj in payload] for name in _MEASURES]
-        if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
-            raise TypeError("a measure is not a number")
-        antecedents = [tuple(json_list(obj["antecedent"], "antecedent")) for obj in payload]
-        columns = [antecedents, [obj["consequent"] for obj in payload], *numbers]
-    except INPUT_FAULTS:
-        columns = None
-    return _rule_table(
-        [(payload, columns)],
-        lambda key: key,
-        lambda objs: raise_first_fault(
-            zip(repeat(None), objs), _check_object, path, "bad rule object: "
-        ),
-    )
+    block = (payload, ((None, [obj]) for obj in payload), path, "bad rule object: ")
+    return _rule_table([block], tuple, _json_columns, _json_measures)

@@ -190,6 +190,8 @@ def absolute_risk(instance_count: int, exposures: int) -> float:
     check_integers("risk counts", instance_count, exposures)
     if exposures <= 0:
         raise DomainError("risk is undefined with zero exposures")
+    if instance_count < 0:
+        raise DomainError(f"instance_count must be >= 0: {instance_count}")
     return instance_count / exposures
 
 

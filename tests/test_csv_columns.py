@@ -223,8 +223,8 @@ class TestSplitPath:
 
 def rules_oracle(path):
     """The rules of a rules.csv file read a row at a time: `csv.reader`,
-    then one `AssociationRule` per non-blank record, as `_check_fields`
-    builds them."""
+    then one `AssociationRule` per non-blank record, built from its
+    parsed tokens and `float` measures."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))[1:]
     return [

@@ -327,6 +327,11 @@ class TestRiskArithmetic:
         with pytest.raises(DomainError):
             adjusted_risk(4, 3, 0)
 
+    def test_negative_instance_count_is_undefined(self):
+        # A count below zero once gave a negative risk, -0.25 here.
+        with pytest.raises(DomainError, match="^instance_count must be >= 0: -1$"):
+            absolute_risk(-1, 4)
+
     def test_expected_bounded_by_instances(self):
         with pytest.raises(DomainError):
             adjusted_risk(4, 5, 25)

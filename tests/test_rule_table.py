@@ -250,22 +250,46 @@ def write_csv(tmp_path, *rows: str):
 GOOD_ROW = "B11..,A11..,0.2,0.1,0.5,1.5,2.0"
 
 
+# Each malformed row, after one good row and a blank line, with the
+# message the row-at-a-time reader gave.
+CSV_ROW_FAULTS = [
+    ("B11..,A11..,0.2,0.1,0.5,1.5", "expected 7 fields, got 6"),
+    ("B11..,A11..,0.2,0.1,0.5,1.5,2.0,3", "expected 7 fields, got 8"),
+    (",A11..,0.2,0.1,0.5,1.5,2.0", "read code must have exactly 5 characters: ''"),
+    ("A11..|B11..,A11..,0.2,0.1,0.5,1.5,2.0", "consequent A11.. also in antecedent"),
+    ("Q9x!.,A11..,0.2,0.1,0.5,1.5,2.0", "read code contains invalid character '!': 'Q9x!.'"),
+    ("B11..,A11..,0.2,abc,0.5,1.5,2.0", "could not convert string to float: 'abc'"),
+    # Two faults in one row: the token comes first.
+    ("Q9x!.,A11..,0.2,abc,0.5,1.5,2.0", "read code contains invalid character '!': 'Q9x!.'"),
+    ("B11..,A11..,x,abc,0.5,1.5,2.0", "could not convert string to float: 'x'"),
+]
+
+
+# Each change that makes a good rules.json object malformed, with its message.
+JSON_OBJECT_FAULTS = [
+    ({"left_support": None}, "float() argument must be a string or a real number, not 'NoneType'"),
+    ({"antecedent": ["A11..", "B11.."]}, "consequent A11.. also in antecedent"),
+    ({"antecedent": []}, "rule antecedent must not be empty"),
+    ({"antecedent": "B11.."}, "antecedent must be a list, not a string"),
+    ({"consequent": "Q9x!."}, "read code contains invalid character '!': 'Q9x!.'"),
+    ({"left_support": True}, "left_support must be a number, not true"),
+    ({"support": "0.05"}, 'support must be a number, not "0.05"'),
+    ({"lift": "1_5"}, 'lift must be a number, not "1_5"'),
+    # Two faults in one object: the token comes first.
+    ({"consequent": "Q9x!.", "lift": "1.5"}, "read code contains invalid character '!': 'Q9x!.'"),
+    ({"antecedent": {"B11..": 1}}, "antecedent must be a list, not an object"),
+    ({"lift": math.nan}, "lift must be finite, not nan"),
+    ({"chi_squared": -math.inf}, "chi_squared must be finite, not -inf"),
+    ({"support": 10**400}, "support must fit a float, not an integer of 401 digits"),
+    ({"antecedent": ["B11..", [1, "a"]]}, "item must be a string: [1, 'a']"),
+    ({"consequent": {"A11..": 1}}, "item must be a string: {'A11..': 1}"),
+]
+
+
 class TestReaderErrors:
-    # Each malformed row, after one good row and a blank line, with the
-    # message the row-at-a-time reader gave.
     @pytest.mark.parametrize(
         "row, message",
-        [
-            ("B11..,A11..,0.2,0.1,0.5,1.5", "expected 7 fields, got 6"),
-            ("B11..,A11..,0.2,0.1,0.5,1.5,2.0,3", "expected 7 fields, got 8"),
-            (",A11..,0.2,0.1,0.5,1.5,2.0", "read code must have exactly 5 characters: ''"),
-            ("A11..|B11..,A11..,0.2,0.1,0.5,1.5,2.0", "consequent A11.. also in antecedent"),
-            ("Q9x!.,A11..,0.2,0.1,0.5,1.5,2.0", "read code contains invalid character '!': 'Q9x!.'"),
-            ("B11..,A11..,0.2,abc,0.5,1.5,2.0", "could not convert string to float: 'abc'"),
-            # Two faults in one row: the token comes first.
-            ("Q9x!.,A11..,0.2,abc,0.5,1.5,2.0", "read code contains invalid character '!': 'Q9x!.'"),
-            ("B11..,A11..,x,abc,0.5,1.5,2.0", "could not convert string to float: 'x'"),
-        ],
+        CSV_ROW_FAULTS,
     )
     def test_message_and_line(self, tmp_path, row, message):
         path = write_csv(tmp_path, GOOD_ROW, "", row, GOOD_ROW, "Q9x!.,A11..,0.2,0.1,0.5,1.5,2.0")
@@ -296,22 +320,7 @@ class TestReaderErrors:
 
     @pytest.mark.parametrize(
         "changes, message",
-        [
-            ({"left_support": None}, "float() argument must be a string or a real number, not 'NoneType'"),
-            ({"antecedent": ["A11..", "B11.."]}, "consequent A11.. also in antecedent"),
-            ({"antecedent": []}, "rule antecedent must not be empty"),
-            ({"antecedent": "B11.."}, "antecedent must be a list, not a string"),
-            ({"consequent": "Q9x!."}, "read code contains invalid character '!': 'Q9x!.'"),
-            ({"left_support": True}, "left_support must be a number, not true"),
-            ({"support": "0.05"}, 'support must be a number, not "0.05"'),
-            ({"lift": "1_5"}, 'lift must be a number, not "1_5"'),
-            # Two faults in one object: the token comes first.
-            ({"consequent": "Q9x!.", "lift": "1.5"}, "read code contains invalid character '!': 'Q9x!.'"),
-            ({"antecedent": {"B11..": 1}}, "antecedent must be a list, not an object"),
-            ({"lift": math.nan}, "lift must be finite, not nan"),
-            ({"chi_squared": -math.inf}, "chi_squared must be finite, not -inf"),
-            ({"support": 10**400}, "support must fit a float, not an integer of 401 digits"),
-        ],
+        JSON_OBJECT_FAULTS,
     )
     def test_json_messages(self, tmp_path, changes, message):
         numbers = dict(left_support=0.2, support=0.1, confidence=0.5, lift=1.5, chi_squared=2.0)
